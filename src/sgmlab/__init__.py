@@ -40,6 +40,7 @@ from .geometry import (
 from .growth import (
     GrowthReport,
     NecessaryConditionReport,
+    SuccessorMoments,
     contraction_margins,
     enumerate_successors,
     fit_sgc,
@@ -48,11 +49,11 @@ from .growth import (
     kaczmarz_M,
     measured_worst_omega,
     probe_grid,
+    successor_moments,
     verify_necessary_condition,
     write_growth_json,
 )
 from .problems import (
-    Component,
     EvaluationError,
     FiniteSumProblem,
     KaczmarzSystem,

@@ -12,7 +12,7 @@ independent of batch width, strides, and SIMD dispatch.
 import numpy as np
 
 __all__ = ["sumsq_cols", "dot_cols", "rowdot_cols", "matvec_cols",
-           "dot_vec", "matvec_vec"]
+           "matvec_vec"]
 
 
 def sumsq_cols(X: np.ndarray) -> np.ndarray:
@@ -45,14 +45,6 @@ def matvec_cols(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     for j in range(1, X.shape[0]):
         acc = acc + Q[:, j:j + 1] * X[j:j + 1]
     return acc
-
-
-def dot_vec(a: np.ndarray, x: np.ndarray) -> float:
-    """⟨a, x⟩ with the same accumulation order as the column-wise kernels."""
-    acc = a[0] * x[0]
-    for j in range(1, len(x)):
-        acc = acc + a[j] * x[j]
-    return float(acc)
 
 
 def matvec_vec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:

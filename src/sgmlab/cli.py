@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -37,6 +38,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CONSTRUCTION = 3
 EXIT_DIVERGED = 4
+
+SEED_MAX = 2 ** 64 - 1  # seeds key the Philox streams as unsigned 64-bit words
 
 _EPILOG = """exit codes:
   0  all requested checks passed
@@ -143,7 +146,7 @@ def parse_config(path) -> ExperimentConfig:
                 f"in [{section_name}]")
         return section_proxy[key]
 
-    def as_int(section_name, key, raw, minimum=None):
+    def as_int(section_name, key, raw, minimum=None, maximum=None):
         try:
             value = int(raw)
         except ValueError:
@@ -152,6 +155,9 @@ def parse_config(path) -> ExperimentConfig:
         if minimum is not None and value < minimum:
             raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
                               f">= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
+                              f"<= {maximum}, got {value}")
         return value
 
     def as_float(section_name, key, raw):
@@ -170,7 +176,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{where(section_name, key)}: '{key}' must be a "
                           f"boolean, got {raw!r}")
 
-    seed = as_int("experiment", "seed", need(exp, "experiment", "seed"), 0)
+    seed = as_int("experiment", "seed", need(exp, "experiment", "seed"), 0,
+                  SEED_MAX)
     iterations = as_int("experiment", "iterations",
                         need(exp, "experiment", "iterations"), 1)
     replications = as_int("experiment", "replications",
@@ -203,7 +210,7 @@ def parse_config(path) -> ExperimentConfig:
         params["mix"] = as_float("problem", "mix", prb.get("mix", "0.5"))
         params["construction_seed"] = as_int(
             "problem", "construction_seed",
-            prb.get("construction_seed", str(seed)), 0)
+            prb.get("construction_seed", str(seed)), 0, SEED_MAX)
         params["consistent"] = as_bool("problem", "consistent",
                                        prb.get("consistent", "true"))
         params["noise"] = as_float("problem", "noise", prb.get("noise", "0.1"))
@@ -214,7 +221,7 @@ def parse_config(path) -> ExperimentConfig:
                                        prb.get("l1_weight", "0.005"))
         params["construction_seed"] = as_int(
             "problem", "construction_seed",
-            prb.get("construction_seed", str(seed)), 0)
+            prb.get("construction_seed", str(seed)), 0, SEED_MAX)
     elif kind == "custom_matrix_file":
         raw_path = need(prb, "problem", "path").strip()
         params["path"] = str((path.parent / raw_path).resolve()
@@ -420,6 +427,10 @@ def _run_checks(cfg, problem, geometry_obj, policy, rho_pred, ens, stats):
     """Execute the requested checks; returns (manifest_checks, extras)."""
     results = {}
     extras = {}
+    # one successor enumeration serves every per-iterate audit of the run
+    audit_moments = functools.cache(lambda: growth.successor_moments(
+        problem, geometry_obj, policy.gamma, ens.audit.points,
+        method=cfg.method))
 
     growth_report = None
     if "wgc" in cfg.checks or "sgc" in cfg.checks:
@@ -446,12 +457,12 @@ def _run_checks(cfg, problem, geometry_obj, policy, rho_pred, ens, stats):
         }
 
     if "necessary" in cfg.checks:
-        results["necessary"] = _check_necessary(cfg, problem, geometry_obj,
-                                                policy, ens)
+        results["necessary"] = _check_necessary(problem, policy, ens,
+                                                audit_moments)
 
     if "rate" in cfg.checks:
-        results["rate"] = _check_rate(cfg, problem, geometry_obj, policy,
-                                      rho_pred, ens, stats, extras)
+        results["rate"] = _check_rate(cfg, problem, policy, rho_pred, stats,
+                                      extras, audit_moments)
 
     if "floor" in cfg.checks:
         results["floor"] = _check_floor(cfg, problem, stats, extras)
@@ -468,7 +479,7 @@ def _run_checks(cfg, problem, geometry_obj, policy, rho_pred, ens, stats):
     return results, extras
 
 
-def _check_necessary(cfg, problem, geometry_obj, policy, ens):
+def _check_necessary(problem, policy, ens, audit_moments):
     audit = ens.audit
     if len(audit.point_steps) != audit.iters + 1:
         return {"status": "skipped",
@@ -476,20 +487,17 @@ def _check_necessary(cfg, problem, geometry_obj, policy, ens):
     if policy.kind != "constant":
         return {"status": "skipped",
                 "reason": "the bound is stated for constant steps"}
-    gamma = policy.gamma
     sigma_sq = problem.analytic_sigma_sq
     if sigma_sq is None:
         xbar = problem.solution_projector(np.zeros(problem.dim))
         _, sigma_sq = problems.exact_conditional_moment(problem, xbar)
-    omega = growth.measured_worst_omega(problem, geometry_obj, gamma, audit,
-                                        sigma_sq, method=cfg.method)
+    moments = audit_moments()
+    omega = growth.measured_worst_omega(moments, sigma_sq)
     if not 0 < omega < 1:
         return {"status": "fail", "omega": omega,
                 "reason": "no strict one-step contraction measured along the "
                           "trajectory"}
-    report = growth.verify_necessary_condition(problem, geometry_obj, gamma,
-                                               audit, omega, sigma_sq,
-                                               method=cfg.method)
+    report = growth.verify_necessary_condition(moments, omega, sigma_sq)
     return {
         "status": "pass" if report.ok else "fail",
         "omega": omega,
@@ -500,8 +508,7 @@ def _check_necessary(cfg, problem, geometry_obj, policy, ens):
     }
 
 
-def _check_rate(cfg, problem, geometry_obj, policy, rho_pred, ens, stats,
-                extras):
+def _check_rate(cfg, problem, policy, rho_pred, stats, extras, audit_moments):
     if policy.kind != "constant":
         return {"status": "skipped",
                 "reason": "rate fitting applies to constant-step runs"}
@@ -520,9 +527,8 @@ def _check_rate(cfg, problem, geometry_obj, policy, rho_pred, ens, stats,
         ok &= fit.rate_per_iter <= bound
         # exact per-step contraction audit on the recorded replication
         if cfg.method in ("sgm", "psgm") and problem.analytic_sigma_sq == 0.0:
-            _, flagged = growth.contraction_margins(
-                problem, geometry_obj, policy.gamma, ens.audit.points,
-                rho_pred, 0.0, method=cfg.method)
+            _, flagged = growth.contraction_margins(audit_moments(), rho_pred,
+                                                    0.0)
             out["contraction_violations"] = len(flagged)
             ok &= not flagged
     else:
@@ -685,25 +691,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path,
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> int:
+def _load_config(args) -> ExperimentConfig | None:
+    """Parse the config and apply a ``--seed`` override; None (after
+    reporting) on a config error."""
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if not 0 <= args.seed <= SEED_MAX:
+                raise ConfigError(f"--seed must lie in [0, {SEED_MAX}], "
+                                  f"got {args.seed}")
             cfg.seed = args.seed
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return None
+    return cfg
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_config(args)
+    if cfg is None:
         return EXIT_CONFIG
     out_dir = _resolve_output(cfg, args.out)
     return run_experiment(cfg, out_dir, threads=args.threads)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load_config(args)
+    if cfg is None:
         return EXIT_CONFIG
     try:
         problem = build_problem(cfg)

@@ -5,6 +5,11 @@ expectations are exact sums, so a reported violation is a genuine
 counterexample rather than Monte Carlo noise.  Constants are fitted over an
 explicit probe set and are sound only there; reports carry the probe
 descriptor to make that scope visible.
+
+The per-iterate audits share one enumeration: ``successor_moments`` visits
+each point's n one-step successors once and records the four exact moments
+the audits need; ``measured_worst_omega``, ``verify_necessary_condition``
+and ``contraction_margins`` are arithmetic on that record.
 """
 
 from __future__ import annotations
@@ -16,15 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng, solvers
-from .problems import FiniteSumProblem, KaczmarzSystem, exact_conditional_moment
+from .problems import (FiniteSumProblem, KaczmarzSystem,
+                       _finite_component_grads, exact_conditional_moment)
 
 __all__ = [
     "GrowthReport",
     "NecessaryConditionReport",
+    "SuccessorMoments",
     "probe_grid",
     "fit_wgc",
     "fit_sgc",
     "kaczmarz_M",
+    "successor_moments",
     "verify_necessary_condition",
     "measured_worst_omega",
     "contraction_margins",
@@ -73,25 +81,37 @@ def probe_grid(problem: FiniteSumProblem, seed: int, n_points: int = 32,
     return points
 
 
-def fit_sgc(problem: FiniteSumProblem, probe_points) -> float:
-    """Smallest B with maxᵢ‖∇fᵢ(x)‖² ≤ B‖∇f(x)‖² over the probe set.
-
-    Returns ∞ when a probe has ‖∇f(x)‖ ≤ 1e-12 while some component
-    gradient does not vanish — strong growth demands interpolation.
-    """
-    B = 1.0
+def _probe_rows(problem: FiniteSumProblem, probe_points):
+    """(‖∇f(x)‖², E‖∇fᵢ(x)‖², maxᵢ‖∇fᵢ(x)‖²) at each probe, from one
+    enumeration of the component gradients per probe."""
+    rows = []
     for x in probe_points:
-        grads = problem.all_component_grads(np.asarray(x, dtype=float))
+        grads = _finite_component_grads(problem, x)
         comp_sq = (grads * grads).sum(axis=1)
         mean_grad = grads.mean(axis=0)
-        full_sq = float(mean_grad @ mean_grad)
-        max_comp = float(comp_sq.max())
+        rows.append((float(mean_grad @ mean_grad), float(np.mean(comp_sq)),
+                     float(comp_sq.max())))
+    return rows
+
+
+def _sgc_constant(rows) -> float:
+    B = 1.0
+    for full_sq, _, max_comp in rows:
         if math.sqrt(full_sq) <= ZERO_GRAD_TOL:
             if math.sqrt(max_comp) > ZERO_GRAD_TOL:
                 return math.inf
         else:
             B = max(B, max_comp / full_sq)
     return B
+
+
+def fit_sgc(problem: FiniteSumProblem, probe_points) -> float:
+    """Smallest B with maxᵢ‖∇fᵢ(x)‖² ≤ B‖∇f(x)‖² over the probe set.
+
+    Returns ∞ when a probe has ‖∇f(x)‖ ≤ 1e-12 while some component
+    gradient does not vanish — strong growth demands interpolation.
+    """
+    return _sgc_constant(_probe_rows(problem, probe_points))
 
 
 def fit_wgc(problem: FiniteSumProblem, probe_points, probe_seed=None,
@@ -101,30 +121,27 @@ def fit_wgc(problem: FiniteSumProblem, probe_points, probe_seed=None,
     σ² is pinned by the probes with vanishing mean gradient (the envelope
     there is σ² alone), then M is the smallest multiplier covering the
     rest, clamped below at 1 — the conditional variance decomposition makes
-    any smaller M unsound.
+    any smaller M unsound.  B comes from the same per-probe gradients.
     """
     if not probe_points:
         raise ValueError("probe set must be nonempty")
-    rows = []
-    for x in probe_points:
-        mean_grad, second_moment = exact_conditional_moment(problem, x)
-        rows.append((float(mean_grad @ mean_grad), second_moment))
+    rows = _probe_rows(problem, probe_points)
     sigma_sq = 0.0
     ratios = []
-    for full_sq, moment in rows:
+    for full_sq, moment, _ in rows:
         if math.sqrt(full_sq) <= ZERO_GRAD_TOL:
             sigma_sq = max(sigma_sq, moment)
-    for full_sq, moment in rows:
+    for full_sq, moment, _ in rows:
         if math.sqrt(full_sq) > ZERO_GRAD_TOL:
             ratios.append((moment - sigma_sq) / full_sq)
     degenerate = not ratios
     M = max(1.0, max(ratios)) if ratios else 1.0
-    for full_sq, moment in rows:  # envelope soundness, by construction
+    for full_sq, moment, _ in rows:  # envelope soundness, by construction
         if moment > M * full_sq + sigma_sq + 1e-9:
             raise RuntimeError("weak-growth envelope fit is unsound; "
                                "this indicates a broken component oracle")
     classification = "GC" if sigma_sq <= 1e-12 else "WGC"
-    return GrowthReport(B_sgc=fit_sgc(problem, probe_points), M_wgc=M,
+    return GrowthReport(B_sgc=_sgc_constant(rows), M_wgc=M,
                         sigma_sq=sigma_sq, classification=classification,
                         probe_seed=probe_seed, probe_scales=tuple(probe_scales),
                         analytic=False, degenerate=degenerate)
@@ -150,6 +167,42 @@ def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
 
 
 @dataclass
+class SuccessorMoments:
+    """Exact one-step moments at each point, over the uniform component index.
+
+    With x₊ the successor of x under component i and G = (x − x₊)/γ, entry
+    k holds, for the k-th point: ``dist_sq`` ‖x−x̄‖², ``next_dist_sq``
+    E‖x₊−x̄₊‖², ``grad_sq`` E‖G‖² and ``mean_grad_sq`` ‖E G‖², where x̄ is
+    the projection onto the solution set.
+    """
+
+    gamma: float
+    dist_sq: np.ndarray
+    next_dist_sq: np.ndarray
+    grad_sq: np.ndarray
+    mean_grad_sq: np.ndarray
+
+
+def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
+                      points, method: str | None = None) -> SuccessorMoments:
+    """Enumerate the n successors of every point once and record the exact
+    moments that the per-iterate audits below are computed from."""
+    proj = problem.solution_projector
+    moments = np.empty((4, len(points)))
+    for k, x in enumerate(points):
+        x = np.asarray(x, dtype=float)
+        succ = enumerate_successors(problem, geometry, gamma, x, method)
+        xc = x - proj(x)
+        Dp = succ - proj(succ)
+        G = (x[:, None] - succ) / gamma
+        mean_G = G.mean(axis=1)
+        moments[:, k] = (float(xc @ xc), float((Dp * Dp).sum(axis=0).mean()),
+                         float((G * G).sum(axis=0).mean()),
+                         float(mean_G @ mean_G))
+    return SuccessorMoments(gamma, *moments)
+
+
+@dataclass
 class NecessaryConditionReport:
     """Per-iterate margins of the second-moment bound E‖G‖² ≤ ‖EG‖²/(1−ω) + σ².
 
@@ -170,90 +223,53 @@ class NecessaryConditionReport:
         return not self.flagged
 
 
-def verify_necessary_condition(problem: FiniteSumProblem, geometry,
-                               gamma: float, trajectory, omega: float,
-                               sigma_sq: float,
-                               method: str | None = None) -> NecessaryConditionReport:
+def verify_necessary_condition(moments: SuccessorMoments, omega: float,
+                               sigma_sq: float) -> NecessaryConditionReport:
     """Exact check of the variance bound implied by linear convergence.
 
-    At every stored iterate, enumerates all components to compute the
-    conditional mean and second moment of the one-step residual mapping
-    G = (x − x₊)/γ, and verifies E‖G‖² ≤ ‖E G‖²/(1−ω) + σ².  Requires a
-    trajectory recorded without thinning.
+    At every point of ``moments`` (the iterates of a trajectory), verifies
+    E‖G‖² ≤ ‖E G‖²/(1−ω) + σ² for the one-step residual mapping
+    G = (x − x₊)/γ.  Indices in the report are positions in that point
+    sequence, so they are iterations when the trajectory was not thinned.
     """
     if not 0 < omega < 1:
         raise ValueError("omega must lie in (0, 1)")
     if sigma_sq < 0:
         raise ValueError("sigma_sq must be nonnegative")
-    if len(trajectory.point_steps) != trajectory.iters + 1:
-        raise ValueError("necessary-condition check requires full iterates "
-                         "(run with T small enough to avoid thinning)")
-    proj = problem.solution_projector
-    margins = np.empty(len(trajectory.points))
-    flagged, hyp_failures = [], []
-    for t, x in enumerate(trajectory.points):
-        succ = enumerate_successors(problem, geometry, gamma, x, method)
-        G = (x[:, None] - succ) / gamma
-        lhs = float((G * G).sum(axis=0).mean())
-        mean_G = G.mean(axis=1)
-        rhs = float(mean_G @ mean_G) / (1.0 - omega) + sigma_sq
-        margins[t] = rhs - lhs
-
-        Dp = succ - proj(succ)
-        mean_next = float((Dp * Dp).sum(axis=0).mean())
-        xc = x - proj(x)
-        hyp_rhs = omega * float(xc @ xc) + gamma * gamma * sigma_sq
-        if mean_next > hyp_rhs + _MARGIN_RTOL * (1.0 + hyp_rhs):
-            hyp_failures.append(t)
-            continue
-        if margins[t] < -_MARGIN_RTOL * (1.0 + rhs):
-            flagged.append(t)
-    return NecessaryConditionReport(margins=margins, flagged=flagged,
-                                    hypothesis_failures=hyp_failures,
-                                    omega=omega, sigma_sq=sigma_sq)
+    gamma = moments.gamma
+    rhs = moments.mean_grad_sq / (1.0 - omega) + sigma_sq
+    margins = rhs - moments.grad_sq
+    hyp_rhs = omega * moments.dist_sq + gamma * gamma * sigma_sq
+    hyp_failed = moments.next_dist_sq > hyp_rhs + _MARGIN_RTOL * (1.0 + hyp_rhs)
+    flagged = ~hyp_failed & (margins < -_MARGIN_RTOL * (1.0 + rhs))
+    return NecessaryConditionReport(
+        margins=margins, flagged=np.flatnonzero(flagged).tolist(),
+        hypothesis_failures=np.flatnonzero(hyp_failed).tolist(),
+        omega=omega, sigma_sq=sigma_sq)
 
 
-def measured_worst_omega(problem: FiniteSumProblem, geometry, gamma: float,
-                         trajectory, sigma_sq: float,
-                         method: str | None = None) -> float:
-    """Worst exact one-step contraction (E‖x₊−x̄₊‖² − γ²σ²) / ‖x−x̄‖² along
-    a trajectory, skipping iterates already on the solution set."""
-    proj = problem.solution_projector
-    worst = 0.0
-    for x in trajectory.points:
-        xc = x - proj(x)
-        dist = float(xc @ xc)
-        if dist <= 1e-30:
-            continue
-        succ = enumerate_successors(problem, geometry, gamma, x, method)
-        Dp = succ - proj(succ)
-        mean_next = float((Dp * Dp).sum(axis=0).mean())
-        worst = max(worst, (mean_next - gamma * gamma * sigma_sq) / dist)
-    return worst
+def measured_worst_omega(moments: SuccessorMoments, sigma_sq: float) -> float:
+    """Worst exact one-step contraction (E‖x₊−x̄₊‖² − γ²σ²) / ‖x−x̄‖² over
+    the points, skipping those already on the solution set."""
+    gamma = moments.gamma
+    keep = moments.dist_sq > 1e-30
+    ratios = ((moments.next_dist_sq[keep] - gamma * gamma * sigma_sq)
+              / moments.dist_sq[keep])
+    return max([0.0, *ratios.tolist()])
 
 
-def contraction_margins(problem: FiniteSumProblem, geometry, gamma: float,
-                        points, rho: float, sigma1_sq: float,
-                        method: str | None = None):
+def contraction_margins(moments: SuccessorMoments, rho: float,
+                        sigma1_sq: float):
     """Margins of the exact per-step bound E‖x₊−x̄₊‖² ≤ (1−ρ)‖x−x̄‖² + γ²σ₁².
 
     Returns (margins, flagged) where flagged lists the indices violating
     the bound beyond 1e-9 relative tolerance.
     """
-    proj = problem.solution_projector
-    margins = np.empty(len(points))
-    flagged = []
-    for t, x in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        succ = enumerate_successors(problem, geometry, gamma, x, method)
-        Dp = succ - proj(succ)
-        mean_next = float((Dp * Dp).sum(axis=0).mean())
-        xc = x - proj(x)
-        bound = (1.0 - rho) * float(xc @ xc) + gamma * gamma * sigma1_sq
-        margins[t] = bound - mean_next
-        if margins[t] < -_MARGIN_RTOL * (1.0 + bound):
-            flagged.append(t)
-    return margins, flagged
+    gamma = moments.gamma
+    bound = (1.0 - rho) * moments.dist_sq + gamma * gamma * sigma1_sq
+    margins = bound - moments.next_dist_sq
+    flagged = margins < -_MARGIN_RTOL * (1.0 + bound)
+    return margins, np.flatnonzero(flagged).tolist()
 
 
 def example1_constants(problem: FiniteSumProblem, probe_points):

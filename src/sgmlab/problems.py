@@ -5,9 +5,12 @@ set (as a projector), and any closed-form growth constants, so conditional
 expectations over the uniform component index are exact finite sums rather
 than Monte Carlo estimates.
 
-Batched kernels operate on column batches X of shape (d, R) and are written
-with elementwise ops and fixed-order axis reductions only, so column r of a
-batched evaluation is bitwise identical to evaluating column r alone.
+Each problem has one gradient oracle, the batch kernel
+``batch_component_grad``, plus ``all_component_grads`` for enumerating every
+component at one point; single-component gradients come from the batch
+kernel.  Batched kernels operate on column batches X of shape (d, R) and are
+written with elementwise ops and fixed-order axis reductions only, so column
+r of a batched evaluation is bitwise identical to evaluating column r alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from . import rng
 from .geometry import Regularizer, l1_regularizer, prox
 
 __all__ = [
-    "Component",
     "FiniteSumProblem",
     "KaczmarzSystem",
     "EvaluationError",
@@ -43,14 +45,6 @@ class EvaluationError(RuntimeError):
     """A component oracle produced a non-finite value or gradient."""
 
 
-@dataclass
-class Component:
-    """One summand fᵢ, exposing value and gradient at a point."""
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
 @dataclass(eq=False)
 class FiniteSumProblem:
     """f = (1/n) Σᵢ fᵢ over ℝ^d with known constants and solution set.
@@ -65,7 +59,7 @@ class FiniteSumProblem:
 
     name: str
     dim: int
-    components: list
+    n_components: int
     lipschitz_L: float
     per_component_L0: float
     strong_mu: float
@@ -82,16 +76,23 @@ class FiniteSumProblem:
     regularizer: Regularizer | None = None
     kaczmarz: "KaczmarzSystem | None" = None
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    def f_value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.mean([c.value(x) for c in self.components]))
-
     def component_grad(self, i: int, x) -> np.ndarray:
-        return np.asarray(self.components[i].grad(np.asarray(x, dtype=float)))
+        """∇fᵢ(x), as the batch kernel on a one-column batch."""
+        x = np.asarray(x, dtype=float)
+        return self.batch_component_grad(x[:, None], np.array([i]))[:, 0]
+
+
+def _finite_component_grads(problem: FiniteSumProblem, x) -> np.ndarray:
+    """The (n, d) matrix of all component gradients at a finite point x;
+    raises ``EvaluationError`` if x or any gradient is non-finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise EvaluationError("evaluation point is not finite")
+    grads = problem.all_component_grads(x)
+    if not np.all(np.isfinite(grads)):
+        raise EvaluationError(
+            f"non-finite component gradient at x with norm {np.linalg.norm(x):.3e}")
+    return grads
 
 
 def exact_conditional_moment(problem: FiniteSumProblem, x):
@@ -100,13 +101,7 @@ def exact_conditional_moment(problem: FiniteSumProblem, x):
     Computed by enumerating all n components; raises ``EvaluationError`` if
     any component gradient is non-finite.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError("evaluation point is not finite")
-    grads = problem.all_component_grads(x)
-    if not np.all(np.isfinite(grads)):
-        raise EvaluationError(
-            f"non-finite component gradient at x with norm {np.linalg.norm(x):.3e}")
+    grads = _finite_component_grads(problem, x)
     mean_grad = grads.mean(axis=0)
     second_moment = float(np.mean((grads * grads).sum(axis=1)))
     return mean_grad, second_moment
@@ -136,12 +131,6 @@ def make_two_point_quadratic() -> FiniteSumProblem:
     """
     targets = np.array([1.0, -1.0])
 
-    def _make(e):
-        return Component(
-            value=lambda x, e=e: 0.5 * float((x[0] - e) ** 2),
-            grad=lambda x, e=e: np.array([x[0] - e]),
-        )
-
     def batch_grad(X, idx):
         return X - targets[idx][None, :]
 
@@ -151,7 +140,7 @@ def make_two_point_quadratic() -> FiniteSumProblem:
     return FiniteSumProblem(
         name="two_point",
         dim=1,
-        components=[_make(e) for e in targets],
+        n_components=len(targets),
         lipschitz_L=1.0,
         per_component_L0=1.0,
         strong_mu=1.0,
@@ -284,13 +273,6 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
     ev = np.linalg.eigvalsh(A.T @ A)
     lam_min, lam_max = float(ev[0]), float(ev[-1])
 
-    def _make(i):
-        a_i, b_i = A[i], b[i]
-        return Component(
-            value=lambda x, a=a_i, c=b_i: 0.5 * float((a @ x - c) ** 2),
-            grad=lambda x, a=a_i, c=b_i: (_accum.dot_vec(a, x) - c) * a,
-        )
-
     def full_grad(x):
         resid = np.einsum("ij,j->i", A, x, optimize=False) - b
         return np.einsum("ji,j->i", A, resid, optimize=False) / m
@@ -310,7 +292,7 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
     return FiniteSumProblem(
         name="kaczmarz",
         dim=sys.d,
-        components=[_make(i) for i in range(m)],
+        n_components=m,
         lipschitz_L=lam_max / m,
         per_component_L0=1.0,
         strong_mu=lam_min / m,
@@ -344,13 +326,6 @@ def make_shared_minimizer_quadratics(dim: int = 3, n_components: int = 4,
     s_bar = float(scales.mean())
     B = float(np.max(scales ** 2) / s_bar ** 2)
 
-    def _make(i):
-        s = float(scales[i])
-        return Component(
-            value=lambda x, s=s: 0.5 * s * float(((x - center) ** 2).sum()),
-            grad=lambda x, s=s: s * (x - center),
-        )
-
     def full_grad(x):
         return s_bar * (x - center)
 
@@ -363,7 +338,7 @@ def make_shared_minimizer_quadratics(dim: int = 3, n_components: int = 4,
     return FiniteSumProblem(
         name="shared_minimizer",
         dim=dim,
-        components=[_make(i) for i in range(n_components)],
+        n_components=n_components,
         lipschitz_L=s_bar,
         per_component_L0=float(scales.max()),
         strong_mu=s_bar,
@@ -414,14 +389,6 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
     ev = np.linalg.eigvalsh(Q)
     L, mu = float(ev[-1]), float(ev[0])
 
-    def _make(i):
-        c = C[i]
-        return Component(
-            value=lambda x, c=c: 0.5 * float((x - xbar) @ Q @ (x - xbar))
-            + float(c @ (x - xbar)),
-            grad=lambda x, c=c: _accum.matvec_vec(Q, x - xbar) + c,
-        )
-
     def full_grad(x):
         return _accum.matvec_vec(Q, x - xbar)
 
@@ -437,7 +404,7 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
     return FiniteSumProblem(
         name="quadratic_l1",
         dim=dim,
-        components=[_make(i) for i in range(n_components)],
+        n_components=n_components,
         lipschitz_L=L,
         per_component_L0=L,
         strong_mu=mu,

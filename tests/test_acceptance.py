@@ -21,6 +21,7 @@ from sgmlab.growth import (
     kaczmarz_M,
     measured_worst_omega,
     probe_grid,
+    successor_moments,
     verify_necessary_condition,
 )
 from sgmlab.problems import (
@@ -59,10 +60,10 @@ def test_criterion_1_necessary_condition_holds_everywhere():
                                 kp.restricted_mu, "sgm")
     traj_a = run(SolverRun(method="sgm", problem=kp,
                            step=ConstantStep(gamma_a), iters=500, seed=101))
-    omega_a = measured_worst_omega(kp, None, gamma_a, traj_a, sigma_sq=0.0)
+    moments_a = successor_moments(kp, None, gamma_a, traj_a.points)
+    omega_a = measured_worst_omega(moments_a, sigma_sq=0.0)
     ok &= 0.0 < omega_a < 1.0
-    rep_a = verify_necessary_condition(kp, None, gamma_a, traj_a,
-                                       omega=omega_a, sigma_sq=0.0)
+    rep_a = verify_necessary_condition(moments_a, omega=omega_a, sigma_sq=0.0)
     ok &= rep_a.ok and not rep_a.hypothesis_failures
     ok &= len(rep_a.margins) == 501
 
@@ -73,10 +74,10 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     traj_b = run(SolverRun(method="sgm", problem=tp,
                            step=ConstantStep(gamma_b), iters=500, seed=102,
                            x0=np.array([2.0])))
-    omega_b = measured_worst_omega(tp, None, gamma_b, traj_b, sigma_sq=1.0)
+    moments_b = successor_moments(tp, None, gamma_b, traj_b.points)
+    omega_b = measured_worst_omega(moments_b, sigma_sq=1.0)
     ok &= 0.0 < omega_b < 1.0
-    rep_b = verify_necessary_condition(tp, None, gamma_b, traj_b,
-                                       omega=omega_b, sigma_sq=1.0)
+    rep_b = verify_necessary_condition(moments_b, omega=omega_b, sigma_sq=1.0)
     ok &= rep_b.ok and not rep_b.hypothesis_failures
 
     _criterion(1, "second-moment bound holds at every iterate under the "
@@ -97,9 +98,9 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
 
     ok = fit.rate_per_iter <= 1.0 - rho + 3.0 * fit.rate_stderr + 0.01
     ok &= fit.floor_estimate <= 1e-12
-    margins, flagged = contraction_margins(kp, geometry.whole_space(), gamma,
-                                           ens.audit.points, rho, 0.0,
-                                           method="psgm")
+    margins, flagged = contraction_margins(
+        successor_moments(kp, geometry.whole_space(), gamma, ens.audit.points,
+                          method="psgm"), rho, 0.0)
     ok &= not flagged and len(margins) == 5001
 
     _criterion(2, "projected method at the recommended step: fitted rate "

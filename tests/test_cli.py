@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmlab import cli
+from sgmlab import cli, growth
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -202,6 +202,76 @@ def test_seed_override_changes_results(tmp_path):
     stats = lambda d: (d / "trajectory_stats.csv").read_bytes()
     assert stats(a) != stats(b)
     assert stats(a) == stats(c)
+
+
+@pytest.mark.parametrize("command,seed", [
+    ("validate", 2 ** 64),   # passed validation, then overflowed the rng
+    ("run", 2 ** 64),        # died with an OverflowError traceback, exit 1
+    ("run", -5),             # reached construction, exit 3
+    ("validate", -5),
+])
+def test_seed_override_out_of_range_exits_2(tmp_path, capsys, command, seed):
+    args = [command, write_cfg(tmp_path, TWO_POINT_SMALL), "--seed", seed]
+    if command == "run":
+        args += ["--out", tmp_path / "o"]
+    assert run_cli(args) == 2
+    assert "--seed must lie in [0, 18446744073709551615]" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+KACZMARZ_SMALL = """\
+[experiment]
+name = kz_small
+seed = 5
+iterations = 400
+replications = 20
+checks = necessary, rate
+
+[problem]
+kind = kaczmarz
+m = 20
+d = 5
+construction_seed = 5
+
+[method]
+kind = psgm
+step = recommend
+"""
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 2 ** 64), ("seed", -1), ("construction_seed", 2 ** 64)])
+def test_config_seed_out_of_range_exits_2(tmp_path, capsys, key, value):
+    text = KACZMARZ_SMALL.replace(f"\n{key} = 5\n", f"\n{key} = {value}\n")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 2
+    assert f"'{key}' must be" in capsys.readouterr().err
+
+
+def test_config_seed_range_is_inclusive(tmp_path):
+    text = KACZMARZ_SMALL.replace("seed = 5", f"seed = {2 ** 64 - 1}")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 0
+
+
+def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
+    # the necessary-condition check and the per-step contraction audit in
+    # 'rate' must share one enumeration of each audit point's successors
+    calls = []
+    inner = growth.enumerate_successors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "enumerate_successors", counted)
+    out = tmp_path / "o"
+    # T = 400 is too short for the zero-floor part of 'rate' (exit 1); both
+    # audits still run, which is what is counted here
+    run_cli(["run", write_cfg(tmp_path, KACZMARZ_SMALL), "--out", out])
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks["necessary"]["status"] == "pass"
+    assert checks["rate"]["contraction_violations"] == 0
+    assert len(calls) == 400 + 1
 
 
 def test_output_root_env_is_honored(tmp_path, monkeypatch):

@@ -1,0 +1,84 @@
+"""Cross-commit golden digests of the shipped configs' artifacts.
+
+``tests/golden/<config>.sha256`` holds the SHA-256 of every artifact the
+config writes at its own seed, in ``sha256sum`` format, and
+``tests/golden/environment.json`` the numpy version and BLAS build they were
+recorded under.  On a host with the same numpy and BLAS the artifacts must
+match the recorded digests bit for bit; elsewhere the test falls back to
+run-to-run identity, because a different BLAS or numpy may legitimately
+round differently.
+
+Re-recording is a deliberate change of the reproducibility baseline and must
+be explained in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgmlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
+ENVIRONMENT = GOLDEN_DIR / "environment.json"
+CONFIGS = ("two_point", "kaczmarz_classical", "kaczmarz_recommend")
+
+
+def host_environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def artifact_digests(out_dir: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir()) if p.is_file()}
+
+
+def run_config(name: str, out_dir: Path) -> dict:
+    code = cli.main(["run", str(ROOT / "configs" / f"{name}.cfg"),
+                     "--out", str(out_dir)])
+    assert code == cli.EXIT_OK
+    return artifact_digests(out_dir)
+
+
+def read_golden(name: str) -> dict:
+    lines = (GOLDEN_DIR / f"{name}.sha256").read_text().splitlines()
+    return {f: d for d, f in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_shipped_config_artifacts_match_golden_digests(name, tmp_path):
+    got = run_config(name, tmp_path / "a")
+    recorded_under = json.loads(ENVIRONMENT.read_text())
+    if recorded_under == host_environment():
+        assert got == read_golden(name)
+    else:
+        assert got == run_config(name, tmp_path / "b")
+
+
+def record() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CONFIGS:
+            digests = run_config(name, Path(tmp) / name)
+            (GOLDEN_DIR / f"{name}.sha256").write_text(
+                "".join(f"{d}  {f}\n" for f, d in digests.items()))
+    ENVIRONMENT.write_text(json.dumps(host_environment(), indent=2,
+                                      sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()

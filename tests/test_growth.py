@@ -16,6 +16,7 @@ from sgmlab.growth import (
     kaczmarz_M,
     measured_worst_omega,
     probe_grid,
+    successor_moments,
     verify_necessary_condition,
     write_growth_json,
 )
@@ -23,17 +24,13 @@ from sgmlab.growth import (
 
 def constant_problem():
     """n=2 components that cancel: the full gradient vanishes everywhere."""
-    mk = lambda s: problems.Component(
-        value=lambda x, s=s: s * 0.5 * float(x @ x),
-        grad=lambda x, s=s: s * x,
-    )
 
     def batch(X, idx):
         signs = np.where(np.asarray(idx) == 0, 1.0, -1.0)
         return X * signs[None, :]
 
     return problems.FiniteSumProblem(
-        name="cancel", dim=2, components=[mk(1.0), mk(-1.0)],
+        name="cancel", dim=2, n_components=2,
         lipschitz_L=1.0, per_component_L0=1.0, strong_mu=0.0,
         restricted_mu=0.0, f_star=0.0,
         solution_projector=lambda x: np.asarray(x, dtype=float).copy(),
@@ -112,6 +109,7 @@ def test_wgc_chain_finite_B_implies_zero_sigma(kaczmarz_20x5,
     for p in (kaczmarz_20x5, shared_minimizer, two_point):
         probes = probe_grid(p, 5)
         rep = fit_wgc(p, probes)
+        assert rep.B_sgc == fit_sgc(p, probes)
         if math.isfinite(rep.B_sgc):
             assert rep.sigma_sq <= 1e-12
 
@@ -215,6 +213,79 @@ def test_enumerate_successors_respects_geometry(kaczmarz_20x5):
     assert np.all(norms <= 0.1 + 1e-12)
 
 
+def test_successor_moments_are_enumerated_moments(kaczmarz_20x5, rng):
+    p, gamma = kaczmarz_20x5, 0.3
+    S = geo.ball(np.zeros(5), 2.0)
+    points = rng.normal(size=(4, 5)) * 3
+    moments = successor_moments(p, S, gamma, points, method="psgm")
+    assert moments.gamma == gamma
+    proj = p.solution_projector
+    for k, x in enumerate(points):
+        succ = enumerate_successors(p, S, gamma, x, method="psgm")
+        G = (x[:, None] - succ) / gamma
+        D = succ - proj(succ)
+        assert moments.dist_sq[k] == np.sum((x - proj(x)) ** 2)
+        assert np.isclose(moments.next_dist_sq[k],
+                          np.mean(np.sum(D * D, axis=0)), rtol=1e-14)
+        assert np.isclose(moments.grad_sq[k], np.mean(np.sum(G * G, axis=0)),
+                          rtol=1e-14)
+        assert np.isclose(moments.mean_grad_sq[k],
+                          np.sum(G.mean(axis=1) ** 2), rtol=1e-14)
+
+
+def _reference_audits(p, gamma, points, omega, sigma_sq, rho):
+    """The three audits as separate per-point loops, each enumerating the
+    successors itself: the arithmetic the shared moments must reproduce."""
+    proj, tol = p.solution_projector, growth._MARGIN_RTOL
+    margins, flagged, hyp_failures = [], [], []
+    worst, c_margins, c_flagged = 0.0, [], []
+    for t, x in enumerate(points):
+        succ = enumerate_successors(p, None, gamma, x)
+        G = (x[:, None] - succ) / gamma
+        lhs = float((G * G).sum(axis=0).mean())
+        mean_G = G.mean(axis=1)
+        rhs = float(mean_G @ mean_G) / (1.0 - omega) + sigma_sq
+        margins.append(rhs - lhs)
+        Dp = succ - proj(succ)
+        mean_next = float((Dp * Dp).sum(axis=0).mean())
+        xc = x - proj(x)
+        dist = float(xc @ xc)
+        if dist > 1e-30:
+            worst = max(worst, (mean_next - gamma * gamma * sigma_sq) / dist)
+        hyp_rhs = omega * dist + gamma * gamma * sigma_sq
+        if mean_next > hyp_rhs + tol * (1.0 + hyp_rhs):
+            hyp_failures.append(t)
+        elif margins[-1] < -tol * (1.0 + rhs):
+            flagged.append(t)
+        bound = (1.0 - rho) * dist + gamma * gamma * sigma_sq
+        c_margins.append(bound - mean_next)
+        if c_margins[-1] < -tol * (1.0 + bound):
+            c_flagged.append(t)
+    return margins, flagged, hyp_failures, worst, c_margins, c_flagged
+
+
+@pytest.mark.parametrize("omega,rho", [(0.3, 0.5), (0.9, 0.01)])
+def test_audits_equal_per_point_loop_reference(two_point, omega, rho):
+    # sigma_sq below the true 1.0 makes the hypothesis fail, and the
+    # contraction bound flag, at some iterates but not at others
+    gamma, sigma_sq = 0.5, 0.5
+    spec = solvers.SolverRun(method="sgm", problem=two_point,
+                             step=solvers.ConstantStep(gamma), iters=60,
+                             seed=24, x0=np.array([4.0]))
+    points = solvers.run(spec).points
+    moments = successor_moments(two_point, None, gamma, points)
+    margins, flagged, hyp, worst, c_margins, c_flagged = _reference_audits(
+        two_point, gamma, points, omega, sigma_sq, rho)
+    assert 0 < len(hyp) < len(points) and 0 < len(c_flagged) < len(points)
+    rep = verify_necessary_condition(moments, omega=omega, sigma_sq=sigma_sq)
+    assert np.array_equal(rep.margins, margins)
+    assert rep.flagged == flagged and rep.hypothesis_failures == hyp
+    assert measured_worst_omega(moments, sigma_sq) == worst
+    got_margins, got_flagged = contraction_margins(moments, rho, sigma_sq)
+    assert np.array_equal(got_margins, c_margins)
+    assert got_flagged == c_flagged
+
+
 def test_necessary_condition_two_point_margins_are_exact(two_point):
     gamma = 0.5
     omega = (1 - gamma) ** 2
@@ -222,8 +293,9 @@ def test_necessary_condition_two_point_margins_are_exact(two_point):
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=21, x0=np.array([2.0]))
     traj = solvers.run(spec)
-    rep = verify_necessary_condition(two_point, None, gamma, traj,
-                                     omega=omega, sigma_sq=1.0)
+    rep = verify_necessary_condition(
+        successor_moments(two_point, None, gamma, traj.points),
+        omega=omega, sigma_sq=1.0)
     assert rep.ok
     assert not rep.flagged and not rep.hypothesis_failures
     # closed form: margin(x) = x^2 (1/(1-omega) - 1) = x^2 / 3 at gamma = 0.5
@@ -239,21 +311,20 @@ def test_necessary_condition_flags_understated_omega(two_point):
     traj = solvers.run(spec)
     # omega far below the true one-step contraction: the hypothesis
     # E||x+ - xbar||^2 <= omega ||x - xbar||^2 + gamma^2 sigma^2 fails
-    rep = verify_necessary_condition(two_point, None, gamma, traj,
-                                     omega=1e-6, sigma_sq=1.0)
+    rep = verify_necessary_condition(
+        successor_moments(two_point, None, gamma, traj.points),
+        omega=1e-6, sigma_sq=1.0)
     assert rep.hypothesis_failures
 
 
 def test_necessary_condition_validates_inputs(two_point):
     spec = solvers.SolverRun(method="sgm", problem=two_point,
                              step=solvers.ConstantStep(0.5), iters=60, seed=2)
-    traj = solvers.run(spec)
+    moments = successor_moments(two_point, None, 0.5, solvers.run(spec).points)
     with pytest.raises(ValueError):
-        verify_necessary_condition(two_point, None, 0.5, traj, omega=1.0,
-                                   sigma_sq=1.0)
+        verify_necessary_condition(moments, omega=1.0, sigma_sq=1.0)
     with pytest.raises(ValueError):
-        verify_necessary_condition(two_point, None, 0.5, traj, omega=0.5,
-                                   sigma_sq=-1.0)
+        verify_necessary_condition(moments, omega=0.5, sigma_sq=-1.0)
 
 
 def test_measured_omega_matches_closed_form(two_point):
@@ -262,7 +333,8 @@ def test_measured_omega_matches_closed_form(two_point):
                              step=solvers.ConstantStep(gamma), iters=80,
                              seed=23, x0=np.array([3.0]))
     traj = solvers.run(spec)
-    omega = measured_worst_omega(two_point, None, gamma, traj, sigma_sq=1.0)
+    omega = measured_worst_omega(
+        successor_moments(two_point, None, gamma, traj.points), sigma_sq=1.0)
     assert np.isclose(omega, (1 - gamma) ** 2, atol=1e-12)
 
 
@@ -274,8 +346,8 @@ def test_contraction_margins_clean_on_kaczmarz(kaczmarz_20x5):
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=31)
     traj = solvers.run(spec)
-    margins, flagged = contraction_margins(p, None, gamma, traj.points,
-                                           rho, 0.0)
+    margins, flagged = contraction_margins(
+        successor_moments(p, None, gamma, traj.points), rho, 0.0)
     assert not flagged
     assert margins.min() >= 0.0
 
@@ -283,8 +355,9 @@ def test_contraction_margins_clean_on_kaczmarz(kaczmarz_20x5):
 def test_contraction_margins_flag_impossible_rate(two_point):
     # demanding a stronger contraction than one step provides must flag
     points = [np.array([3.0])]
-    _, flagged = contraction_margins(two_point, None, 0.5, points,
-                                     rho=0.999, sigma1_sq=0.0)
+    _, flagged = contraction_margins(
+        successor_moments(two_point, None, 0.5, points), rho=0.999,
+        sigma1_sq=0.0)
     assert flagged
 
 

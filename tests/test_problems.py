@@ -3,6 +3,7 @@ import pytest
 
 from sgmlab import geometry as geo
 from sgmlab import problems
+from sgmlab import rng as sgm_rng
 from sgmlab.problems import (
     KaczmarzSystem,
     exact_conditional_moment,
@@ -25,24 +26,63 @@ def fd_grad(fun, x, h=1e-6):
     return g
 
 
-ALL_FACTORIES = [
-    make_two_point_quadratic,
-    lambda: make_kaczmarz_problem(make_random_kaczmarz_system(8, 3, 5)),
-    lambda: make_shared_minimizer_quadratics(3, 4, 7),
-    lambda: make_quadratic_l1(construction_seed=3, dim=4, n_components=6),
+# Closed-form component values fᵢ(x), written out from each constructor's
+# documented definition (seeded parameters are redrawn from the same
+# construction substream), independent of the problems' gradient oracles.
+
+def two_point_value(i, x):
+    return 0.5 * (x[0] - (1.0, -1.0)[i]) ** 2
+
+
+def kaczmarz_value(sys_):
+    return lambda i, x: 0.5 * (sys_.A[i] @ x - sys_.b[i]) ** 2
+
+
+def shared_minimizer_value(dim, n, construction_seed):
+    g = sgm_rng.substream(construction_seed, 0)
+    scales = 0.5 + g.random(n)
+    center = g.standard_normal(dim)
+    return lambda i, x: scales[i] * 0.5 * np.sum((x - center) ** 2)
+
+
+def quadratic_l1_value(construction_seed, dim, n):
+    g = sgm_rng.substream(construction_seed, 0)
+    V, _ = np.linalg.qr(g.standard_normal((dim, dim)))
+    Q = (V * np.linspace(1.0, 2.0, dim)) @ V.T
+    xbar = g.standard_normal(dim)
+    zeta = np.abs(g.standard_normal(n // 2)) + 0.5
+    C = np.repeat(zeta, 2)[:, None] * V[:, 0][None, :]
+    C[1::2] *= -1.0
+    return lambda i, x: 0.5 * (x - xbar) @ Q @ (x - xbar) + C[i] @ (x - xbar)
+
+
+def mean_value(value, p, x):
+    return np.mean([value(i, x) for i in range(p.n_components)])
+
+
+_KZ_SYSTEM = make_random_kaczmarz_system(8, 3, 5)
+PROBLEMS_WITH_VALUES = [
+    (make_two_point_quadratic, two_point_value),
+    (lambda: make_kaczmarz_problem(_KZ_SYSTEM), kaczmarz_value(_KZ_SYSTEM)),
+    (lambda: make_shared_minimizer_quadratics(3, 4, 7),
+     shared_minimizer_value(3, 4, 7)),
+    (lambda: make_quadratic_l1(construction_seed=3, dim=4, n_components=6),
+     quadratic_l1_value(3, 4, 6)),
 ]
+ALL_FACTORIES = [factory for factory, _ in PROBLEMS_WITH_VALUES]
+COMPONENT_VALUE = dict(PROBLEMS_WITH_VALUES)
 
 
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
 def test_component_gradients_match_finite_differences(factory, rng):
-    p = factory()
+    p, value = factory(), COMPONENT_VALUE[factory]
     for _ in range(3):
         x = rng.normal(size=p.dim)
         for i in (0, p.n_components - 1):
-            comp = p.components[i]
-            num = fd_grad(comp.value, x)
-            assert np.allclose(comp.grad(x), num, rtol=1e-5, atol=1e-7)
-        num_full = fd_grad(p.f_value, x)
+            num = fd_grad(lambda z: value(i, z), x)
+            assert np.allclose(p.component_grad(i, x), num, rtol=1e-5,
+                               atol=1e-7)
+        num_full = fd_grad(lambda z: mean_value(value, p, z), x)
         assert np.allclose(p.full_grad(x), num_full, rtol=1e-5, atol=1e-7)
 
 
@@ -75,6 +115,8 @@ def test_batch_gradients_bitwise_match_single(factory, rng):
     G = p.batch_component_grad(X, idx)
     assert G.shape == (p.dim, 6)
     for j in range(6):
+        alone = p.batch_component_grad(X[:, j:j + 1].copy(), idx[j:j + 1])
+        assert np.array_equal(G[:, j], alone[:, 0])
         assert np.array_equal(G[:, j], p.component_grad(int(idx[j]), X[:, j]))
 
 
@@ -89,8 +131,9 @@ def test_two_point_values_and_constants(two_point):
     assert p.f_star == 0.5
     x = np.array([0.7])
     # mean objective is 0.5 x^2 + 0.5
-    assert np.isclose(p.f_value(x), 0.5 * 0.49 + 0.5)
+    assert np.isclose(mean_value(two_point_value, p, x), 0.5 * 0.49 + 0.5)
     assert np.allclose(p.solution_projector(x), [0.0])
+    assert mean_value(two_point_value, p, p.solution_projector(x)) == p.f_star
     mean_grad, second = exact_conditional_moment(p, x)
     assert np.allclose(mean_grad, x)
     assert np.isclose(second, 0.49 + 1.0)  # x^2 + sigma^2 with sigma^2 = 1
@@ -151,8 +194,14 @@ def test_kaczmarz_objective_identity(rng):
     p = make_kaczmarz_problem(sys_)
     x = rng.normal(size=4)
     r = sys_.A @ x - sys_.b
-    assert np.isclose(p.f_value(x), (r @ r) / (2 * 10), rtol=1e-12)
+    value = kaczmarz_value(sys_)
+    assert np.isclose(mean_value(value, p, x), (r @ r) / (2 * 10), rtol=1e-12)
     assert np.isclose(p.f_star, sys_.residual_norm ** 2 / (2 * 10), rtol=1e-10)
+    assert np.isclose(mean_value(value, p, p.solution_projector(x)), p.f_star,
+                      rtol=1e-10)
+    # f's gradient is the problem's full gradient
+    assert np.allclose(fd_grad(lambda z: mean_value(value, p, z), x),
+                       p.full_grad(x), rtol=1e-5, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
