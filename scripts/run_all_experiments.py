@@ -2,7 +2,7 @@
 """Run every shipped experiment config and summarize the outcomes.
 
 Usage:
-    python3 scripts/run_all_experiments.py [--out-root results] [--threads N]
+    python3 scripts/run_all_experiments.py [--out-root results]
 
 Each config under configs/ is executed with the sgmlab CLI; outputs land in
 <out-root>/<experiment name>/.  Exits nonzero if any experiment fails a
@@ -24,8 +24,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out-root", default="results",
                     help="directory that receives one subdirectory per "
                          "experiment (default: results)")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads per experiment (default: all cores)")
     args = ap.parse_args(argv)
 
     configs = sorted((REPO_ROOT / "configs").glob("*.cfg"))
@@ -38,10 +36,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_root) / cfg.stem
         print(f"=== {cfg.name} -> {out_dir} ===")
         t0 = time.perf_counter()
-        run_args = ["run", str(cfg), "--out", str(out_dir)]
-        if args.threads is not None:
-            run_args += ["--threads", str(args.threads)]
-        code = cli.main(run_args)
+        code = cli.main(["run", str(cfg), "--out", str(out_dir)])
         print(f"    exit {code} ({time.perf_counter() - t0:.1f}s)\n")
         if code != 0:
             failures.append((cfg.name, code))

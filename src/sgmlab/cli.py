@@ -7,8 +7,8 @@ with strict key checking — an unknown key is a hard error, because a
 silently ignored typo would invalidate whatever the experiment claims.
 
 Exit codes: 0 all requested checks passed; 1 a check failed or was
-skipped; 2 config parse error; 3 problem/solver construction error;
-4 divergence during simulation.
+skipped; 2 config parse error or unusable output directory; 3 problem/solver
+construction error; 4 divergence during simulation.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ SEED_MAX = 2 ** 64 - 1  # seeds key the Philox streams as unsigned 64-bit words
 _EPILOG = """exit codes:
   0  all requested checks passed
   1  at least one requested check failed or was skipped
-  2  config file could not be parsed (bad syntax, unknown or invalid key)
+  2  config file could not be parsed (bad syntax, unknown or invalid key),
+     or the output directory cannot be created or written
   3  problem or solver construction failed
   4  the iteration diverged (non-finite iterate or norm above 1e12)
 
@@ -54,7 +55,7 @@ environment:
 
 _SECTION_KEYS = {
     "experiment": {"name", "seed", "iterations", "replications", "checks",
-                   "output", "threads"},
+                   "output"},
     "problem": {"kind", "m", "d", "n", "mix", "construction_seed",
                 "consistent", "noise", "l1_weight", "path"},
     "method": {"kind", "step", "x0", "set", "regularizer"},
@@ -84,9 +85,8 @@ class ExperimentConfig:
     step_spec: tuple
     x0: np.ndarray | None = None
     set_spec: str = "whole_space"
-    regularizer_spec: str | None = None
+    regularizer_spec: tuple | None = None
     output: str | None = None
-    threads: int | None = None
 
 
 def _line_map(text: str) -> dict:
@@ -183,8 +183,6 @@ def parse_config(path) -> ExperimentConfig:
     replications = as_int("experiment", "replications",
                           need(exp, "experiment", "replications"), 1)
     name = exp.get("name", path.stem).strip()
-    threads = as_int("experiment", "threads", exp["threads"], 1) \
-        if "threads" in exp else None
 
     checks = []
     raw_checks = exp.get("checks", "").replace(",", " ").split()
@@ -278,14 +276,32 @@ def parse_config(path) -> ExperimentConfig:
     if method == "psgm" and set_spec != "whole_space":
         raise ConfigError(f"{where('method', 'set')}: only 'whole_space' is "
                           "supported as a config-level constraint set")
-    regularizer_spec = mth.get("regularizer", None)
+    regularizer_spec = None
+    if "regularizer" in mth:
+        where_reg = where("method", "regularizer")
+        if method != "prox_sgm":
+            raise ConfigError(f"{where_reg}: 'regularizer' applies to "
+                              "prox_sgm only")
+        reg = mth["regularizer"].split()
+        if reg == ["zero"]:
+            regularizer_spec = ("zero",)
+        elif len(reg) == 2 and reg[0] in ("constant", "l1"):
+            value = as_float("method", "regularizer", reg[1])
+            if not math.isfinite(value) or reg[0] == "l1" and not value > 0:
+                raise ConfigError(f"{where_reg}: the value must be finite, "
+                                  f"and positive for l1, got {value}")
+            regularizer_spec = (reg[0], value)
+        else:
+            raise ConfigError(f"{where_reg}: unsupported regularizer "
+                              f"{mth['regularizer']!r} (use 'zero', "
+                              "'constant <c>' or 'l1 <weight>')")
 
     return ExperimentConfig(
         name=name, seed=seed, iterations=iterations,
         replications=replications, checks=tuple(checks), problem_kind=kind,
         problem_params=params, method=method, step_spec=step_spec, x0=x0,
         set_spec=set_spec, regularizer_spec=regularizer_spec,
-        output=exp.get("output"), threads=threads,
+        output=exp.get("output"),
     )
 
 
@@ -322,15 +338,12 @@ def build_geometry(cfg: ExperimentConfig, problem):
                     "prox_sgm needs a regularizer: this problem has no "
                     "built-in one, set 'regularizer' in [method]")
             return problem.regularizer
-        spec = cfg.regularizer_spec.split()
-        if spec[0] == "zero" and len(spec) == 1:
+        kind, *args = cfg.regularizer_spec
+        if kind == "zero":
             return geometry.zero_regularizer()
-        if spec[0] == "constant" and len(spec) == 2:
-            return geometry.constant_regularizer(float(spec[1]))
-        if spec[0] == "l1" and len(spec) == 2:
-            return geometry.l1_regularizer(float(spec[1]))
-        raise ValueError(f"unsupported regularizer spec {cfg.regularizer_spec!r}"
-                         " (use 'zero', 'constant <c>' or 'l1 <weight>')")
+        if kind == "constant":
+            return geometry.constant_regularizer(*args)
+        return geometry.l1_regularizer(*args)
     return geometry.LinearMonotoneOperator(M_op=np.zeros((problem.dim,
                                                           problem.dim)))
 
@@ -615,8 +628,7 @@ def _resolve_output(cfg: ExperimentConfig, override: str | None) -> Path:
     return Path(root) / cfg.name
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path,
-                   threads: int | None = None) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Build, run, check, and write artifacts.  Returns the exit code."""
     try:
         problem = build_problem(cfg)
@@ -630,10 +642,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path,
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
 
-    if threads is None:
-        threads = cfg.threads if cfg.threads is not None else os.cpu_count()
     try:
-        ens = solvers.run_ensemble(spec, cfg.replications, threads=threads)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if not os.access(out_dir, os.W_OK):
+        print(f"output directory {out_dir} is not writable", file=sys.stderr)
+        return EXIT_CONFIG
+
+    try:
+        ens = solvers.run_ensemble(spec, cfg.replications)
     except solvers.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -650,15 +670,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path,
     results, extras = _run_checks(cfg, problem, geometry_obj, policy,
                                   rho_pred, ens, stats)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
-        print(f"output directory {out_dir} is not writable", file=sys.stderr)
-        return EXIT_CONFIG
     analysis.write_stats_csv(out_dir / "trajectory_stats.csv", stats)
     _write_audit_csv(out_dir / "audit_trajectory.csv", ens.audit)
     if "growth_report" in extras:
         growth.write_growth_json(out_dir / "growth.json",
                                  extras["growth_report"])
+    else:  # never leave an earlier run's report beside this run's manifest
+        (out_dir / "growth.json").unlink(missing_ok=True)
     analysis.write_summary_csv(out_dir / "summary.csv",
                                _summary_row(cfg, stats, results, extras))
 
@@ -712,7 +730,7 @@ def _cmd_run(args) -> int:
     if cfg is None:
         return EXIT_CONFIG
     out_dir = _resolve_output(cfg, args.out)
-    return run_experiment(cfg, out_dir, threads=args.threads)
+    return run_experiment(cfg, out_dir)
 
 
 def _cmd_validate(args) -> int:
@@ -774,8 +792,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the experiment config file")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="replication parallelism (default: CPU count)")
     p_run.add_argument("--out", default=None,
                        help="output directory (default from config/env)")
     p_run.set_defaults(func=_cmd_run)

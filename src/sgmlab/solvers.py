@@ -1,18 +1,18 @@
 """Stochastic gradient iterations: plain, projected, proximal, resolvent.
 
-One engine drives all four methods.  Replications are simulated in column
-batches, but every kernel in the hot path uses elementwise arithmetic and
-the fixed-order accumulations from ``_accum`` only, so each replication's
-trajectory is bitwise identical whether it runs alone, inside a batch, or
-under any thread count.  Randomness comes from counter-based
-per-replication substreams keyed by (master_seed, replication_index).
+One engine drives all four methods.  All replications of an ensemble are
+simulated as the columns of one (d, R) batch, in one loop on the calling
+thread.  Every kernel in the hot path uses elementwise arithmetic and the
+fixed-order accumulations from ``_accum`` only, so each replication's
+trajectory is bitwise identical whether it runs alone or inside a batch of
+any width.  Randomness comes from counter-based per-replication substreams
+keyed by (master_seed, replication_index).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +39,17 @@ __all__ = [
 
 METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 
-_CHUNK = 256          # replications per batch; fixed so results never depend on threads
-_TIME_BLOCK = 4096    # index-stream block length (blocks partition the stream)
+_INDEX_WORDS = 2**20  # indices drawn per block across all replications (8 MB)
 _DIVERGENCE_NORM_SQ = 1e24  # guard: abort when ‖x‖ > 1e12
 _THIN_LIMIT = 10_000
 
 
 class DivergenceError(RuntimeError):
-    """An iterate overflowed or left the ‖x‖ ≤ 1e12 trust region."""
+    """An iterate overflowed or left the ‖x‖ ≤ 1e12 trust region.
+
+    ``t`` is the earliest step at which any replication left it and
+    ``replication`` the lowest replication index that left it at that step.
+    """
 
     def __init__(self, t: int, replication: int):
         super().__init__(
@@ -192,99 +195,63 @@ def _thin_stride(T: int) -> int:
     return 1 if T <= _THIN_LIMIT else math.ceil(T / _THIN_LIMIT)
 
 
-def _run_chunk(spec: SolverRun, rep_offset: int, width: int,
-               dist_out: np.ndarray, audit: dict | None) -> None:
-    """Simulate replications [rep_offset, rep_offset + width) of the spec.
+def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
+    """Run ``replications`` independent copies of ``spec`` as one batch.
 
-    Writes squared distances into rows of ``dist_out`` and, when ``audit``
-    is given (first chunk only), records the first column's full record.
-    """
-    problem, step, T = spec.problem, spec.step, spec.iters
-    project_solution = problem.solution_projector
-    X = np.repeat(spec.x0[:, None], width, axis=1)
-    streams = [
-        rng.IndexStream(spec.seed, spec.replication + rep_offset + r,
-                        problem.n_components)
-        for r in range(width)
-    ]
-
-    D = X - project_solution(X)
-    dist_out[rep_offset:rep_offset + width, 0] = _accum.sumsq_cols(D)
-    if audit is not None:
-        audit["points"][0] = X[:, 0]
-
-    stride = audit["stride"] if audit is not None else 1
-    t = 0
-    while t < T:
-        block = min(_TIME_BLOCK, T - t)
-        idx = np.stack([s.next_block(block) for s in streams], axis=0)
-        for k in range(block):
-            gamma_t = step.value(t)
-            grads = problem.batch_component_grad(X, idx[:, k])
-            X = _apply_geometry(spec.method, spec.geometry, gamma_t,
-                                X - gamma_t * grads)
-            norms = _accum.sumsq_cols(X)
-            if not np.all(np.isfinite(norms)) or norms.max() > _DIVERGENCE_NORM_SQ:
-                bad = int(np.flatnonzero(~np.isfinite(norms)
-                                         | (norms > _DIVERGENCE_NORM_SQ))[0])
-                raise DivergenceError(t + 1, spec.replication + rep_offset + bad)
-            D = X - project_solution(X)
-            dist_out[rep_offset:rep_offset + width, t + 1] = _accum.sumsq_cols(D)
-            if audit is not None:
-                audit["indices"][t] = idx[0, k]
-                if (t + 1) % stride == 0:
-                    audit["points"][(t + 1) // stride] = X[:, 0]
-            t += 1
-
-
-def run_ensemble(spec: SolverRun, replications: int,
-                 threads: int | None = None) -> EnsembleRun:
-    """Run ``replications`` independent copies of ``spec``.
-
-    Replication r uses substream (seed, spec.replication + r).  Work is
-    split into fixed-size chunks; threads only decide which chunks run
-    concurrently, never how results are combined, so output is identical
-    for every thread count.
+    Replication r uses substream (seed, spec.replication + r) and is column
+    r of one (d, R) batch; column 0 is the audit trajectory.  On divergence
+    the ``DivergenceError`` names the earliest step t at which any
+    replication left the trust region, and the lowest replication at that t.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    T = spec.iters
+    problem, step, T = spec.problem, spec.step, spec.iters
+    project_solution = problem.solution_projector
     stride = _thin_stride(T)
     dist = np.empty((replications, T + 1))
-    audit = {
-        "stride": stride,
-        "points": np.empty((T // stride + 1, spec.problem.dim)),
-        "indices": np.empty(T, dtype=np.int64),
-    }
+    points = np.empty((T // stride + 1, problem.dim))
+    indices = np.empty(T, dtype=np.int64)
+    streams = [rng.IndexStream(spec.seed, spec.replication + r,
+                               problem.n_components)
+               for r in range(replications)]
+    # blocks partition each stream, so the block length never moves a bit
+    block_len = min(T, max(1, _INDEX_WORDS // replications))
+    idx = np.empty((replications, block_len), dtype=np.int64)
 
-    jobs = []
-    offset = 0
-    while offset < replications:
-        width = min(_CHUNK, replications - offset)
-        jobs.append((offset, width, audit if offset == 0 else None))
-        offset += width
+    X = np.repeat(spec.x0[:, None], replications, axis=1)
+    dist[:, 0] = _accum.sumsq_cols(X - project_solution(X))
+    points[0] = X[:, 0]
+    for t in range(T):
+        k = t % block_len
+        if k == 0:
+            block = min(block_len, T - t)
+            for r, stream in enumerate(streams):
+                idx[r, :block] = stream.next_block(block)
+            indices[t:t + block] = idx[0, :block]
+        gamma_t = step.value(t)
+        grads = problem.batch_component_grad(X, idx[:, k])
+        X = _apply_geometry(spec.method, spec.geometry, gamma_t,
+                            X - gamma_t * grads)
+        norms = _accum.sumsq_cols(X)
+        if not np.all(np.isfinite(norms)) or norms.max() > _DIVERGENCE_NORM_SQ:
+            bad = int(np.flatnonzero(~np.isfinite(norms)
+                                     | (norms > _DIVERGENCE_NORM_SQ))[0])
+            raise DivergenceError(t + 1, spec.replication + bad)
+        dist[:, t + 1] = _accum.sumsq_cols(X - project_solution(X))
+        if (t + 1) % stride == 0:
+            points[(t + 1) // stride] = X[:, 0]
 
-    if threads is None or threads <= 1 or len(jobs) == 1:
-        for off, width, aud in jobs:
-            _run_chunk(spec, off, width, dist, aud)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, spec, off, width, dist, aud)
-                       for off, width, aud in jobs]
-            for fut in futures:  # collect in chunk order for stable errors
-                fut.result()
-
-    step_values = np.array([spec.step.value(t) for t in range(T)])
-    audit_traj = Trajectory(
+    step_values = np.array([step.value(t) for t in range(T)])
+    audit = Trajectory(
         replication=spec.replication,
         point_steps=np.arange(0, T + 1, stride, dtype=np.int64),
-        points=audit["points"],
+        points=points,
         dist_sq=dist[0].copy(),
-        sampled_indices=audit["indices"],
+        sampled_indices=indices,
         step_values=step_values,
     )
-    return EnsembleRun(dist_sq=dist, audit=audit_traj, seed=spec.seed,
-                       gamma0=float(step_values[0]), step_kind=spec.step.kind)
+    return EnsembleRun(dist_sq=dist, audit=audit, seed=spec.seed,
+                       gamma0=float(step_values[0]), step_kind=step.kind)
 
 
 def run(spec: SolverRun) -> Trajectory:

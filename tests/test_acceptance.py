@@ -92,7 +92,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     gamma, rho = recommend_step(kp.lipschitz_L, M, kp.restricted_mu, "psgm")
     spec = SolverRun(method="psgm", problem=kp, geometry=geometry.whole_space(),
                      step=ConstantStep(gamma), iters=5000, seed=2025)
-    ens = run_ensemble(spec, 200, threads=4)
+    ens = run_ensemble(spec, 200)
     stats = stats_from_matrix(ens.dist_sq, gamma=gamma)
     fit = fit_linear_rate(stats)
 
@@ -113,7 +113,7 @@ def test_criterion_3_unit_step_kaczmarz_converges():
     _, kp = _kaczmarz_instance()
     spec = SolverRun(method="sgm", problem=kp, step=ConstantStep(1.0),
                      iters=800, seed=2026)
-    ens = run_ensemble(spec, 200, threads=4)
+    ens = run_ensemble(spec, 200)
     fit = fit_linear_rate(stats_from_matrix(ens.dist_sq, gamma=1.0))
     floor, _ = estimate_floor(stats_from_matrix(ens.dist_sq, gamma=1.0))
 
@@ -140,7 +140,7 @@ def test_criterion_4_proximal_noise_floor_prediction():
 
     spec = SolverRun(method="prox_sgm", problem=p, geometry=p.regularizer,
                      step=ConstantStep(gamma), iters=6000, seed=20250814)
-    ens = run_ensemble(spec, 1000, threads=4)
+    ens = run_ensemble(spec, 1000)
     floor, se = estimate_floor(stats_from_matrix(ens.dist_sq, gamma=gamma))
 
     # the prediction is an upper-bound fixed point: the measured level may
@@ -162,7 +162,7 @@ def test_criterion_5_floor_scales_with_step_size():
         preds[gamma] = predict_floor(gamma, rho, 1.0)
         spec = SolverRun(method="sgm", problem=tp, step=ConstantStep(gamma),
                          iters=2000, seed=20250814)
-        ens = run_ensemble(spec, 10_000, threads=4)
+        ens = run_ensemble(spec, 10_000)
         st = stats_from_matrix(ens.dist_sq, gamma=gamma)
         stats_by_gamma[gamma] = st
         floors[gamma], ses[gamma] = estimate_floor(st)
@@ -197,7 +197,7 @@ def test_criterion_6_decaying_step_gives_one_over_t():
     c = 2.0 / p.strong_mu
     spec = SolverRun(method="prox_sgm", problem=p, geometry=p.regularizer,
                      step=InverseTStep(c), iters=100_000, seed=20250814)
-    ens = run_ensemble(spec, 100, threads=4)
+    ens = run_ensemble(spec, 100)
     st = stats_from_matrix(ens.dist_sq, gamma=c, step_kind="inverse_t")
     passed, slope = analysis.check_inverse_t_rate(st)
 
@@ -275,11 +275,7 @@ kind = sgm
 step = constant 0.5
 """)
     dirs = [tmp_path / name for name in ("a", "b", "c")]
-    codes = [
-        cli.main(["run", str(cfg), "--out", str(dirs[0]), "--threads", "1"]),
-        cli.main(["run", str(cfg), "--out", str(dirs[1]), "--threads", "1"]),
-        cli.main(["run", str(cfg), "--out", str(dirs[2]), "--threads", "4"]),
-    ]
+    codes = [cli.main(["run", str(cfg), "--out", str(d)]) for d in dirs]
     ok = codes == [0, 0, 0]
     for fname in ("trajectory_stats.csv", "audit_trajectory.csv",
                   "summary.csv", "manifest.json", "growth.json"):
@@ -287,5 +283,5 @@ step = constant 0.5
         ok &= blobs[0] == blobs[1] == blobs[2]
 
     _criterion(9, "identical config and seed give byte-identical outputs "
-                  "across invocations and thread counts", ok,
+                  "across invocations", ok,
                time.perf_counter() - t0, 10.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmlab import cli, growth
+from sgmlab import cli, growth, solvers
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,6 +121,65 @@ def test_construction_errors_exit_3(tmp_path, capsys):
     assert run_cli(["validate", write_cfg(tmp_path, text, "m.cfg")]) == 3
 
 
+PROX_TWO_POINT = TWO_POINT_SMALL.replace(
+    "kind = sgm", "kind = prox_sgm\nregularizer = {spec}")
+
+
+@pytest.mark.parametrize("method,spec,fragment", [
+    ("prox_sgm", "l1 abc", "'regularizer' must be a number, got 'abc'"),
+    ("prox_sgm", "l1 0", "positive"),
+    ("prox_sgm", "l1 -0.5", "positive"),
+    ("prox_sgm", "l1 inf", "finite"),
+    ("prox_sgm", "constant nan", "finite"),
+    ("prox_sgm", "constant", "unsupported regularizer"),
+    ("prox_sgm", "zero 1", "unsupported regularizer"),
+    ("prox_sgm", "l2 0.1", "unsupported regularizer"),
+    ("sgm", "l1 0.1", "applies to prox_sgm only"),
+    ("psgm", "zero", "applies to prox_sgm only"),
+])
+def test_regularizer_errors_exit_2_with_line(tmp_path, capsys, monkeypatch,
+                                             method, spec, fragment):
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = PROX_TWO_POINT.format(spec=spec).replace("kind = prox_sgm",
+                                                    f"kind = {method}")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(f"regularizer = {spec}") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and f":{lineno}:" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec,parsed", [
+    ("zero", ("zero",)),
+    ("constant 3.7", ("constant", 3.7)),
+    ("l1 0.25", ("l1", 0.25)),
+])
+def test_regularizer_spec_is_parsed(tmp_path, spec, parsed):
+    cfg = cli.parse_config(write_cfg(tmp_path,
+                                     PROX_TWO_POINT.format(spec=spec)))
+    assert cfg.regularizer_spec == parsed
+    geom = cli.build_geometry(cfg, None)
+    assert geom.kind == parsed[0]
+    if parsed[0] == "l1":
+        assert geom.weight == 0.25
+
+
+def test_threads_option_and_key_are_gone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_POINT_SMALL)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", cfg, "--threads", 2])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    text = TWO_POINT_SMALL.replace("name = tp_small", "name = tp_small\n"
+                                                      "threads = 2")
+    cfg = write_cfg(tmp_path, text, "t.cfg")
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+
+
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
@@ -191,6 +250,35 @@ def test_divergence_exits_4(tmp_path, capsys):
     assert run_cli(["run", write_cfg(tmp_path, text), "--out",
                     tmp_path / "o"]) == 4
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_unusable_output_directory_exits_2_before_simulating(
+        tmp_path, capsys, monkeypatch, below):
+    calls = []
+    monkeypatch.setattr(solvers, "run_ensemble",
+                        lambda *args: calls.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    out = blocker / below if below else blocker
+    cfg = write_cfg(tmp_path, TWO_POINT_SMALL)
+    assert run_cli(["run", cfg, "--out", out]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_rerun_without_growth_checks_removes_stale_growth_report(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", write_cfg(tmp_path, TWO_POINT_SMALL),
+                    "--out", out]) == 0
+    assert (out / "growth.json").exists()
+    text = TWO_POINT_SMALL.replace("checks = wgc, necessary, floor",
+                                   "checks = floor")
+    assert run_cli(["run", write_cfg(tmp_path, text, "floor.cfg"),
+                    "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["checks"]) == {"floor"}
+    assert not (out / "growth.json").exists()
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -286,7 +374,7 @@ def test_inverse_t_run_passes_check(tmp_path):
     text = text.replace("checks = wgc, necessary, floor", "checks = inverse_t")
     text = text.replace("iterations = 300", "iterations = 2000")
     text = text.replace("replications = 50", "replications = 200")
-    text = text.replace("name = tp_small", "name = tp_invt\nthreads = 2")
+    text = text.replace("name = tp_small", "name = tp_invt")
     out = tmp_path / "out"
     assert run_cli(["run", write_cfg(tmp_path, text), "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -360,16 +448,15 @@ def test_report_propagates_failure(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism across invocations and thread counts
+# determinism across invocations
 # ---------------------------------------------------------------------------
 
 def test_repeat_runs_are_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, TWO_POINT_SMALL.replace(
         "replications = 50", "replications = 600"))
-    dirs = [tmp_path / n for n in ("r1", "r2", "r4")]
-    assert run_cli(["run", cfg, "--out", dirs[0], "--threads", 1]) == 0
-    assert run_cli(["run", cfg, "--out", dirs[1], "--threads", 1]) == 0
-    assert run_cli(["run", cfg, "--out", dirs[2], "--threads", 4]) == 0
+    dirs = [tmp_path / n for n in ("r1", "r2", "r3")]
+    for d in dirs:
+        assert run_cli(["run", cfg, "--out", d]) == 0
     for fname in ("trajectory_stats.csv", "audit_trajectory.csv",
                   "summary.csv", "manifest.json", "growth.json"):
         blobs = [(d / fname).read_bytes() for d in dirs]

@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,17 +132,40 @@ def test_rerun_is_bitwise_identical(two_point):
     assert np.array_equal(a.sampled_indices, b.sampled_indices)
 
 
+def test_batch_width_does_not_change_results(kaczmarz_20x5):
+    # R = 600 and T = 2000 span more than one index block (2**20 // 600
+    # steps), and rows on both sides of 256 cover the old chunk boundary
+    gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
+                              kaczmarz_20x5.analytic_M,
+                              kaczmarz_20x5.restricted_mu)
+    spec = SolverRun(method="psgm", problem=kaczmarz_20x5,
+                     step=ConstantStep(gamma), iters=2000, seed=11,
+                     geometry=geo.whole_space())
+    ens = run_ensemble(spec, 600)
+    for r in (0, 255, 256, 599):
+        single = run_ensemble(replace(spec, replication=r), 1)
+        assert np.array_equal(ens.dist_sq[r], single.dist_sq[0]), r
+
+
 @pytest.mark.parametrize("threads", [None, 1, 2, 4])
 def test_thread_count_does_not_change_results(kaczmarz_20x5, threads):
+    # run_ensemble keeps no shared state, so callers that run the same spec
+    # on several threads at once each get the calling thread's result
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
                               kaczmarz_20x5.analytic_M,
                               kaczmarz_20x5.restricted_mu)
     spec = SolverRun(method="psgm", problem=kaczmarz_20x5,
                      step=ConstantStep(gamma), iters=150, seed=11,
                      geometry=geo.whole_space())
-    baseline = run_ensemble(spec, 600, threads=None)
-    ens = run_ensemble(spec, 600, threads=threads)
-    assert np.array_equal(ens.dist_sq, baseline.dist_sq)
+    baseline = run_ensemble(spec, 600)
+    if threads is None:
+        results = [run_ensemble(spec, 600)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda _: run_ensemble(spec, 600),
+                                    range(threads)))
+    for ens in results:
+        assert np.array_equal(ens.dist_sq, baseline.dist_sq)
 
 
 def test_ensemble_rows_match_individual_runs(two_point):
@@ -172,6 +198,25 @@ def test_divergence_raises_with_location(two_point):
     assert "diverged" in str(err.value)
 
 
+def test_divergence_names_earliest_step_then_lowest_replication(two_point):
+    # at gamma = 2.2 each replication escapes at its own step; under seed 28
+    # the earliest escape (t = 139) is replication 381 alone, and every one
+    # of replications 0..255 escapes later
+    spec = two_point_spec(step=ConstantStep(2.2), iters=150, seed=28)
+    R = 400
+    escapes = []
+    for r in range(R):
+        try:
+            run(replace(spec, replication=r))
+        except DivergenceError as exc:
+            escapes.append((exc.t, exc.replication))
+    expected = min(escapes)
+    assert expected[1] >= 256
+    with pytest.raises(DivergenceError) as err:
+        run_ensemble(spec, R)
+    assert (err.value.t, err.value.replication) == expected
+
+
 # ---------------------------------------------------------------------------
 # contraction behavior (smoke)
 # ---------------------------------------------------------------------------
@@ -193,7 +238,7 @@ def test_two_point_mean_follows_exact_recursion(two_point):
     gamma, T, R = 0.5, 200, 4000
     spec = two_point_spec(step=ConstantStep(gamma), iters=T, seed=97,
                           x0=np.array([0.0]))
-    ens = run_ensemble(spec, R, threads=4)
+    ens = run_ensemble(spec, R)
     mean = ens.dist_sq.mean(axis=0)
     se = ens.dist_sq.std(axis=0, ddof=1) / np.sqrt(R)
     exact = np.empty(T + 1)
