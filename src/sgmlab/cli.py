@@ -39,6 +39,10 @@ EXIT_CONFIG = 2
 EXIT_CONSTRUCTION = 3
 EXIT_DIVERGED = 4
 
+# every file a run may write into its output directory
+_ARTIFACTS = ("trajectory_stats.csv", "audit_trajectory.csv", "growth.json",
+              "summary.csv", "manifest.json")
+
 SEED_MAX = 2 ** 64 - 1  # seeds key the Philox streams as unsigned 64-bit words
 
 _EPILOG = """exit codes:
@@ -47,7 +51,8 @@ _EPILOG = """exit codes:
   2  config file could not be parsed (bad syntax, unknown or invalid key),
      or the output directory cannot be created or written
   3  problem or solver construction failed
-  4  the iteration diverged (non-finite iterate or norm above 1e12)
+  4  the iteration diverged (non-finite iterate or norm above 1e12); the
+     output directory then holds only a manifest.json with status "diverged"
 
 environment:
   SGMLAB_OUTPUT_ROOT  default root for output directories (default: ./results)
@@ -273,7 +278,10 @@ def parse_config(path) -> ExperimentConfig:
                               "a list of numbers") from None
 
     set_spec = mth.get("set", "whole_space").strip().lower()
-    if method == "psgm" and set_spec != "whole_space":
+    if "set" in mth and method != "psgm":
+        raise ConfigError(f"{where('method', 'set')}: 'set' applies to psgm "
+                          "only")
+    if set_spec != "whole_space":
         raise ConfigError(f"{where('method', 'set')}: only 'whole_space' is "
                           "supported as a config-level constraint set")
     regularizer_spec = None
@@ -628,6 +636,13 @@ def _resolve_output(cfg: ExperimentConfig, override: str | None) -> Path:
     return Path(root) / cfg.name
 
 
+def _write_manifest(out_dir: Path, manifest: dict) -> None:
+    with open(out_dir / "manifest.json", "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=_num)
+        fh.write("\n")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Build, run, check, and write artifacts.  Returns the exit code."""
     try:
@@ -651,11 +666,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not os.access(out_dir, os.W_OK):
         print(f"output directory {out_dir} is not writable", file=sys.stderr)
         return EXIT_CONFIG
+    # the directory must never mix this run's files with an earlier run's,
+    # also when this run diverges or writes no growth report
+    for name in _ARTIFACTS:
+        (out_dir / name).unlink(missing_ok=True)
 
+    manifest = {
+        "experiment": cfg.name,
+        "seed": cfg.seed,
+        "problem": cfg.problem_kind,
+        "method": cfg.method,
+        "iterations": cfg.iterations,
+        "replications": cfg.replications,
+    }
     try:
         ens = solvers.run_ensemble(spec, cfg.replications)
     except solvers.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
+        manifest.update(status="diverged", t=exc.t,
+                        replication=exc.replication)
+        _write_manifest(out_dir, manifest)
         return EXIT_DIVERGED
 
     floor_pred_val = math.nan
@@ -675,28 +705,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     if "growth_report" in extras:
         growth.write_growth_json(out_dir / "growth.json",
                                  extras["growth_report"])
-    else:  # never leave an earlier run's report beside this run's manifest
-        (out_dir / "growth.json").unlink(missing_ok=True)
     analysis.write_summary_csv(out_dir / "summary.csv",
                                _summary_row(cfg, stats, results, extras))
 
-    manifest = {
-        "experiment": cfg.name,
-        "seed": cfg.seed,
-        "problem": cfg.problem_kind,
-        "method": cfg.method,
-        "iterations": cfg.iterations,
-        "replications": cfg.replications,
-        "gamma": _num(stats.gamma),
-        "rho_pred": _num(stats.predicted_rho),
-        "checks": results,
-    }
     all_pass = all(r.get("status") == "pass" for r in results.values())
-    manifest["all_checks_passed"] = all_pass
-    with open(out_dir / "manifest.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_num)
-        fh.write("\n")
+    manifest.update(gamma=_num(stats.gamma),
+                    rho_pred=_num(stats.predicted_rho), checks=results,
+                    all_checks_passed=all_pass)
+    _write_manifest(out_dir, manifest)  # keys sorted: insertion order is moot
 
     for check in cfg.checks:
         status = results[check]["status"]
@@ -767,6 +783,10 @@ def _cmd_report(args) -> int:
     print(f"  problem={manifest.get('problem')} method={manifest.get('method')}"
           f" T={manifest.get('iterations')} R={manifest.get('replications')}"
           f" seed={manifest.get('seed')}")
+    if manifest.get("status") == "diverged":
+        print(f"  diverged at step t={manifest.get('t')} in replication "
+              f"{manifest.get('replication')}")
+        return EXIT_DIVERGED
     checks = manifest.get("checks", {})
     for name in sorted(checks):
         entry = dict(checks[name])

@@ -1,7 +1,8 @@
 """Convex sets, simple regularizers and linear monotone operators.
 
-Projections and proximal maps are closed form per kind; resolvents are dense
-linear solves.  All operations accept a single point of shape ``(d,)`` or a
+Projections and proximal maps are closed form per kind; resolvents and the
+quadratic prox are dense linear solves, one stacked ``np.linalg.solve`` call
+per batch.  All operations accept a single point of shape ``(d,)`` or a
 batch of column vectors of shape ``(d, R)`` and preserve the input shape;
 a batched call is bitwise identical, column by column, to single calls.
 """
@@ -177,14 +178,22 @@ def quadratic_regularizer(Q, q) -> Regularizer:
 
 @dataclass
 class LinearMonotoneOperator:
-    """x -> M_op x with M_op + M_opᵀ positive semidefinite."""
+    """x -> M_op x with M_op + M_opᵀ positive semidefinite.
+
+    ``M_op`` is stored as a read-only copy, so the resolvent system cached
+    for the last γ cannot go stale.
+    """
 
     M_op: np.ndarray
     cocoercivity_beta: float = 0.0
     strong_monotonicity: float = 0.0
+    # last checked resolvent system (γ, I + γ M_op); see ``resolvent``
+    _system: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
-        self.M_op = np.asarray(self.M_op, dtype=float)
+        self.M_op = np.array(self.M_op, dtype=float)
+        self.M_op.setflags(write=False)
         if self.M_op.ndim != 2 or self.M_op.shape[0] != self.M_op.shape[1]:
             raise ValueError("operator matrix must be square")
         sym = 0.5 * (self.M_op + self.M_op.T)
@@ -247,12 +256,8 @@ def prox(g: Regularizer, gamma, x):
     elif g.kind == "indicator":
         out = project(g.set_, X)
     elif g.kind == "quadratic":
-        d = g.Q.shape[0]
-        mat = np.eye(d) + gamma * g.Q
-        rhs = X - gamma * g.q[:, None]
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = np.linalg.solve(mat, rhs[:, j])
+        mat = np.eye(g.Q.shape[0]) + gamma * g.Q
+        out = _solve_cols(mat, X - gamma * g.q[:, None])
     else:
         raise ValueError(f"unknown regularizer kind {g.kind!r}")
     return _restore(out, squeeze)
@@ -276,22 +281,37 @@ def regularizer_value(g: Regularizer, x):
     raise ValueError(f"unknown regularizer kind {g.kind!r}")
 
 
+def _solve_cols(mat, X):
+    """Solve mat @ Y[:, j] = X[:, j] for every column of a (d, R) batch.
+
+    One stacked call: numpy's gufunc runs LAPACK ``dgesv`` with one
+    right-hand side per column, the same call ``np.linalg.solve(mat,
+    X[:, j])`` makes, so each column is bitwise what a single solve gives.
+    """
+    return np.linalg.solve(mat, X.T[:, :, None])[:, :, 0].T
+
+
 def resolvent(op: LinearMonotoneOperator, gamma, x):
     """(Id + gamma M)^{-1} x via a dense solve.
 
-    Columns of a batch are solved one at a time so a batched call is
-    bitwise identical to repeated single-point calls.
+    Every column of a batch is solved in one stacked call (see
+    ``_solve_cols``), bitwise identical to repeated single-point calls.
+    ``I + gamma M`` and its condition check are computed once per distinct
+    gamma: the operator keeps the last checked system, so a constant step
+    checks conditioning once per run.  Raises ``NumericalError`` when the
+    system is too ill-conditioned to trust.
     """
     if not gamma > 0:
         raise ValueError("resolvent needs gamma > 0")
     X, squeeze = _as_cols(x)
-    d = op.M_op.shape[0]
-    mat = np.eye(d) + gamma * op.M_op
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > _RESOLVENT_COND_LIMIT:
-        raise NumericalError(
-            f"resolvent system is too ill-conditioned (cond ~ {cond:.3e})")
-    out = np.empty_like(X)
-    for j in range(X.shape[1]):
-        out[:, j] = np.linalg.solve(mat, X[:, j])
-    return _restore(out, squeeze)
+    cached = op._system
+    if cached is not None and cached[0] == gamma:
+        mat = cached[1]
+    else:
+        mat = np.eye(op.M_op.shape[0]) + gamma * op.M_op
+        cond = np.linalg.cond(mat)
+        if not np.isfinite(cond) or cond > _RESOLVENT_COND_LIMIT:
+            raise NumericalError(
+                f"resolvent system is too ill-conditioned (cond ~ {cond:.3e})")
+        op._system = (gamma, mat)
+    return _restore(_solve_cols(mat, X), squeeze)

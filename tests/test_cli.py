@@ -180,6 +180,22 @@ def test_threads_option_and_key_are_gone(tmp_path, capsys):
         assert "unknown key 'threads'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["sgm", "prox_sgm", "resolvent_sgm"])
+@pytest.mark.parametrize("value", ["whole_space", "ball"])
+def test_set_key_off_psgm_exits_2_with_line(tmp_path, capsys, monkeypatch,
+                                            method, value):
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = TWO_POINT_SMALL.replace("kind = sgm",
+                                   f"kind = {method}\nset = {value}")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(f"set = {value}") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert "'set' applies to psgm only" in err and f":{lineno}:" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
@@ -250,6 +266,29 @@ def test_divergence_exits_4(tmp_path, capsys):
     assert run_cli(["run", write_cfg(tmp_path, text), "--out",
                     tmp_path / "o"]) == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_divergence_replaces_earlier_artifacts_with_a_record(tmp_path,
+                                                              capsys):
+    out = tmp_path / "o"
+    cfg = CONFIGS_DIR / "two_point.cfg"
+    assert run_cli(["run", cfg, "--out", out]) == 0
+    text = cfg.read_text().replace("step = constant 0.5",
+                                   "step = constant 1e10")
+    capsys.readouterr()
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out", out,
+                    "--seed", 3]) == 4
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "diverged"
+    assert manifest["seed"] == 3
+    assert "all_checks_passed" not in manifest and "checks" not in manifest
+    assert (f"iterate diverged at step t={manifest['t']} in replication "
+            f"{manifest['replication']}") in err
+    assert run_cli(["report", out]) == 4
+    assert (f"diverged at step t={manifest['t']} in replication "
+            f"{manifest['replication']}") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("below", [None, "sub"])
@@ -360,6 +399,29 @@ def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
     assert checks["necessary"]["status"] == "pass"
     assert checks["rate"]["contraction_violations"] == 0
     assert len(calls) == 400 + 1
+
+
+def test_resolvent_run_solves_once_per_step_and_equals_sgm(tmp_path,
+                                                            monkeypatch):
+    # kaczmarz_classical as resolvent_sgm: the zero operator's resolvent is
+    # the identity, so the run must reproduce the sgm run byte for byte,
+    # with one stacked solve per step and one condition check per run
+    calls = {"solve": 0, "cond": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = CONFIGS_DIR / "kaczmarz_classical.cfg"
+    text = cfg.read_text().replace("kind = sgm", "kind = resolvent_sgm")
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out",
+                    tmp_path / "resolvent"]) == 0
+    assert calls == {"solve": 800, "cond": 1}  # T, not T * R = 160000
+    assert run_cli(["run", cfg, "--out", tmp_path / "sgm"]) == 0
+    for fname in ("trajectory_stats.csv", "audit_trajectory.csv"):
+        assert ((tmp_path / "resolvent" / fname).read_bytes()
+                == (tmp_path / "sgm" / fname).read_bytes()), fname
 
 
 def test_output_root_env_is_honored(tmp_path, monkeypatch):

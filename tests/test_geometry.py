@@ -250,6 +250,76 @@ def test_resolvent_batch_consistent(rng):
         assert np.array_equal(R[:, j], geo.resolvent(op, 0.3, X[:, j]))
 
 
+def _loop_solve(mat, X):
+    """The per-column reference: one dense solve per column."""
+    out = np.empty_like(X)
+    for j in range(X.shape[1]):
+        out[:, j] = np.linalg.solve(mat, X[:, j])
+    return out
+
+
+def _monotone_matrix(d, g):
+    """A random PSD part plus a random skew part."""
+    B, K = g.normal(size=(d, d)), g.normal(size=(d, d))
+    return B.T @ B + (K - K.T)
+
+
+@pytest.mark.parametrize("width", [1, 2, 257])
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_resolvent_bitwise_matches_per_column_solves(d, width, rng):
+    M = _monotone_matrix(d, rng)
+    op = geo.LinearMonotoneOperator(M_op=M)
+    X = rng.normal(size=(d, width)) * 5
+    for gamma in GAMMAS:
+        ref = _loop_solve(np.eye(d) + gamma * M, X)
+        assert np.array_equal(geo.resolvent(op, gamma, X), ref)
+        assert np.array_equal(geo.resolvent(op, gamma, X[:, 0]), ref[:, 0])
+
+
+@pytest.mark.parametrize("width", [1, 2, 257])
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_quadratic_prox_bitwise_matches_per_column_solves(d, width, rng):
+    B = rng.normal(size=(d, d))
+    Q, q = B.T @ B, rng.normal(size=d)
+    g = geo.quadratic_regularizer(Q, q)
+    X = rng.normal(size=(d, width)) * 5
+    for gamma in GAMMAS:
+        ref = _loop_solve(np.eye(d) + gamma * Q, X - gamma * q[:, None])
+        assert np.array_equal(geo.prox(g, gamma, X), ref)
+        assert np.array_equal(geo.prox(g, gamma, X[:, 0]), ref[:, 0])
+
+
+def test_resolvent_rejects_ill_conditioned_gamma_after_a_good_one(rng):
+    # cond(I + gamma diag(1, 0)) = 1 + gamma
+    op = geo.LinearMonotoneOperator(M_op=np.diag([1.0, 0.0]))
+    x = rng.normal(size=2)
+    assert np.allclose(geo.resolvent(op, 1.0, x), x / [2.0, 1.0])
+    with pytest.raises(geo.NumericalError, match="ill-conditioned"):
+        geo.resolvent(op, 1e13, x)
+    with pytest.raises(geo.NumericalError):
+        geo.resolvent(op, 1e13, x)
+    assert np.allclose(geo.resolvent(op, 1.0, x), x / [2.0, 1.0])
+
+
+def test_resolvent_alternating_gammas_match_fresh_operators(rng):
+    M = _monotone_matrix(4, rng)
+    op = geo.LinearMonotoneOperator(M_op=M)
+    X = rng.normal(size=(4, 9))
+    for gamma in (0.3, 2.0, 0.3, 2.0, 2.0, 7.5, 0.3):
+        fresh = geo.LinearMonotoneOperator(M_op=M)
+        assert np.array_equal(geo.resolvent(op, gamma, X),
+                              geo.resolvent(fresh, gamma, X))
+
+
+def test_monotone_operator_matrix_is_a_read_only_copy():
+    M = np.diag([1.0, 2.0])
+    op = geo.LinearMonotoneOperator(M_op=M)
+    with pytest.raises(ValueError):
+        op.M_op[0, 0] = 5.0
+    M[0, 0] = 5.0  # the caller's array stays writable and is not shared
+    assert op.M_op[0, 0] == 1.0
+
+
 def test_vector_shape_is_preserved(rng):
     x = rng.normal(size=4)
     assert geo.project(geo.whole_space(), x).shape == (4,)
