@@ -51,8 +51,9 @@ _EPILOG = """exit codes:
   2  config file could not be parsed (bad syntax, unknown or invalid key),
      or the output directory cannot be created or written
   3  problem or solver construction failed
-  4  the iteration diverged (non-finite iterate or norm above 1e12); the
-     output directory then holds only a manifest.json with status "diverged"
+  4  the iteration diverged (non-finite iterate, or farther than 1e12 from
+     the solution set); the output directory then holds only a
+     manifest.json with status "diverged"
 
 environment:
   SGMLAB_OUTPUT_ROOT  default root for output directories (default: ./results)
@@ -89,7 +90,6 @@ class ExperimentConfig:
     method: str
     step_spec: tuple
     x0: np.ndarray | None = None
-    set_spec: str = "whole_space"
     regularizer_spec: tuple | None = None
     output: str | None = None
 
@@ -277,11 +277,10 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{where('method', 'x0')}: x0 must be 'zero' or "
                               "a list of numbers") from None
 
-    set_spec = mth.get("set", "whole_space").strip().lower()
     if "set" in mth and method != "psgm":
         raise ConfigError(f"{where('method', 'set')}: 'set' applies to psgm "
                           "only")
-    if set_spec != "whole_space":
+    if mth.get("set", "whole_space").strip().lower() != "whole_space":
         raise ConfigError(f"{where('method', 'set')}: only 'whole_space' is "
                           "supported as a config-level constraint set")
     regularizer_spec = None
@@ -308,8 +307,7 @@ def parse_config(path) -> ExperimentConfig:
         name=name, seed=seed, iterations=iterations,
         replications=replications, checks=tuple(checks), problem_kind=kind,
         problem_params=params, method=method, step_spec=step_spec, x0=x0,
-        set_spec=set_spec, regularizer_spec=regularizer_spec,
-        output=exp.get("output"),
+        regularizer_spec=regularizer_spec, output=exp.get("output"),
     )
 
 

@@ -40,12 +40,13 @@ __all__ = [
 METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 
 _INDEX_WORDS = 2**20  # indices drawn per block across all replications (8 MB)
-_DIVERGENCE_NORM_SQ = 1e24  # guard: abort when ‖x‖ > 1e12
+_DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x̄‖ > 1e12
 _THIN_LIMIT = 10_000
 
 
 class DivergenceError(RuntimeError):
-    """An iterate overflowed or left the ‖x‖ ≤ 1e12 trust region.
+    """An iterate overflowed or left the trust region ‖x − x̄‖ ≤ 1e12, x̄
+    its projection onto the solution set.
 
     ``t`` is the earliest step at which any replication left it and
     ``replication`` the lowest replication index that left it at that step.
@@ -199,9 +200,10 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     """Run ``replications`` independent copies of ``spec`` as one batch.
 
     Replication r uses substream (seed, spec.replication + r) and is column
-    r of one (d, R) batch; column 0 is the audit trajectory.  On divergence
-    the ``DivergenceError`` names the earliest step t at which any
-    replication left the trust region, and the lowest replication at that t.
+    r of one (d, R) batch; column 0 is the audit trajectory.  Each step's
+    row of squared distances to the solution set is stored and also guards
+    divergence: the ``DivergenceError`` names the earliest step t at which
+    any replication left the trust region, and the lowest replication at t.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -232,12 +234,12 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         grads = problem.batch_component_grad(X, idx[:, k])
         X = _apply_geometry(spec.method, spec.geometry, gamma_t,
                             X - gamma_t * grads)
-        norms = _accum.sumsq_cols(X)
-        if not np.all(np.isfinite(norms)) or norms.max() > _DIVERGENCE_NORM_SQ:
-            bad = int(np.flatnonzero(~np.isfinite(norms)
-                                     | (norms > _DIVERGENCE_NORM_SQ))[0])
+        row = _accum.sumsq_cols(X - project_solution(X))
+        # max propagates NaN, so one comparison catches overflow as well
+        if not row.max() <= _DIVERGENCE_DIST_SQ:
+            bad = int(np.flatnonzero(~(row <= _DIVERGENCE_DIST_SQ))[0])
             raise DivergenceError(t + 1, spec.replication + bad)
-        dist[:, t + 1] = _accum.sumsq_cols(X - project_solution(X))
+        dist[:, t + 1] = row
         if (t + 1) % stride == 0:
             points[(t + 1) // stride] = X[:, 0]
 

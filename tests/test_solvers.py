@@ -132,7 +132,7 @@ def test_rerun_is_bitwise_identical(two_point):
     assert np.array_equal(a.sampled_indices, b.sampled_indices)
 
 
-def test_batch_width_does_not_change_results(kaczmarz_20x5):
+def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1):
     # R = 600 and T = 2000 span more than one index block (2**20 // 600
     # steps), and rows on both sides of 256 cover the old chunk boundary
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
@@ -145,6 +145,14 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5):
     for r in (0, 255, 256, 599):
         single = run_ensemble(replace(spec, replication=r), 1)
         assert np.array_equal(ens.dist_sq[r], single.dist_sq[0]), r
+    # at d = 10 a one-column batch is where numpy would sum pairwise
+    spec = SolverRun(method="prox_sgm", problem=quadratic_l1,
+                     step=ConstantStep(0.05), iters=300, seed=11,
+                     geometry=geo.l1_regularizer(0.005))
+    ens = run_ensemble(spec, 300)
+    for r in (0, 7, 299):
+        single = run(replace(spec, replication=r))
+        assert np.array_equal(ens.dist_sq[r], single.dist_sq), r
 
 
 @pytest.mark.parametrize("threads", [None, 1, 2, 4])
@@ -215,6 +223,24 @@ def test_divergence_names_earliest_step_then_lowest_replication(two_point):
     with pytest.raises(DivergenceError) as err:
         run_ensemble(spec, R)
     assert (err.value.t, err.value.replication) == expected
+
+
+def test_trust_region_is_centred_on_the_solution_set():
+    # f(x) = ½(x − c)² with c = 3e12: the iterates converge to c, far outside
+    # ‖x‖ ≤ 1e12 but never farther than 1 from the solution
+    c = 3e12
+    p = problems.FiniteSumProblem(
+        name="shifted", dim=1, n_components=1, lipschitz_L=1.0,
+        per_component_L0=1.0, strong_mu=1.0, restricted_mu=1.0, f_star=0.0,
+        solution_projector=lambda x: np.full_like(x, c),
+        full_grad=lambda x: x - c,
+        batch_component_grad=lambda X, idx: X - c,
+        all_component_grads=lambda x: (x - c)[None, :])
+    spec = SolverRun(method="sgm", problem=p, step=ConstantStep(0.5),
+                     iters=20, seed=0, x0=np.array([c + 1.0]))
+    ens = run_ensemble(spec, 3)
+    assert ens.dist_sq[:, 0].tolist() == [1.0] * 3
+    assert np.all(ens.dist_sq[:, 1:] < 1.0)
 
 
 # ---------------------------------------------------------------------------
