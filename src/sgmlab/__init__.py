@@ -9,7 +9,6 @@ from .analysis import (
     EnsembleStats,
     RateFit,
     RateFitError,
-    aggregate,
     check_inverse_t_rate,
     estimate_floor,
     fit_linear_rate,
@@ -21,18 +20,11 @@ from .geometry import (
     LinearMonotoneOperator,
     NumericalError,
     Regularizer,
-    affine_subspace,
-    ball,
-    box,
     constant_regularizer,
-    halfspace,
-    hyperplane,
     indicator,
     l1_regularizer,
     project,
     prox,
-    quadratic_regularizer,
-    regularizer_value,
     resolvent,
     whole_space,
     zero_regularizer,
@@ -73,7 +65,6 @@ from .solvers import (
     InverseTStep,
     SolverRun,
     Trajectory,
-    gradient_mapping,
     recommend_step,
     run,
     run_ensemble,

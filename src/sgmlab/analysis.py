@@ -2,9 +2,9 @@
 
 Estimators operate on the ensemble mean of squared distances to the
 solution set, since the convergence guarantees being tested bound exactly
-that conditional expectation.  All reductions are fixed-order (replications
-sorted by index, single numpy reduction over the stacked matrix), so
-results do not depend on completion order.
+that conditional expectation.  The statistics reduce the (R, T+1) matrix
+whose row r is replication r, one numpy reduction each, so they are a pure
+function of that matrix.
 """
 
 from __future__ import annotations
@@ -18,18 +18,19 @@ __all__ = [
     "EnsembleStats",
     "RateFit",
     "RateFitError",
-    "aggregate",
     "stats_from_matrix",
     "fit_linear_rate",
     "estimate_floor",
     "predict_floor",
     "check_inverse_t_rate",
+    "INVERSE_T_MIN_ITERS",
     "write_stats_csv",
     "write_summary_csv",
     "format_float",
 ]
 
 _LOG_GUARD = 1e-300
+INVERSE_T_MIN_ITERS = 1000  # shortest horizon the O(1/t) check accepts
 _FLOORLESS = 1e-14
 
 
@@ -44,7 +45,6 @@ class EnsembleStats:
     gamma: float
     step_kind: str = "constant"
     predicted_rho: float = math.nan
-    predicted_floor: float = math.nan
 
     def __post_init__(self):
         if len(self.mean_dist_sq) != self.T + 1 or len(self.stderr) != self.T + 1:
@@ -75,8 +75,7 @@ class RateFitError(RuntimeError):
 
 def stats_from_matrix(dist_sq: np.ndarray, gamma: float,
                       step_kind: str = "constant",
-                      predicted_rho: float = math.nan,
-                      predicted_floor: float = math.nan) -> EnsembleStats:
+                      predicted_rho: float = math.nan) -> EnsembleStats:
     """Reduce an (R, T+1) matrix of per-replication squared distances."""
     dist_sq = np.asarray(dist_sq, dtype=float)
     if dist_sq.ndim != 2:
@@ -89,30 +88,7 @@ def stats_from_matrix(dist_sq: np.ndarray, gamma: float,
         stderr = np.zeros_like(mean)
     return EnsembleStats(T=dist_sq.shape[1] - 1, R=R, mean_dist_sq=mean,
                          stderr=stderr, gamma=gamma, step_kind=step_kind,
-                         predicted_rho=predicted_rho,
-                         predicted_floor=predicted_floor)
-
-
-def aggregate(trajectories, gamma: float | None = None,
-              predicted_rho: float = math.nan,
-              predicted_floor: float = math.nan) -> EnsembleStats:
-    """Stack trajectories (sorted by replication index) and reduce."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    ordered = sorted(trajectories, key=lambda tr: tr.replication)
-    T = ordered[0].iters
-    if any(tr.iters != T for tr in ordered):
-        raise ValueError("trajectories have mismatched horizons")
-    if gamma is None:
-        gamma = float(ordered[0].step_values[0])
-    step_kind = "constant"
-    sv = ordered[0].step_values
-    if len(sv) > 1 and not np.all(sv == sv[0]):
-        step_kind = "inverse_t"
-    matrix = np.stack([tr.dist_sq for tr in ordered], axis=0)
-    return stats_from_matrix(matrix, gamma=gamma, step_kind=step_kind,
-                             predicted_rho=predicted_rho,
-                             predicted_floor=predicted_floor)
+                         predicted_rho=predicted_rho)
 
 
 def _floor_window(T: int) -> int:
@@ -191,8 +167,8 @@ def check_inverse_t_rate(stats: EnsembleStats):
     if stats.step_kind != "inverse_t":
         raise ValueError("the O(1/t) check applies only to inverse_t runs")
     T = stats.T
-    if T < 1000:
-        raise ValueError("the O(1/t) check needs T >= 1000")
+    if T < INVERSE_T_MIN_ITERS:
+        raise ValueError(f"the O(1/t) check needs T >= {INVERSE_T_MIN_ITERS}")
     t_start = max(1, int(0.1 * T))
     ts = np.arange(t_start, T + 1, dtype=float)
     ys = np.log(np.maximum(stats.mean_dist_sq[t_start:], _LOG_GUARD))

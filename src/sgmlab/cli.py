@@ -269,6 +269,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{where('method', 'step')}: unknown step policy "
                           f"{step_raw[0]!r}")
 
+    if ("inverse_t" in checks and step_spec[0] == "inverse_t"
+            and iterations < analysis.INVERSE_T_MIN_ITERS):
+        raise ConfigError(f"{where('experiment', 'checks')}: the inverse_t "
+                          f"check needs iterations >= "
+                          f"{analysis.INVERSE_T_MIN_ITERS}, got {iterations}")
+
     x0 = None
     if "x0" in mth and mth["x0"].strip().lower() != "zero":
         try:
@@ -297,6 +303,10 @@ def parse_config(path) -> ExperimentConfig:
             if not math.isfinite(value) or reg[0] == "l1" and not value > 0:
                 raise ConfigError(f"{where_reg}: the value must be finite, "
                                   f"and positive for l1, got {value}")
+            if reg[0] == "l1" and kind != "quadratic_l1":
+                raise ConfigError(f"{where_reg}: 'l1' moves the solution set, "
+                                  "which only problem kind 'quadratic_l1' "
+                                  "solves for; use 'zero' or 'constant <c>'")
             regularizer_spec = (reg[0], value)
         else:
             raise ConfigError(f"{where_reg}: unsupported regularizer "
@@ -325,11 +335,23 @@ def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
             consistent=p["consistent"], noise=p["noise"])
         return problems.make_kaczmarz_problem(sys_)
     if kind == "quadratic_l1":
+        # solve for the regularizer the run uses, which may override l1_weight
         return problems.make_quadratic_l1(
             construction_seed=p["construction_seed"], dim=p["dim"],
-            n_components=p["n_components"], l1_weight=p["l1_weight"])
+            n_components=p["n_components"], l1_weight=p["l1_weight"],
+            regularizer=None if cfg.regularizer_spec is None
+            else build_regularizer(cfg.regularizer_spec))
     sys_ = problems.load_kaczmarz_text(p["path"])
     return problems.make_kaczmarz_problem(sys_)
+
+
+def build_regularizer(spec: tuple) -> geometry.Regularizer:
+    kind, *args = spec
+    if kind == "zero":
+        return geometry.zero_regularizer()
+    if kind == "constant":
+        return geometry.constant_regularizer(*args)
+    return geometry.l1_regularizer(*args)
 
 
 def build_geometry(cfg: ExperimentConfig, problem):
@@ -338,18 +360,12 @@ def build_geometry(cfg: ExperimentConfig, problem):
     if cfg.method == "psgm":
         return geometry.whole_space()
     if cfg.method == "prox_sgm":
-        if cfg.regularizer_spec is None:
-            if problem.regularizer is None:
-                raise ValueError(
-                    "prox_sgm needs a regularizer: this problem has no "
-                    "built-in one, set 'regularizer' in [method]")
-            return problem.regularizer
-        kind, *args = cfg.regularizer_spec
-        if kind == "zero":
-            return geometry.zero_regularizer()
-        if kind == "constant":
-            return geometry.constant_regularizer(*args)
-        return geometry.l1_regularizer(*args)
+        if cfg.regularizer_spec is not None:
+            return build_regularizer(cfg.regularizer_spec)
+        if problem.regularizer is None:
+            raise ValueError("prox_sgm needs a regularizer: this problem has "
+                             "no built-in one, set 'regularizer' in [method]")
+        return problem.regularizer
     return geometry.LinearMonotoneOperator(M_op=np.zeros((problem.dim,
                                                           problem.dim)))
 
@@ -442,14 +458,14 @@ def _num(x):
     return None if math.isnan(x) else x
 
 
-def _run_checks(cfg, problem, geometry_obj, policy, rho_pred, ens, stats):
+def _run_checks(cfg, spec, rho_pred, ens, stats):
     """Execute the requested checks; returns (manifest_checks, extras)."""
+    problem, policy = spec.problem, spec.step
     results = {}
     extras = {}
     # one successor enumeration serves every per-iterate audit of the run
     audit_moments = functools.cache(lambda: growth.successor_moments(
-        problem, geometry_obj, policy.gamma, ens.audit.points,
-        method=cfg.method))
+        problem, spec.geometry, policy.gamma, ens.audit.points))
 
     growth_report = None
     if "wgc" in cfg.checks or "sgc" in cfg.checks:
@@ -641,8 +657,9 @@ def _write_manifest(out_dir: Path, manifest: dict) -> None:
         fh.write("\n")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Build, run, check, and write artifacts.  Returns the exit code."""
+def _construct(cfg: ExperimentConfig):
+    """(spec, rho_pred) for the config's run, or None after reporting a
+    construction error."""
     try:
         problem = build_problem(cfg)
         geometry_obj = build_geometry(cfg, problem)
@@ -653,7 +670,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                                  x0=cfg.x0)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"construction error: {exc}", file=sys.stderr)
+        return None
+    return spec, rho_pred
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Build, run, check, and write artifacts.  Returns the exit code."""
+    built = _construct(cfg)
+    if built is None:
         return EXIT_CONSTRUCTION
+    spec, rho_pred = built
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -686,17 +712,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_manifest(out_dir, manifest)
         return EXIT_DIVERGED
 
-    floor_pred_val = math.nan
-    pred, _ = floor_prediction(problem, cfg.method, ens.gamma0)
-    if pred is not None and policy.kind == "constant":
-        floor_pred_val = pred[2]
     stats = analysis.stats_from_matrix(ens.dist_sq, gamma=ens.gamma0,
                                        step_kind=ens.step_kind,
-                                       predicted_rho=rho_pred,
-                                       predicted_floor=floor_pred_val)
-
-    results, extras = _run_checks(cfg, problem, geometry_obj, policy,
-                                  rho_pred, ens, stats)
+                                       predicted_rho=rho_pred)
+    results, extras = _run_checks(cfg, spec, rho_pred, ens, stats)
 
     analysis.write_stats_csv(out_dir / "trajectory_stats.csv", stats)
     _write_audit_csv(out_dir / "audit_trajectory.csv", ens.audit)
@@ -751,17 +770,11 @@ def _cmd_validate(args) -> int:
     cfg = _load_config(args)
     if cfg is None:
         return EXIT_CONFIG
-    try:
-        problem = build_problem(cfg)
-        geometry_obj = build_geometry(cfg, problem)
-        policy, rho_pred = resolve_step(cfg, problem)
-        solvers.SolverRun(method=cfg.method, problem=problem,
-                          geometry=geometry_obj, step=policy,
-                          iters=cfg.iterations, seed=cfg.seed, x0=cfg.x0)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
+    built = _construct(cfg)
+    if built is None:
         return EXIT_CONSTRUCTION
-    gamma0 = policy.value(0)
+    spec, rho_pred = built
+    gamma0 = spec.step.value(0)
     print(f"config ok: {cfg.name}: {cfg.method} on {cfg.problem_kind}, "
           f"T={cfg.iterations}, R={cfg.replications}, gamma_0={gamma0:g}"
           + ("" if math.isnan(rho_pred) else f", rho_pred={rho_pred:g}")

@@ -1,10 +1,12 @@
-"""Convex sets, simple regularizers and linear monotone operators.
+"""The step maps: the whole space, simple regularizers and linear monotone
+operators.
 
-Projections and proximal maps are closed form per kind; resolvents and the
-quadratic prox are dense linear solves, one stacked ``np.linalg.solve`` call
-per batch.  All operations accept a single point of shape ``(d,)`` or a
-batch of column vectors of shape ``(d, R)`` and preserve the input shape;
-a batched call is bitwise identical, column by column, to single calls.
+The projection onto the whole space and the proximal maps of the zero,
+constant, l1 and indicator regularizers are closed form; resolvents are
+dense linear solves, one stacked ``np.linalg.solve`` call per batch.  All
+operations accept a single point of shape ``(d,)`` or a batch of column
+vectors of shape ``(d, R)`` and preserve the input shape; a batched call is
+bitwise identical, column by column, to single calls.
 """
 
 from __future__ import annotations
@@ -13,24 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accum
-
 __all__ = [
     "ConvexSet",
     "Regularizer",
     "LinearMonotoneOperator",
     "NumericalError",
     "whole_space",
-    "hyperplane",
-    "halfspace",
-    "box",
-    "ball",
-    "affine_subspace",
     "zero_regularizer",
     "constant_regularizer",
     "l1_regularizer",
     "indicator",
-    "quadratic_regularizer",
     "project",
     "prox",
     "resolvent",
@@ -45,90 +39,15 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class ConvexSet:
-    """A closed convex set with an exact Euclidean projection.
-
-    Instances are built through the module-level constructors
-    (``whole_space``, ``hyperplane``, ...) which validate parameters and
-    precompute whatever the projector needs.
-    """
+    """A closed convex set with an exact Euclidean projection; the whole
+    space, built by ``whole_space``, is the one kind."""
 
     kind: str
-    a: np.ndarray | None = None
-    offset: float = 0.0
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    center: np.ndarray | None = None
-    radius: float = 0.0
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    # precomputed affine projector: x -> proj_mat @ x + proj_shift
-    proj_mat: np.ndarray | None = field(default=None, repr=False)
-    proj_shift: np.ndarray | None = field(default=None, repr=False)
 
 
 def whole_space() -> ConvexSet:
     """The unconstrained set; projection is the identity."""
     return ConvexSet(kind="whole_space")
-
-
-def hyperplane(a, offset) -> ConvexSet:
-    """{x : <a, x> = offset} for a nonzero normal a."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or not np.any(a != 0.0):
-        raise ValueError("hyperplane needs a nonzero 1-d normal vector")
-    return ConvexSet(kind="hyperplane", a=a, offset=float(offset))
-
-
-def halfspace(a, offset) -> ConvexSet:
-    """{x : <a, x> <= offset} for a nonzero normal a."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or not np.any(a != 0.0):
-        raise ValueError("halfspace needs a nonzero 1-d normal vector")
-    return ConvexSet(kind="halfspace", a=a, offset=float(offset))
-
-
-def box(lo, hi) -> ConvexSet:
-    """Axis-aligned box [lo, hi]; rejects empty boxes."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError("box bounds must be 1-d arrays of equal length")
-    if np.any(lo > hi):
-        raise ValueError("empty box: lo > hi in some coordinate")
-    return ConvexSet(kind="box", lo=lo, hi=hi)
-
-
-def ball(center, radius) -> ConvexSet:
-    """Euclidean ball of positive radius."""
-    center = np.asarray(center, dtype=float)
-    if center.ndim != 1:
-        raise ValueError("ball center must be a 1-d array")
-    if not radius > 0:
-        raise ValueError("ball radius must be positive")
-    return ConvexSet(kind="ball", center=center, radius=float(radius))
-
-
-def affine_subspace(A_eq, b_eq) -> ConvexSet:
-    """{x : A_eq x = b_eq} with full-row-rank A_eq.
-
-    The projector x - A^T (A A^T)^{-1} (A x - b) is precomputed as a dense
-    matrix/shift pair so batched applications stay column-stable.
-    """
-    A_eq = np.asarray(A_eq, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float)
-    if A_eq.ndim != 2 or b_eq.shape != (A_eq.shape[0],):
-        raise ValueError("affine_subspace expects A_eq (k, d) and b_eq (k,)")
-    k, d = A_eq.shape
-    sv = np.linalg.svd(A_eq, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-        raise ValueError("affine_subspace requires full row rank")
-    # QR of A_eq^T: range(Q) = row space, so P = I - Q Q^T shifts onto the
-    # homogeneous solution space and Q R^{-T} b gives a particular solution.
-    Q, R = np.linalg.qr(A_eq.T)
-    proj_mat = np.eye(d) - Q @ Q.T
-    proj_shift = Q @ np.linalg.solve(R.T, b_eq)
-    return ConvexSet(kind="affine", A_eq=A_eq, b_eq=b_eq,
-                     proj_mat=proj_mat, proj_shift=proj_shift)
 
 
 @dataclass
@@ -139,8 +58,6 @@ class Regularizer:
     weight: float = 0.0
     c: float = 0.0
     set_: ConvexSet | None = None
-    Q: np.ndarray | None = None
-    q: np.ndarray | None = None
 
 
 def zero_regularizer() -> Regularizer:
@@ -162,20 +79,6 @@ def indicator(S: ConvexSet) -> Regularizer:
     return Regularizer(kind="indicator", set_=S)
 
 
-def quadratic_regularizer(Q, q) -> Regularizer:
-    """g(x) = 0.5 x^T Q x + <q, x> with Q symmetric PSD."""
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
-        raise ValueError("quadratic regularizer expects square Q and matching q")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ValueError("Q must be symmetric")
-    ev = np.linalg.eigvalsh(Q)
-    if ev[0] < -1e-10 * max(1.0, ev[-1]):
-        raise ValueError("Q must be positive semidefinite")
-    return Regularizer(kind="quadratic", Q=Q, q=q)
-
-
 @dataclass
 class LinearMonotoneOperator:
     """x -> M_op x with M_op + M_opᵀ positive semidefinite.
@@ -185,8 +88,6 @@ class LinearMonotoneOperator:
     """
 
     M_op: np.ndarray
-    cocoercivity_beta: float = 0.0
-    strong_monotonicity: float = 0.0
     # last checked resolvent system (γ, I + γ M_op); see ``resolvent``
     _system: tuple | None = field(default=None, init=False, compare=False,
                                   repr=False)
@@ -218,29 +119,11 @@ def _restore(X, squeeze):
 
 
 def project(S: ConvexSet, x):
-    """Euclidean projection onto S, exact per kind."""
+    """Euclidean projection onto S: a copy of x for the whole space."""
     X, squeeze = _as_cols(x)
-    if S.kind == "whole_space":
-        out = X.copy()
-    elif S.kind == "hyperplane":
-        t = (_accum.dot_cols(S.a, X) - S.offset) / float(S.a @ S.a)
-        out = X - S.a[:, None] * t[None, :]
-    elif S.kind == "halfspace":
-        t = np.maximum((_accum.dot_cols(S.a, X) - S.offset) / float(S.a @ S.a),
-                       0.0)
-        out = X - S.a[:, None] * t[None, :]
-    elif S.kind == "box":
-        out = np.clip(X, S.lo[:, None], S.hi[:, None])
-    elif S.kind == "ball":
-        D = X - S.center[:, None]
-        r = np.sqrt(_accum.sumsq_cols(D))
-        scale = np.where(r > S.radius, S.radius / np.where(r > 0, r, 1.0), 1.0)
-        out = S.center[:, None] + D * scale[None, :]
-    elif S.kind == "affine":
-        out = _accum.matvec_cols(S.proj_mat, X) + S.proj_shift[:, None]
-    else:
+    if S.kind != "whole_space":
         raise ValueError(f"unknown set kind {S.kind!r}")
-    return _restore(out, squeeze)
+    return _restore(X.copy(), squeeze)
 
 
 def prox(g: Regularizer, gamma, x):
@@ -255,30 +138,9 @@ def prox(g: Regularizer, gamma, x):
         out = np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
     elif g.kind == "indicator":
         out = project(g.set_, X)
-    elif g.kind == "quadratic":
-        mat = np.eye(g.Q.shape[0]) + gamma * g.Q
-        out = _solve_cols(mat, X - gamma * g.q[:, None])
     else:
         raise ValueError(f"unknown regularizer kind {g.kind!r}")
     return _restore(out, squeeze)
-
-
-def regularizer_value(g: Regularizer, x):
-    """Value of g at a single point (used by audits and tests)."""
-    x = np.asarray(x, dtype=float)
-    if g.kind == "zero":
-        return 0.0
-    if g.kind == "constant":
-        return g.c
-    if g.kind == "l1":
-        return g.weight * float(np.abs(x).sum())
-    if g.kind == "indicator":
-        gap = x - project(g.set_, x)
-        inside = np.sqrt(gap @ gap) <= 1e-12 * (1.0 + np.sqrt(x @ x))
-        return 0.0 if inside else np.inf
-    if g.kind == "quadratic":
-        return 0.5 * float(x @ g.Q @ x) + float(g.q @ x)
-    raise ValueError(f"unknown regularizer kind {g.kind!r}")
 
 
 def _solve_cols(mat, X):

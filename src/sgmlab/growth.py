@@ -32,6 +32,7 @@ __all__ = [
     "fit_wgc",
     "fit_sgc",
     "kaczmarz_M",
+    "enumerate_successors",
     "successor_moments",
     "verify_necessary_condition",
     "measured_worst_omega",
@@ -156,14 +157,12 @@ def kaczmarz_M(sys: KaczmarzSystem) -> float:
 
 
 def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
-                         x: np.ndarray, method: str | None = None) -> np.ndarray:
+                         x: np.ndarray) -> np.ndarray:
     """All n one-step successors of x as columns of a (d, n) matrix."""
-    if method is None:
-        method = solvers._infer_method(geometry)
     x = np.asarray(x, dtype=float)
     grads = problem.all_component_grads(x)
     Y = x[:, None] - gamma * grads.T
-    return solvers._apply_geometry(method, geometry, gamma, Y)
+    return solvers._apply_geometry(geometry, gamma, Y)
 
 
 @dataclass
@@ -184,14 +183,14 @@ class SuccessorMoments:
 
 
 def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
-                      points, method: str | None = None) -> SuccessorMoments:
+                      points) -> SuccessorMoments:
     """Enumerate the n successors of every point once and record the exact
     moments that the per-iterate audits below are computed from."""
     proj = problem.solution_projector
     moments = np.empty((4, len(points)))
     for k, x in enumerate(points):
         x = np.asarray(x, dtype=float)
-        succ = enumerate_successors(problem, geometry, gamma, x, method)
+        succ = enumerate_successors(problem, geometry, gamma, x)
         xc = x - proj(x)
         Dp = succ - proj(succ)
         G = (x[:, None] - succ) / gamma

@@ -361,13 +361,15 @@ def make_shared_minimizer_quadratics(dim: int = 3, n_components: int = 4,
 
 def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
                       n_components: int = 20,
-                      l1_weight: float = 0.005) -> FiniteSumProblem:
+                      l1_weight: float = 0.005,
+                      regularizer: Regularizer | None = None) -> FiniteSumProblem:
     """Components share one SPD Hessian Q but carry opposed linear terms.
 
     fᵢ(x) = 0.5(x−x̄)ᵀQ(x−x̄) + ⟨cᵢ, x−x̄⟩ with the cᵢ in ± pairs along one
     eigenvector, so ∇f(x) = Q(x−x̄) and the conditional second moment is
     exactly ‖∇f(x)‖² + mean‖cᵢ‖²: the weak growth condition holds globally
-    with M = 1 and σ² = mean‖cᵢ‖².  The problem bundles an ℓ1 regularizer;
+    with M = 1 and σ² = mean‖cᵢ‖².  The problem bundles ``regularizer``,
+    by default the ℓ1 norm with weight ``l1_weight`` (validated either way);
     the solution set is the regularized optimum, found by a deterministic
     proximal-gradient solve to fixed-point residual 1e-12.
     """
@@ -399,6 +401,8 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
         return _accum.matvec_vec(Q, x - xbar)[None, :] + C
 
     reg = l1_regularizer(l1_weight)
+    if regularizer is not None:
+        reg = regularizer
     xstar = _prox_gradient_solve(full_grad, reg, L, np.zeros(dim))
 
     return FiniteSumProblem(

@@ -1,6 +1,8 @@
 """Stochastic gradient iterations: plain, projected, proximal, resolvent.
 
-One engine drives all four methods.  All replications of an ensemble are
+One engine drives all four methods; the type of the run's geometry object
+picks the step map (identity, projection, prox or resolvent), and the
+method name only has to agree with it.  All replications of an ensemble are
 simulated as the columns of one (d, R) batch, in one loop on the calling
 thread.  Every kernel in the hot path uses elementwise arithmetic and the
 fixed-order accumulations from ``_accum`` only, so each replication's
@@ -31,9 +33,7 @@ __all__ = [
     "DivergenceError",
     "run",
     "run_ensemble",
-    "gradient_mapping",
     "recommend_step",
-    "default_x0",
     "METHODS",
 ]
 
@@ -115,8 +115,8 @@ class SolverRun:
             raise ValueError("iteration count must be >= 1")
         if self.seed < 0 or self.replication < 0:
             raise ValueError("seed and replication index must be nonnegative")
-        if self.x0 is None:
-            self.x0 = default_x0(self.method, self.geometry, self.problem.dim)
+        if self.x0 is None:  # zero is feasible for every geometry
+            self.x0 = np.zeros(self.problem.dim)
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.problem.dim,) or not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be a finite vector of the problem dimension")
@@ -129,16 +129,6 @@ def _check_geometry(method: str, geometry) -> None:
         raise ValueError(
             f"method {method!r} needs geometry of type "
             f"{wanted[method].__name__}, got {type(geometry).__name__}")
-
-
-def default_x0(method: str, geometry, dim: int) -> np.ndarray:
-    """The zero vector, projected onto the feasible set when there is one."""
-    zero = np.zeros(dim)
-    if method == "psgm":
-        return geo.project(geometry, zero)
-    if method == "prox_sgm" and geometry.kind == "indicator":
-        return geo.project(geometry.set_, zero)
-    return zero
 
 
 @dataclass(eq=False)
@@ -182,12 +172,14 @@ class EnsembleRun:
         return self.dist_sq.shape[1] - 1
 
 
-def _apply_geometry(method: str, geometry, gamma: float, Y):
-    if method == "sgm":
+def _apply_geometry(geometry, gamma: float, Y):
+    """The step map the geometry's type names (``_check_geometry`` pairs
+    each method with one type): identity, projection, prox or resolvent."""
+    if geometry is None:
         return Y
-    if method == "psgm":
+    if isinstance(geometry, ConvexSet):
         return geo.project(geometry, Y)
-    if method == "prox_sgm":
+    if isinstance(geometry, Regularizer):
         return geo.prox(geometry, gamma, Y)
     return geo.resolvent(geometry, gamma, Y)
 
@@ -232,8 +224,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
             indices[t:t + block] = idx[0, :block]
         gamma_t = step.value(t)
         grads = problem.batch_component_grad(X, idx[:, k])
-        X = _apply_geometry(spec.method, spec.geometry, gamma_t,
-                            X - gamma_t * grads)
+        X = _apply_geometry(spec.geometry, gamma_t, X - gamma_t * grads)
         row = _accum.sumsq_cols(X - project_solution(X))
         # max propagates NaN, so one comparison catches overflow as well
         if not row.max() <= _DIVERGENCE_DIST_SQ:
@@ -259,36 +250,6 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
 def run(spec: SolverRun) -> Trajectory:
     """Run a single replication and return its full trajectory."""
     return run_ensemble(spec, 1).audit
-
-
-def gradient_mapping(problem: FiniteSumProblem, geometry, gamma: float,
-                     x, i: int, method: str | None = None):
-    """One-step residual G = (x − x₊)/γ and its subgradient part q = G − ∇fᵢ(x).
-
-    For constant/zero regularizers q = 0 and G is the component gradient
-    itself; in general q belongs to the regularizer's subdifferential at x₊.
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if method is None:
-        method = _infer_method(geometry)
-    x = np.asarray(x, dtype=float)
-    grad_i = problem.component_grad(i, x)
-    x_next = _apply_geometry(method, geometry, gamma, x - gamma * grad_i)
-    G = (x - x_next) / gamma
-    return G, G - grad_i
-
-
-def _infer_method(geometry) -> str:
-    if geometry is None:
-        return "sgm"
-    if isinstance(geometry, ConvexSet):
-        return "psgm"
-    if isinstance(geometry, Regularizer):
-        return "prox_sgm"
-    if isinstance(geometry, LinearMonotoneOperator):
-        return "resolvent_sgm"
-    raise ValueError(f"unrecognized geometry object {type(geometry).__name__}")
 
 
 def recommend_step(L: float, M: float, mu: float, method: str = "psgm"):

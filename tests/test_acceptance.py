@@ -99,8 +99,8 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     ok = fit.rate_per_iter <= 1.0 - rho + 3.0 * fit.rate_stderr + 0.01
     ok &= fit.floor_estimate <= 1e-12
     margins, flagged = contraction_margins(
-        successor_moments(kp, geometry.whole_space(), gamma, ens.audit.points,
-                          method="psgm"), rho, 0.0)
+        successor_moments(kp, geometry.whole_space(), gamma, ens.audit.points),
+        rho, 0.0)
     ok &= not flagged and len(margins) == 5001
 
     _criterion(2, "projected method at the recommended step: fitted rate "

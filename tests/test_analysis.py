@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sgmlab import analysis, problems, solvers
+from sgmlab import analysis, problems
 from sgmlab.analysis import (
     EnsembleStats,
     RateFitError,
-    aggregate,
     check_inverse_t_rate,
     estimate_floor,
     fit_linear_rate,
@@ -55,37 +54,6 @@ def test_stats_validation():
     with pytest.raises(ValueError):
         EnsembleStats(T=3, R=1, mean_dist_sq=-np.ones(4), stderr=np.zeros(4),
                       gamma=0.1)
-
-
-def test_aggregate_is_permutation_invariant(two_point):
-    def traj(r):
-        spec = solvers.SolverRun(method="sgm", problem=two_point,
-                                 step=solvers.ConstantStep(0.5), iters=40,
-                                 seed=17, replication=r)
-        return solvers.run(spec)
-
-    trajs = [traj(r) for r in range(5)]
-    a = aggregate(trajs)
-    b = aggregate(list(reversed(trajs)))
-    assert np.array_equal(a.mean_dist_sq, b.mean_dist_sq)
-    assert np.array_equal(a.stderr, b.stderr)
-    assert a.gamma == 0.5 and a.step_kind == "constant"
-
-
-def test_aggregate_detects_inverse_t(two_point):
-    spec = solvers.SolverRun(method="sgm", problem=two_point,
-                             step=solvers.InverseTStep(2.0), iters=40, seed=1)
-    st = aggregate([solvers.run(spec)])
-    assert st.step_kind == "inverse_t"
-    assert st.gamma == 2.0
-
-
-def test_aggregate_rejects_mismatched_horizons(two_point):
-    mk = lambda T: solvers.run(solvers.SolverRun(
-        method="sgm", problem=two_point, step=solvers.ConstantStep(0.5),
-        iters=T, seed=1))
-    with pytest.raises(ValueError):
-        aggregate([mk(10), mk(20)])
 
 
 # ---------------------------------------------------------------------------

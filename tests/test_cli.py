@@ -157,13 +157,49 @@ def test_regularizer_errors_exit_2_with_line(tmp_path, capsys, monkeypatch,
     ("l1 0.25", ("l1", 0.25)),
 ])
 def test_regularizer_spec_is_parsed(tmp_path, spec, parsed):
-    cfg = cli.parse_config(write_cfg(tmp_path,
-                                     PROX_TWO_POINT.format(spec=spec)))
+    # an l1 override moves the solution set, so it needs quadratic_l1
+    text = PROX_TWO_POINT.format(spec=spec)
+    if parsed[0] == "l1":
+        text = text.replace("kind = two_point", "kind = quadratic_l1")
+    cfg = cli.parse_config(write_cfg(tmp_path, text))
     assert cfg.regularizer_spec == parsed
     geom = cli.build_geometry(cfg, None)
     assert geom.kind == parsed[0]
     if parsed[0] == "l1":
         assert geom.weight == 0.25
+
+
+@pytest.mark.parametrize("problem", ["two_point", "kaczmarz"])
+def test_l1_regularizer_off_quadratic_l1_exits_2_with_line(
+        tmp_path, capsys, monkeypatch, problem):
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = PROX_TWO_POINT.format(spec="l1 0.1").replace(
+        "kind = two_point", f"kind = {problem}")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index("regularizer = l1 0.1") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert "quadratic_l1" in err and f":{lineno}:" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_regularizer_override_measures_distance_to_its_own_solution(tmp_path):
+    # prox_sgm with l1 = 0.5 converges to the l1 = 0.5 solution; measured
+    # against the l1_weight = 0.005 solution the floor sat at 0.775
+    text = (CONFIGS_DIR / "quadratic_l1_floor.cfg").read_text()
+    text = (text.replace("iterations = 6000", "iterations = 3000")
+            .replace("replications = 1000", "replications = 100")
+            .replace("x0 = zero", "x0 = zero\nregularizer = l1 0.5"))
+    cfg = write_cfg(tmp_path, text)
+    problem = cli.build_problem(cli.parse_config(cfg))
+    assert problem.regularizer.kind == "l1"
+    assert problem.regularizer.weight == 0.5
+    out = tmp_path / "o"
+    run_cli(["run", cfg, "--out", out])
+    rows = np.loadtxt(out / "trajectory_stats.csv", delimiter=",",
+                      skiprows=1)
+    assert rows[-(len(rows) // 10):, 1].mean() < 0.01
 
 
 def test_threads_option_and_key_are_gone(tmp_path, capsys):
@@ -257,6 +293,20 @@ def test_skipped_check_fails_the_run(tmp_path):
     entry = manifest["checks"]["inverse_t"]
     assert entry["status"] == "skipped"
     assert "inverse_t" in entry["reason"]
+
+
+def test_inverse_t_check_on_a_short_inverse_t_run_exits_2_with_line(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = (CONFIGS_DIR / "quadratic_l1_inverse_t.cfg").read_text().replace(
+        "iterations = 100000", "iterations = 400")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index("checks = inverse_t") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert "iterations >= 1000" in err and f":{lineno}:" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_divergence_exits_4(tmp_path, capsys):

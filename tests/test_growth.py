@@ -205,23 +205,35 @@ def test_enumerate_successors_plain(two_point):
     assert succ.shape == (1, 2)
 
 
-def test_enumerate_successors_respects_geometry(kaczmarz_20x5):
-    S = geo.ball(np.zeros(5), 0.1)
-    x = np.ones(5)
-    succ = enumerate_successors(kaczmarz_20x5, S, 0.2, x, method="psgm")
-    norms = np.sqrt((succ * succ).sum(axis=0))
-    assert np.all(norms <= 0.1 + 1e-12)
+def _l1_steps(p, gamma, x):
+    """Each component's proximal step from x, one prox call per component."""
+    return np.stack([geo.prox(p.regularizer, gamma,
+                              x - gamma * p.component_grad(i, x))
+                     for i in range(p.n_components)], axis=1)
 
 
-def test_successor_moments_are_enumerated_moments(kaczmarz_20x5, rng):
-    p, gamma = kaczmarz_20x5, 0.3
-    S = geo.ball(np.zeros(5), 2.0)
-    points = rng.normal(size=(4, 5)) * 3
-    moments = successor_moments(p, S, gamma, points, method="psgm")
+def test_enumerate_successors_respects_geometry(quadratic_l1, rng):
+    p, gamma = quadratic_l1, 0.3
+    x = rng.normal(size=p.dim) * 0.2
+    succ = enumerate_successors(p, p.regularizer, gamma, x)
+    assert succ.shape == (p.dim, p.n_components)
+    assert np.array_equal(succ, _l1_steps(p, gamma, x))
+    # the l1 prox shrinks every plain step here, so the map is not skipped
+    plain = enumerate_successors(p, None, gamma, x)
+    assert np.all(np.abs(succ) < np.abs(plain))
+
+
+def test_successor_moments_are_enumerated_moments(rng):
+    # d = 5 < 8, so np.sum below adds in the same order as the dot product
+    p, gamma = problems.make_quadratic_l1(dim=5), 0.3
+    S = p.regularizer
+    points = rng.normal(size=(4, p.dim)) * 3
+    moments = successor_moments(p, S, gamma, points)
     assert moments.gamma == gamma
     proj = p.solution_projector
     for k, x in enumerate(points):
-        succ = enumerate_successors(p, S, gamma, x, method="psgm")
+        succ = enumerate_successors(p, S, gamma, x)
+        assert np.array_equal(succ, _l1_steps(p, gamma, x))
         G = (x[:, None] - succ) / gamma
         D = succ - proj(succ)
         assert moments.dist_sq[k] == np.sum((x - proj(x)) ** 2)

@@ -11,7 +11,6 @@ from sgmlab.solvers import (
     DivergenceError,
     InverseTStep,
     SolverRun,
-    gradient_mapping,
     recommend_step,
     run,
     run_ensemble,
@@ -60,16 +59,14 @@ def test_method_geometry_pairing_is_validated(two_point):
 def test_default_x0_respects_geometry(two_point, kaczmarz_20x5):
     spec = two_point_spec()
     assert np.array_equal(spec.x0, np.zeros(1))
-    # projection of 0 onto a ball not containing the origin
-    S = geo.ball(np.array([0.0, 0.0, 0.0, 0.0, 10.0]), 1.0)
-    spec = SolverRun(method="psgm", problem=kaczmarz_20x5,
-                     step=ConstantStep(0.1), iters=10, seed=0, geometry=S)
-    assert np.allclose(spec.x0, [0, 0, 0, 0, 9.0], atol=1e-12)
-    # prox with an indicator starts feasible too
-    spec = SolverRun(method="prox_sgm", problem=kaczmarz_20x5,
-                     step=ConstantStep(0.1), iters=10, seed=0,
-                     geometry=geo.indicator(S))
-    assert np.allclose(spec.x0, [0, 0, 0, 0, 9.0], atol=1e-12)
+    # zero is feasible for every geometry, so every method starts there
+    for method, geometry in (("psgm", geo.whole_space()),
+                             ("prox_sgm", geo.indicator(geo.whole_space())),
+                             ("prox_sgm", geo.l1_regularizer(0.1))):
+        spec = SolverRun(method=method, problem=kaczmarz_20x5,
+                         step=ConstantStep(0.1), iters=10, seed=0,
+                         geometry=geometry)
+        assert np.array_equal(spec.x0, np.zeros(5))
 
 
 def test_explicit_x0_is_validated(two_point):
@@ -272,41 +269,6 @@ def test_two_point_mean_follows_exact_recursion(two_point):
     for t in range(T):
         exact[t + 1] = (1 - gamma) ** 2 * exact[t] + gamma ** 2
     assert np.all(np.abs(mean - exact) <= 5 * se + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# gradient mapping
-# ---------------------------------------------------------------------------
-
-def test_gradient_mapping_plain_is_component_gradient(two_point):
-    x = np.array([1.7])
-    G, q = gradient_mapping(two_point, None, 0.4, x, 0)
-    assert np.allclose(G, two_point.component_grad(0, x), atol=1e-15)
-    assert np.allclose(q, 0.0, atol=1e-15)
-
-
-def test_gradient_mapping_l1_subgradient(quadratic_l1):
-    p = quadratic_l1
-    w = p.regularizer.weight
-    g = np.random.default_rng(5)
-    for _ in range(10):
-        x = g.normal(size=p.dim)
-        i = int(g.integers(0, p.n_components))
-        gamma = 0.05
-        G, q = gradient_mapping(p, p.regularizer, gamma, x, i,
-                                method="prox_sgm")
-        x_next = x - gamma * p.component_grad(i, x) - gamma * q
-        # q is a valid l1 subgradient at the next iterate
-        on = x_next != 0
-        assert np.all(np.abs(q) <= w + 1e-12)
-        assert np.allclose(q[on], w * np.sign(x_next[on]), atol=1e-12)
-
-
-def test_gradient_mapping_infers_method(two_point):
-    x = np.array([0.3])
-    G_sgm, _ = gradient_mapping(two_point, None, 0.4, x, 1)
-    G_psgm, _ = gradient_mapping(two_point, geo.whole_space(), 0.4, x, 1)
-    assert np.array_equal(G_sgm, G_psgm)
 
 
 # ---------------------------------------------------------------------------
