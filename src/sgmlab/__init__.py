@@ -21,10 +21,12 @@ from .geometry import (
     NumericalError,
     Regularizer,
     constant_regularizer,
+    hyperplane,
     indicator,
     l1_regularizer,
     project,
     prox,
+    quadratic_regularizer,
     resolvent,
     whole_space,
     zero_regularizer,

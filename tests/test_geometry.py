@@ -12,8 +12,9 @@ finite_vec = lambda n: arrays(np.float64, n,
                               elements=st.floats(-50, 50, allow_nan=False))
 
 
-def sample_sets():
-    return [geo.whole_space()]
+def sample_sets(dim=3):
+    a = np.random.default_rng(0).normal(size=dim)
+    return [geo.whole_space(), geo.hyperplane(a, 1.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +29,17 @@ def test_whole_space_projection_is_identity(rng):
 def test_project_rejects_unknown_set_kind(rng):
     with pytest.raises(ValueError, match="unknown set kind"):
         geo.project(geo.ConvexSet(kind="ball"), rng.normal(size=3))
+
+
+def test_hyperplane_projection_formula(rng):
+    a = rng.normal(size=5)
+    b = 2.0
+    S = geo.hyperplane(a, b)
+    x = rng.normal(size=5)
+    p = geo.project(S, x)
+    expected = x - (a @ x - b) / (a @ a) * a
+    assert np.allclose(p, expected, atol=1e-14)
+    assert abs(a @ p - b) < 1e-12
 
 
 @pytest.mark.parametrize("set_idx", range(len(sample_sets())))
@@ -70,8 +82,6 @@ def test_prox_l1_soft_threshold(gamma):
     p = geo.prox(g, gamma, x)
     expected = np.sign(x) * np.maximum(np.abs(x) - gamma * w, 0.0)
     assert np.allclose(p, expected, atol=1e-15)
-    with pytest.raises(ValueError):
-        geo.l1_regularizer(0.0)
 
 
 @given(finite_vec(4), st.floats(0.01, 10))
@@ -87,6 +97,18 @@ def test_prox_l1_optimality(x, gamma):
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
+def test_prox_quadratic_solves_linear_system(gamma, rng):
+    B = rng.normal(size=(4, 4))
+    Q = B.T @ B
+    q = rng.normal(size=4)
+    g = geo.quadratic_regularizer(Q, q)
+    x = rng.normal(size=4)
+    p = geo.prox(g, gamma, x)
+    # optimality: p + gamma*(Q p + q) = x
+    assert np.allclose(p + gamma * (Q @ p + q), x, atol=1e-10)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
 @pytest.mark.parametrize("set_idx", range(len(sample_sets())))
 def test_prox_of_indicator_is_projection(gamma, set_idx, rng):
     S = sample_sets()[set_idx]
@@ -96,12 +118,24 @@ def test_prox_of_indicator_is_projection(gamma, set_idx, rng):
 
 
 def test_prox_firmly_nonexpansive(rng):
-    g = geo.l1_regularizer(0.3)
-    for _ in range(100):
-        x, y = rng.normal(size=3) * 5, rng.normal(size=3) * 5
-        px, py = geo.prox(g, 1.0, x), geo.prox(g, 1.0, y)
-        d = px - py
-        assert d @ d <= d @ (x - y) + 1e-10
+    regs = [geo.l1_regularizer(0.3),
+            geo.quadratic_regularizer(np.diag([1.0, 2.0, 0.5]), np.zeros(3))]
+    for g in regs:
+        for _ in range(100):
+            x, y = rng.normal(size=3) * 5, rng.normal(size=3) * 5
+            px, py = geo.prox(g, 1.0, x), geo.prox(g, 1.0, y)
+            d = px - py
+            assert d @ d <= d @ (x - y) + 1e-10
+
+
+def test_quadratic_regularizer_validation():
+    with pytest.raises(ValueError):
+        geo.quadratic_regularizer(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                  np.zeros(2))  # not symmetric
+    with pytest.raises(ValueError):
+        geo.quadratic_regularizer(-np.eye(2), np.zeros(2))  # not PSD
+    with pytest.raises(ValueError):
+        geo.l1_regularizer(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +152,17 @@ def test_resolvent_diagonal_example():
     op = geo.LinearMonotoneOperator(M_op=np.diag([1.0, 3.0]))
     out = geo.resolvent(op, 0.5, np.array([3.0, 5.0]))
     assert np.allclose(out, [2.0, 2.0], atol=1e-14)
+
+
+def test_resolvent_matches_quadratic_prox(rng):
+    B = rng.normal(size=(4, 4))
+    Q = B.T @ B
+    op = geo.LinearMonotoneOperator(M_op=Q)
+    g = geo.quadratic_regularizer(Q, np.zeros(4))
+    x = rng.normal(size=4)
+    for gamma in GAMMAS:
+        assert np.allclose(geo.resolvent(op, gamma, x),
+                           geo.prox(g, gamma, x), atol=1e-10)
 
 
 def test_resolvent_accepts_skew_operator(rng):
@@ -166,6 +211,19 @@ def test_resolvent_bitwise_matches_per_column_solves(d, width, rng):
         ref = _loop_solve(np.eye(d) + gamma * M, X)
         assert np.array_equal(geo.resolvent(op, gamma, X), ref)
         assert np.array_equal(geo.resolvent(op, gamma, X[:, 0]), ref[:, 0])
+
+
+@pytest.mark.parametrize("width", [1, 2, 257])
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_quadratic_prox_bitwise_matches_per_column_solves(d, width, rng):
+    B = rng.normal(size=(d, d))
+    Q, q = B.T @ B, rng.normal(size=d)
+    g = geo.quadratic_regularizer(Q, q)
+    X = rng.normal(size=(d, width)) * 5
+    for gamma in GAMMAS:
+        ref = _loop_solve(np.eye(d) + gamma * Q, X - gamma * q[:, None])
+        assert np.array_equal(geo.prox(g, gamma, X), ref)
+        assert np.array_equal(geo.prox(g, gamma, X[:, 0]), ref[:, 0])
 
 
 def test_resolvent_rejects_ill_conditioned_gamma_after_a_good_one(rng):
