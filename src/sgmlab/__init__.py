@@ -21,12 +21,10 @@ from .geometry import (
     NumericalError,
     Regularizer,
     constant_regularizer,
-    hyperplane,
     indicator,
     l1_regularizer,
     project,
     prox,
-    quadratic_regularizer,
     resolvent,
     whole_space,
     zero_regularizer,

@@ -14,8 +14,7 @@ d ≥ 8, pairwise instead, hence ``order="C"`` and the loop fallback in
 
 import numpy as np
 
-__all__ = ["sumsq_cols", "dot_cols", "rowdot_cols", "matvec_cols",
-           "matvec_vec"]
+__all__ = ["sumsq_cols", "rowdot_cols", "matvec_cols", "matvec_vec"]
 
 
 def _sum_rows(P: np.ndarray) -> np.ndarray:
@@ -31,11 +30,6 @@ def _sum_rows(P: np.ndarray) -> np.ndarray:
 def sumsq_cols(X: np.ndarray) -> np.ndarray:
     """Column-wise squared Euclidean norms of a (d, R) batch."""
     return _sum_rows(np.multiply(X, X, order="C"))
-
-
-def dot_cols(a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Column-wise inner products ⟨a, X[:, r]⟩."""
-    return _sum_rows(np.multiply(a[:, None], X, order="C"))
 
 
 def rowdot_cols(rows: np.ndarray, X: np.ndarray) -> np.ndarray:

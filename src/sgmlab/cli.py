@@ -7,8 +7,9 @@ with strict key checking — an unknown key is a hard error, because a
 silently ignored typo would invalidate whatever the experiment claims.
 
 Exit codes: 0 all requested checks passed; 1 a check failed or was
-skipped; 2 config parse error or unusable output directory; 3 problem/solver
-construction error; 4 divergence during simulation.
+skipped; 2 config parse error, unusable output directory, or (``report``) a
+missing or malformed manifest; 3 problem/solver construction error; 4
+divergence during simulation.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ _EPILOG = """exit codes:
   0  all requested checks passed
   1  at least one requested check failed or was skipped
   2  config file could not be parsed (bad syntax, unknown or invalid key),
-     or the output directory cannot be created or written
+     the output directory cannot be created or written, or report found no
+     readable manifest
   3  problem or solver construction failed
   4  the iteration diverged (non-finite iterate, or farther than 1e12 from
      the solution set); the output directory then holds only a
@@ -234,6 +236,9 @@ def parse_config(path) -> ExperimentConfig:
     if method not in solvers.METHODS:
         raise ConfigError(f"{where('method', 'kind')}: unknown method "
                           f"{method!r} (allowed: {', '.join(solvers.METHODS)})")
+    if "l1_weight" in prb and method != "prox_sgm":
+        raise ConfigError(f"{where('problem', 'l1_weight')}: 'l1_weight' "
+                          "applies to prox_sgm only")
 
     step_raw = need(mth, "method", "step").split()
     if not step_raw:
@@ -335,12 +340,15 @@ def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
             consistent=p["consistent"], noise=p["noise"])
         return problems.make_kaczmarz_problem(sys_)
     if kind == "quadratic_l1":
-        # solve for the regularizer the run uses, which may override l1_weight
+        # solve for the regularizer the run uses: prox_sgm's, which may
+        # override l1_weight, and none for the methods that iterate on f alone
+        reg_spec = (cfg.regularizer_spec if cfg.method == "prox_sgm"
+                    else ("zero",))
         return problems.make_quadratic_l1(
             construction_seed=p["construction_seed"], dim=p["dim"],
             n_components=p["n_components"], l1_weight=p["l1_weight"],
-            regularizer=None if cfg.regularizer_spec is None
-            else build_regularizer(cfg.regularizer_spec))
+            regularizer=None if reg_spec is None
+            else build_regularizer(reg_spec))
     sys_ = problems.load_kaczmarz_text(p["path"])
     return problems.make_kaczmarz_problem(sys_)
 
@@ -664,10 +672,9 @@ def _construct(cfg: ExperimentConfig):
         problem = build_problem(cfg)
         geometry_obj = build_geometry(cfg, problem)
         policy, rho_pred = resolve_step(cfg, problem)
-        spec = solvers.SolverRun(method=cfg.method, problem=problem,
-                                 geometry=geometry_obj, step=policy,
-                                 iters=cfg.iterations, seed=cfg.seed,
-                                 x0=cfg.x0)
+        spec = solvers.SolverRun(problem=problem, geometry=geometry_obj,
+                                 step=policy, iters=cfg.iterations,
+                                 seed=cfg.seed, x0=cfg.x0)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return None
@@ -712,8 +719,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_manifest(out_dir, manifest)
         return EXIT_DIVERGED
 
-    stats = analysis.stats_from_matrix(ens.dist_sq, gamma=ens.gamma0,
-                                       step_kind=ens.step_kind,
+    stats = analysis.stats_from_matrix(ens.dist_sq, gamma=spec.step.value(0),
+                                       step_kind=spec.step.kind,
                                        predicted_rho=rho_pred)
     results, extras = _run_checks(cfg, spec, rho_pred, ens, stats)
 
@@ -790,6 +797,13 @@ def _cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    checks = manifest.get("checks", {}) if isinstance(manifest, dict) else None
+    if not (isinstance(checks, dict)
+            and all(isinstance(c, dict) for c in checks.values())):
+        print(f"cannot read {manifest_path}: not an sgmlab manifest (expected "
+              "an object whose 'checks' maps names to objects)",
+              file=sys.stderr)
+        return EXIT_CONFIG
     print(f"experiment: {manifest.get('experiment')}")
     print(f"  problem={manifest.get('problem')} method={manifest.get('method')}"
           f" T={manifest.get('iterations')} R={manifest.get('replications')}"
@@ -798,7 +812,6 @@ def _cmd_report(args) -> int:
         print(f"  diverged at step t={manifest.get('t')} in replication "
               f"{manifest.get('replication')}")
         return EXIT_DIVERGED
-    checks = manifest.get("checks", {})
     for name in sorted(checks):
         entry = dict(checks[name])
         status = entry.pop("status", "?")

@@ -1,12 +1,12 @@
-"""The step maps: the whole space and hyperplanes, simple regularizers and
-linear monotone operators.
+"""The step maps: the whole space, simple regularizers and linear monotone
+operators.
 
-Projections and the proximal maps of the zero, constant, l1 and indicator
-regularizers are closed form; resolvents and the quadratic prox are dense
-linear solves, one stacked ``np.linalg.solve`` call per batch.  All
-operations accept a single point of shape ``(d,)`` or a batch of column
-vectors of shape ``(d, R)`` and preserve the input shape; a batched call is
-bitwise identical, column by column, to single calls.
+The projection and the proximal maps of the zero, constant, l1 and indicator
+regularizers are closed form; the resolvent is a dense linear solve, one
+stacked ``np.linalg.solve`` call per batch.  All operations accept a single
+point of shape ``(d,)`` or a batch of column vectors of shape ``(d, R)`` and
+preserve the input shape; a batched call is bitwise identical, column by
+column, to single calls.
 """
 
 from __future__ import annotations
@@ -15,20 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accum
-
 __all__ = [
     "ConvexSet",
     "Regularizer",
     "LinearMonotoneOperator",
     "NumericalError",
     "whole_space",
-    "hyperplane",
     "zero_regularizer",
     "constant_regularizer",
     "l1_regularizer",
     "indicator",
-    "quadratic_regularizer",
     "project",
     "prox",
     "resolvent",
@@ -44,24 +40,14 @@ class NumericalError(RuntimeError):
 @dataclass
 class ConvexSet:
     """A closed convex set with an exact Euclidean projection, built by
-    ``whole_space`` or ``hyperplane``."""
+    ``whole_space``."""
 
     kind: str
-    a: np.ndarray | None = None
-    offset: float = 0.0
 
 
 def whole_space() -> ConvexSet:
     """The unconstrained set; projection is the identity."""
     return ConvexSet(kind="whole_space")
-
-
-def hyperplane(a, offset) -> ConvexSet:
-    """{x : <a, x> = offset} for a nonzero normal a."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or not np.any(a != 0.0):
-        raise ValueError("hyperplane needs a nonzero 1-d normal vector")
-    return ConvexSet(kind="hyperplane", a=a, offset=float(offset))
 
 
 @dataclass
@@ -72,8 +58,6 @@ class Regularizer:
     weight: float = 0.0
     c: float = 0.0
     set_: ConvexSet | None = None
-    Q: np.ndarray | None = None
-    q: np.ndarray | None = None
 
 
 def zero_regularizer() -> Regularizer:
@@ -93,20 +77,6 @@ def l1_regularizer(weight) -> Regularizer:
 
 def indicator(S: ConvexSet) -> Regularizer:
     return Regularizer(kind="indicator", set_=S)
-
-
-def quadratic_regularizer(Q, q) -> Regularizer:
-    """g(x) = 0.5 x^T Q x + <q, x> with Q symmetric PSD."""
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
-        raise ValueError("quadratic regularizer expects square Q and matching q")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ValueError("Q must be symmetric")
-    ev = np.linalg.eigvalsh(Q)
-    if ev[0] < -1e-10 * max(1.0, ev[-1]):
-        raise ValueError("Q must be positive semidefinite")
-    return Regularizer(kind="quadratic", Q=Q, q=q)
 
 
 @dataclass
@@ -153,9 +123,6 @@ def project(S: ConvexSet, x):
     X, squeeze = _as_cols(x)
     if S.kind == "whole_space":
         out = X.copy()
-    elif S.kind == "hyperplane":
-        t = (_accum.dot_cols(S.a, X) - S.offset) / float(S.a @ S.a)
-        out = X - S.a[:, None] * t[None, :]
     else:
         raise ValueError(f"unknown set kind {S.kind!r}")
     return _restore(out, squeeze)
@@ -173,33 +140,21 @@ def prox(g: Regularizer, gamma, x):
         out = np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
     elif g.kind == "indicator":
         out = project(g.set_, X)
-    elif g.kind == "quadratic":
-        mat = np.eye(g.Q.shape[0]) + gamma * g.Q
-        out = _solve_cols(mat, X - gamma * g.q[:, None])
     else:
         raise ValueError(f"unknown regularizer kind {g.kind!r}")
     return _restore(out, squeeze)
 
 
-def _solve_cols(mat, X):
-    """Solve mat @ Y[:, j] = X[:, j] for every column of a (d, R) batch.
-
-    One stacked call: numpy's gufunc runs LAPACK ``dgesv`` with one
-    right-hand side per column, the same call ``np.linalg.solve(mat,
-    X[:, j])`` makes, so each column is bitwise what a single solve gives.
-    """
-    return np.linalg.solve(mat, X.T[:, :, None])[:, :, 0].T
-
-
 def resolvent(op: LinearMonotoneOperator, gamma, x):
     """(Id + gamma M)^{-1} x via a dense solve.
 
-    Every column of a batch is solved in one stacked call (see
-    ``_solve_cols``), bitwise identical to repeated single-point calls.
-    ``I + gamma M`` and its condition check are computed once per distinct
-    gamma: the operator keeps the last checked system, so a constant step
-    checks conditioning once per run.  Raises ``NumericalError`` when the
-    system is too ill-conditioned to trust.
+    Every column of a batch is solved in one stacked call: numpy's gufunc
+    runs LAPACK ``dgesv`` with one right-hand side per column, the same call
+    ``np.linalg.solve(mat, X[:, j])`` makes, so each column is bitwise what
+    a single-point call gives.  ``I + gamma M`` and its condition check are
+    computed once per distinct gamma: the operator keeps the last checked
+    system, so a constant step checks conditioning once per run.  Raises
+    ``NumericalError`` when the system is too ill-conditioned to trust.
     """
     if not gamma > 0:
         raise ValueError("resolvent needs gamma > 0")
@@ -214,4 +169,4 @@ def resolvent(op: LinearMonotoneOperator, gamma, x):
             raise NumericalError(
                 f"resolvent system is too ill-conditioned (cond ~ {cond:.3e})")
         op._system = (gamma, mat)
-    return _restore(_solve_cols(mat, X), squeeze)
+    return _restore(np.linalg.solve(mat, X.T[:, :, None])[:, :, 0].T, squeeze)

@@ -1,8 +1,8 @@
 """Stochastic gradient iterations: plain, projected, proximal, resolvent.
 
 One engine drives all four methods; the type of the run's geometry object
-picks the step map (identity, projection, prox or resolvent), and the
-method name only has to agree with it.  All replications of an ensemble are
+alone picks the step map (identity, projection, prox or resolvent), so a
+run carries no method name.  All replications of an ensemble are
 simulated as the columns of one (d, R) batch, in one loop on the calling
 thread.  Every kernel in the hot path uses elementwise arithmetic and the
 fixed-order accumulations from ``_accum`` only, so each replication's
@@ -42,6 +42,7 @@ METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 _INDEX_WORDS = 2**20  # indices drawn per block across all replications (8 MB)
 _DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x̄‖ > 1e12
 _THIN_LIMIT = 10_000
+_GEOMETRY_TYPES = (type(None), ConvexSet, Regularizer, LinearMonotoneOperator)
 
 
 class DivergenceError(RuntimeError):
@@ -93,12 +94,12 @@ class InverseTStep:
 class SolverRun:
     """Everything one (replicated) solve needs.
 
-    ``geometry`` is None for sgm, a ConvexSet for psgm, a Regularizer for
-    prox_sgm, and a LinearMonotoneOperator for resolvent_sgm.  ``seed`` is
-    the master seed; ``replication`` the substream index of this run.
+    ``geometry`` names the method by its type: None for sgm, a ConvexSet
+    for psgm, a Regularizer for prox_sgm, and a LinearMonotoneOperator for
+    resolvent_sgm.  ``seed`` is the master seed; ``replication`` the
+    substream index of this run.
     """
 
-    method: str
     problem: FiniteSumProblem
     step: ConstantStep | InverseTStep
     iters: int
@@ -108,9 +109,10 @@ class SolverRun:
     replication: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        _check_geometry(self.method, self.geometry)
+        if not isinstance(self.geometry, _GEOMETRY_TYPES):
+            raise ValueError("geometry must be None, a ConvexSet, a "
+                             "Regularizer or a LinearMonotoneOperator, got "
+                             f"{type(self.geometry).__name__}")
         if self.iters < 1:
             raise ValueError("iteration count must be >= 1")
         if self.seed < 0 or self.replication < 0:
@@ -120,15 +122,6 @@ class SolverRun:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.problem.dim,) or not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be a finite vector of the problem dimension")
-
-
-def _check_geometry(method: str, geometry) -> None:
-    wanted = {"sgm": type(None), "psgm": ConvexSet,
-              "prox_sgm": Regularizer, "resolvent_sgm": LinearMonotoneOperator}
-    if not isinstance(geometry, wanted[method]):
-        raise ValueError(
-            f"method {method!r} needs geometry of type "
-            f"{wanted[method].__name__}, got {type(geometry).__name__}")
 
 
 @dataclass(eq=False)
@@ -159,22 +152,11 @@ class EnsembleRun:
 
     dist_sq: np.ndarray
     audit: Trajectory
-    seed: int
-    gamma0: float
-    step_kind: str
-
-    @property
-    def replications(self) -> int:
-        return self.dist_sq.shape[0]
-
-    @property
-    def iters(self) -> int:
-        return self.dist_sq.shape[1] - 1
 
 
 def _apply_geometry(geometry, gamma: float, Y):
-    """The step map the geometry's type names (``_check_geometry`` pairs
-    each method with one type): identity, projection, prox or resolvent."""
+    """The step map the geometry's type names: identity, projection, prox
+    or resolvent."""
     if geometry is None:
         return Y
     if isinstance(geometry, ConvexSet):
@@ -243,8 +225,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         sampled_indices=indices,
         step_values=step_values,
     )
-    return EnsembleRun(dist_sq=dist, audit=audit, seed=spec.seed,
-                       gamma0=float(step_values[0]), step_kind=step.kind)
+    return EnsembleRun(dist_sq=dist, audit=audit)
 
 
 def run(spec: SolverRun) -> Trajectory:

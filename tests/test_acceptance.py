@@ -58,7 +58,7 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     _, kp = _kaczmarz_instance()
     gamma_a, _ = recommend_step(kp.lipschitz_L, kp.analytic_M,
                                 kp.restricted_mu, "sgm")
-    traj_a = run(SolverRun(method="sgm", problem=kp,
+    traj_a = run(SolverRun(problem=kp,
                            step=ConstantStep(gamma_a), iters=500, seed=101))
     moments_a = successor_moments(kp, None, gamma_a, traj_a.points)
     omega_a = measured_worst_omega(moments_a, sigma_sq=0.0)
@@ -71,7 +71,7 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     tp = make_two_point_quadratic()
     gamma_b, _ = recommend_step(tp.lipschitz_L, tp.analytic_M, tp.strong_mu,
                                 "sgm")
-    traj_b = run(SolverRun(method="sgm", problem=tp,
+    traj_b = run(SolverRun(problem=tp,
                            step=ConstantStep(gamma_b), iters=500, seed=102,
                            x0=np.array([2.0])))
     moments_b = successor_moments(tp, None, gamma_b, traj_b.points)
@@ -90,7 +90,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     sys_, kp = _kaczmarz_instance()
     M = kaczmarz_M(sys_)
     gamma, rho = recommend_step(kp.lipschitz_L, M, kp.restricted_mu, "psgm")
-    spec = SolverRun(method="psgm", problem=kp, geometry=geometry.whole_space(),
+    spec = SolverRun(problem=kp, geometry=geometry.whole_space(),
                      step=ConstantStep(gamma), iters=5000, seed=2025)
     ens = run_ensemble(spec, 200)
     stats = stats_from_matrix(ens.dist_sq, gamma=gamma)
@@ -111,7 +111,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
 def test_criterion_3_unit_step_kaczmarz_converges():
     t0 = time.perf_counter()
     _, kp = _kaczmarz_instance()
-    spec = SolverRun(method="sgm", problem=kp, step=ConstantStep(1.0),
+    spec = SolverRun(problem=kp, step=ConstantStep(1.0),
                      iters=800, seed=2026)
     ens = run_ensemble(spec, 200)
     fit = fit_linear_rate(stats_from_matrix(ens.dist_sq, gamma=1.0))
@@ -138,7 +138,7 @@ def test_criterion_4_proximal_noise_floor_prediction():
         + 2.0 * p.analytic_sigma_sq
     pred = predict_floor(gamma, rho, sigma1_sq)
 
-    spec = SolverRun(method="prox_sgm", problem=p, geometry=p.regularizer,
+    spec = SolverRun(problem=p, geometry=p.regularizer,
                      step=ConstantStep(gamma), iters=6000, seed=20250814)
     ens = run_ensemble(spec, 1000)
     floor, se = estimate_floor(stats_from_matrix(ens.dist_sq, gamma=gamma))
@@ -160,7 +160,7 @@ def test_criterion_5_floor_scales_with_step_size():
     for gamma in (0.5, 0.25):
         rho = gamma * 1.0 * (1.0 - gamma)  # gamma mu (1 - gamma L M)
         preds[gamma] = predict_floor(gamma, rho, 1.0)
-        spec = SolverRun(method="sgm", problem=tp, step=ConstantStep(gamma),
+        spec = SolverRun(problem=tp, step=ConstantStep(gamma),
                          iters=2000, seed=20250814)
         ens = run_ensemble(spec, 10_000)
         st = stats_from_matrix(ens.dist_sq, gamma=gamma)
@@ -195,7 +195,7 @@ def test_criterion_6_decaying_step_gives_one_over_t():
     p = make_quadratic_l1(construction_seed=42, dim=10, n_components=20,
                           l1_weight=0.005)
     c = 2.0 / p.strong_mu
-    spec = SolverRun(method="prox_sgm", problem=p, geometry=p.regularizer,
+    spec = SolverRun(problem=p, geometry=p.regularizer,
                      step=InverseTStep(c), iters=100_000, seed=20250814)
     ens = run_ensemble(spec, 100)
     st = stats_from_matrix(ens.dist_sq, gamma=c, step_kind="inverse_t")
@@ -232,19 +232,18 @@ def test_criterion_8_method_reductions_are_bitwise():
     gamma = 0.04
     ok = True
     for seed in range(10):
-        def traj(method, geom):
-            return run(SolverRun(method=method, problem=kp, geometry=geom,
+        def traj(geom):
+            return run(SolverRun(problem=kp, geometry=geom,
                                  step=ConstantStep(gamma), iters=100,
                                  seed=seed))
 
-        base = traj("sgm", None)
+        base = traj(None)
         variants = [
-            traj("psgm", geometry.whole_space()),
-            traj("prox_sgm", geometry.indicator(geometry.whole_space())),
-            traj("prox_sgm", geometry.zero_regularizer()),
-            traj("prox_sgm", geometry.constant_regularizer(3.7)),
-            traj("resolvent_sgm",
-                 geometry.LinearMonotoneOperator(M_op=np.zeros((5, 5)))),
+            traj(geometry.whole_space()),
+            traj(geometry.indicator(geometry.whole_space())),
+            traj(geometry.zero_regularizer()),
+            traj(geometry.constant_regularizer(3.7)),
+            traj(geometry.LinearMonotoneOperator(M_op=np.zeros((5, 5)))),
         ]
         for other in variants:
             ok &= np.array_equal(base.points, other.points)

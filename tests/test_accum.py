@@ -24,13 +24,6 @@ def loop_sumsq_cols(X):
     return acc
 
 
-def loop_dot_cols(a, X):
-    acc = a[0] * X[0]
-    for j in range(1, X.shape[0]):
-        acc = acc + a[j] * X[j]
-    return acc
-
-
 def loop_rowdot_cols(rows, X):
     acc = rows[:, 0] * X[0]
     for j in range(1, X.shape[0]):
@@ -78,7 +71,6 @@ def test_kernels_equal_loops(d, layout):
         rows = batch(rng, (width, d), layout)
         Q = batch(rng, (d, d), layout)
         assert_bitwise_equal(_accum.sumsq_cols(X), loop_sumsq_cols(X))
-        assert_bitwise_equal(_accum.dot_cols(a, X), loop_dot_cols(a, X))
         assert_bitwise_equal(_accum.rowdot_cols(rows, X),
                              loop_rowdot_cols(rows, X))
         assert_bitwise_equal(_accum.matvec_cols(Q, X), loop_matvec_cols(Q, X))

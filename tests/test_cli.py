@@ -184,6 +184,37 @@ def test_l1_regularizer_off_quadratic_l1_exits_2_with_line(
     assert not (tmp_path / "o").exists()
 
 
+QUADRATIC_L1_FLOOR = (CONFIGS_DIR / "quadratic_l1_floor.cfg").read_text()
+
+
+@pytest.mark.parametrize("method", ["sgm", "psgm", "resolvent_sgm"])
+def test_l1_weight_off_prox_sgm_exits_2_with_line(tmp_path, capsys,
+                                                   monkeypatch, method):
+    # only prox_sgm applies the l1 term, so the weight would be ignored
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = QUADRATIC_L1_FLOOR.replace("kind = prox_sgm", f"kind = {method}")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index("l1_weight = 0.005") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert "'l1_weight' applies to prox_sgm only" in err
+        assert f":{lineno}:" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["sgm", "psgm", "resolvent_sgm"])
+def test_quadratic_l1_off_prox_sgm_measures_distance_to_argmin_f(tmp_path,
+                                                                 method):
+    # these methods iterate on f alone, so their solution is f's minimizer,
+    # not the l1_weight = 0.005 solution 1e-2 away from it
+    text = (QUADRATIC_L1_FLOOR.replace("kind = prox_sgm", f"kind = {method}")
+            .replace("l1_weight = 0.005\n", ""))
+    problem = cli.build_problem(cli.parse_config(write_cfg(tmp_path, text)))
+    xstar = problem.solution_projector(np.zeros(problem.dim))
+    assert np.allclose(xstar, problem.grad_zero_points[0], rtol=0, atol=1e-10)
+
+
 def test_regularizer_override_measures_distance_to_its_own_solution(tmp_path):
     # prox_sgm with l1 = 0.5 converges to the l1 = 0.5 solution; measured
     # against the l1_weight = 0.005 solution the floor sat at 0.775
@@ -474,6 +505,24 @@ def test_resolvent_run_solves_once_per_step_and_equals_sgm(tmp_path,
                 == (tmp_path / "sgm" / fname).read_bytes()), fname
 
 
+@pytest.mark.parametrize("method", ["psgm\nset = whole_space",
+                                    "prox_sgm\nregularizer = zero",
+                                    "prox_sgm\nregularizer = constant 3.7"],
+                         ids=["psgm_whole_space", "prox_sgm_zero",
+                              "prox_sgm_constant"])
+def test_trivial_geometry_run_equals_sgm(tmp_path, method):
+    # the CLI alone maps a method name to its geometry; each of these step
+    # maps is the identity, so the run must reproduce the sgm run bytewise
+    cfg = CONFIGS_DIR / "kaczmarz_classical.cfg"
+    text = cfg.read_text().replace("kind = sgm", f"kind = {method}")
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out",
+                    tmp_path / "other"]) == 0
+    assert run_cli(["run", cfg, "--out", tmp_path / "sgm"]) == 0
+    for fname in ("trajectory_stats.csv", "audit_trajectory.csv"):
+        assert ((tmp_path / "other" / fname).read_bytes()
+                == (tmp_path / "sgm" / fname).read_bytes()), fname
+
+
 def test_output_root_env_is_honored(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
     cfg = write_cfg(tmp_path, TWO_POINT_SMALL)
@@ -547,6 +596,15 @@ def test_report_prints_check_statuses(tmp_path, capsys):
 def test_report_missing_directory_exits_2(tmp_path, capsys):
     assert run_cli(["report", tmp_path / "nope"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['[1, 2]', '{"checks": {"rate": 5}}',
+                                     '{"checks": [1]}'])
+def test_report_malformed_manifest_exits_2(tmp_path, capsys, content):
+    (tmp_path / "manifest.json").write_text(content)
+    assert run_cli(["report", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "not an sgmlab manifest" in err and len(err.splitlines()) == 1
 
 
 def test_report_propagates_failure(tmp_path, capsys):

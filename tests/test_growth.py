@@ -281,7 +281,7 @@ def test_audits_equal_per_point_loop_reference(two_point, omega, rho):
     # sigma_sq below the true 1.0 makes the hypothesis fail, and the
     # contraction bound flag, at some iterates but not at others
     gamma, sigma_sq = 0.5, 0.5
-    spec = solvers.SolverRun(method="sgm", problem=two_point,
+    spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=60,
                              seed=24, x0=np.array([4.0]))
     points = solvers.run(spec).points
@@ -301,7 +301,7 @@ def test_audits_equal_per_point_loop_reference(two_point, omega, rho):
 def test_necessary_condition_two_point_margins_are_exact(two_point):
     gamma = 0.5
     omega = (1 - gamma) ** 2
-    spec = solvers.SolverRun(method="sgm", problem=two_point,
+    spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=21, x0=np.array([2.0]))
     traj = solvers.run(spec)
@@ -317,7 +317,7 @@ def test_necessary_condition_two_point_margins_are_exact(two_point):
 
 def test_necessary_condition_flags_understated_omega(two_point):
     gamma = 0.5
-    spec = solvers.SolverRun(method="sgm", problem=two_point,
+    spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=50,
                              seed=22, x0=np.array([5.0]))
     traj = solvers.run(spec)
@@ -330,7 +330,7 @@ def test_necessary_condition_flags_understated_omega(two_point):
 
 
 def test_necessary_condition_validates_inputs(two_point):
-    spec = solvers.SolverRun(method="sgm", problem=two_point,
+    spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(0.5), iters=60, seed=2)
     moments = successor_moments(two_point, None, 0.5, solvers.run(spec).points)
     with pytest.raises(ValueError):
@@ -341,7 +341,7 @@ def test_necessary_condition_validates_inputs(two_point):
 
 def test_measured_omega_matches_closed_form(two_point):
     gamma = 0.5
-    spec = solvers.SolverRun(method="sgm", problem=two_point,
+    spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=80,
                              seed=23, x0=np.array([3.0]))
     traj = solvers.run(spec)
@@ -354,7 +354,7 @@ def test_contraction_margins_clean_on_kaczmarz(kaczmarz_20x5):
     p = kaczmarz_20x5
     gamma, rho = solvers.recommend_step(p.lipschitz_L, p.analytic_M,
                                         p.restricted_mu)
-    spec = solvers.SolverRun(method="sgm", problem=p,
+    spec = solvers.SolverRun(problem=p,
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=31)
     traj = solvers.run(spec)

@@ -19,8 +19,7 @@ from sgmlab.solvers import (
 
 def two_point_spec(**kw):
     p = problems.make_two_point_quadratic()
-    defaults = dict(method="sgm", problem=p, step=ConstantStep(0.5),
-                    iters=50, seed=7)
+    defaults = dict(problem=p, step=ConstantStep(0.5), iters=50, seed=7)
     defaults.update(kw)
     return SolverRun(**defaults)
 
@@ -42,30 +41,21 @@ def test_step_policies():
 
 
 def test_method_geometry_pairing_is_validated(two_point):
-    with pytest.raises(ValueError):
-        SolverRun(method="sgm", problem=two_point, step=ConstantStep(0.1),
-                  iters=10, seed=0, geometry=geo.whole_space())
-    with pytest.raises(ValueError):
-        SolverRun(method="psgm", problem=two_point, step=ConstantStep(0.1),
-                  iters=10, seed=0)  # missing set
-    with pytest.raises(ValueError):
-        SolverRun(method="prox_sgm", problem=two_point, step=ConstantStep(0.1),
-                  iters=10, seed=0, geometry=geo.whole_space())
-    with pytest.raises(ValueError):
-        SolverRun(method="nope", problem=two_point, step=ConstantStep(0.1),
-                  iters=10, seed=0)
+    # the geometry's type names the method, so anything else is refused
+    for geometry in ("whole_space", geo.whole_space, np.zeros(1)):
+        with pytest.raises(ValueError, match="geometry must be"):
+            SolverRun(problem=two_point, step=ConstantStep(0.1), iters=10,
+                      seed=0, geometry=geometry)
 
 
 def test_default_x0_respects_geometry(two_point, kaczmarz_20x5):
     spec = two_point_spec()
     assert np.array_equal(spec.x0, np.zeros(1))
     # zero is feasible for every geometry, so every method starts there
-    for method, geometry in (("psgm", geo.whole_space()),
-                             ("prox_sgm", geo.indicator(geo.whole_space())),
-                             ("prox_sgm", geo.l1_regularizer(0.1))):
-        spec = SolverRun(method=method, problem=kaczmarz_20x5,
-                         step=ConstantStep(0.1), iters=10, seed=0,
-                         geometry=geometry)
+    for geometry in (geo.whole_space(), geo.indicator(geo.whole_space()),
+                     geo.l1_regularizer(0.1)):
+        spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(0.1),
+                         iters=10, seed=0, geometry=geometry)
         assert np.array_equal(spec.x0, np.zeros(5))
 
 
@@ -135,7 +125,7 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1):
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
                               kaczmarz_20x5.analytic_M,
                               kaczmarz_20x5.restricted_mu)
-    spec = SolverRun(method="psgm", problem=kaczmarz_20x5,
+    spec = SolverRun(problem=kaczmarz_20x5,
                      step=ConstantStep(gamma), iters=2000, seed=11,
                      geometry=geo.whole_space())
     ens = run_ensemble(spec, 600)
@@ -143,7 +133,7 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1):
         single = run_ensemble(replace(spec, replication=r), 1)
         assert np.array_equal(ens.dist_sq[r], single.dist_sq[0]), r
     # at d = 10 a one-column batch is where numpy would sum pairwise
-    spec = SolverRun(method="prox_sgm", problem=quadratic_l1,
+    spec = SolverRun(problem=quadratic_l1,
                      step=ConstantStep(0.05), iters=300, seed=11,
                      geometry=geo.l1_regularizer(0.005))
     ens = run_ensemble(spec, 300)
@@ -159,7 +149,7 @@ def test_thread_count_does_not_change_results(kaczmarz_20x5, threads):
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
                               kaczmarz_20x5.analytic_M,
                               kaczmarz_20x5.restricted_mu)
-    spec = SolverRun(method="psgm", problem=kaczmarz_20x5,
+    spec = SolverRun(problem=kaczmarz_20x5,
                      step=ConstantStep(gamma), iters=150, seed=11,
                      geometry=geo.whole_space())
     baseline = run_ensemble(spec, 600)
@@ -180,7 +170,6 @@ def test_ensemble_rows_match_individual_runs(two_point):
         assert np.array_equal(ens.dist_sq[r], single.dist_sq)
     # the audit trajectory is the first replication
     assert np.array_equal(ens.audit.dist_sq, ens.dist_sq[0])
-    assert ens.step_kind == "constant" and ens.gamma0 == 0.5
 
 
 def test_replication_offset_shifts_substreams(two_point):
@@ -233,7 +222,7 @@ def test_trust_region_is_centred_on_the_solution_set():
         full_grad=lambda x: x - c,
         batch_component_grad=lambda X, idx: X - c,
         all_component_grads=lambda x: (x - c)[None, :])
-    spec = SolverRun(method="sgm", problem=p, step=ConstantStep(0.5),
+    spec = SolverRun(problem=p, step=ConstantStep(0.5),
                      iters=20, seed=0, x0=np.array([c + 1.0]))
     ens = run_ensemble(spec, 3)
     assert ens.dist_sq[:, 0].tolist() == [1.0] * 3
@@ -247,7 +236,7 @@ def test_trust_region_is_centred_on_the_solution_set():
 def test_recommended_step_contracts_on_kaczmarz(kaczmarz_20x5):
     p = kaczmarz_20x5
     gamma, rho = recommend_step(p.lipschitz_L, p.analytic_M, p.restricted_mu)
-    spec = SolverRun(method="psgm", problem=p, step=ConstantStep(gamma),
+    spec = SolverRun(problem=p, step=ConstantStep(gamma),
                      iters=200, seed=3, geometry=geo.whole_space())
     ens = run_ensemble(spec, 64)
     mean = ens.dist_sq.mean(axis=0)
