@@ -169,10 +169,14 @@ def parse_config(path) -> ExperimentConfig:
 
     def as_float(section_name, key, raw):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
                               f"a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
+                              f"a finite number, got {raw!r}")
+        return value
 
     def as_bool(section_name, key, raw):
         low = raw.strip().lower()
@@ -305,9 +309,9 @@ def parse_config(path) -> ExperimentConfig:
             regularizer_spec = ("zero",)
         elif len(reg) == 2 and reg[0] in ("constant", "l1"):
             value = as_float("method", "regularizer", reg[1])
-            if not math.isfinite(value) or reg[0] == "l1" and not value > 0:
-                raise ConfigError(f"{where_reg}: the value must be finite, "
-                                  f"and positive for l1, got {value}")
+            if reg[0] == "l1" and not value > 0:
+                raise ConfigError(f"{where_reg}: the l1 weight must be "
+                                  f"positive, got {value}")
             if reg[0] == "l1" and kind != "quadratic_l1":
                 raise ConfigError(f"{where_reg}: 'l1' moves the solution set, "
                                   "which only problem kind 'quadratic_l1' "
@@ -675,8 +679,9 @@ def _construct(cfg: ExperimentConfig):
         spec = solvers.SolverRun(problem=problem, geometry=geometry_obj,
                                  step=policy, iters=cfg.iterations,
                                  seed=cfg.seed, x0=cfg.x0)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"construction error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return None
     return spec, rho_pred
 

@@ -395,7 +395,8 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
         return _accum.matvec_vec(Q, x - xbar)
 
     def batch_grad(X, idx):
-        return _accum.matvec_cols(Q, X - xbar[:, None]) + C[idx].T
+        return (_accum.matvec_cols(Q, X - xbar[:, None])
+                + C.take(idx, axis=0).T)
 
     def all_grads(x):
         return _accum.matvec_vec(Q, x - xbar)[None, :] + C

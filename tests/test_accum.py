@@ -4,8 +4,11 @@ The loops below are the reference: they add the d products of each column
 one after another in j order, which is the order every kernel promises.
 Each kernel must equal its loop bit for bit over batch widths, dimensions
 and memory layouts, including the shapes where a bare ``np.add.reduce``
-sums pairwise instead.
+sums pairwise instead, and the shapes where ``matvec_cols``'s einsum
+contraction must be repaired.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,3 +87,38 @@ def test_single_column_falls_back_to_the_loop():
     P = X * X
     assert np.add.reduce(P, axis=0)[0] != loop_sumsq_cols(X)[0]
     assert_bitwise_equal(_accum.sumsq_cols(X), loop_sumsq_cols(X))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("width", (4096, 20_000))
+def test_matvec_cols_beyond_the_iterator_buffer(width, layout):
+    # einsum's iterator buffers 8192 elements; wider batches cross it
+    rng = np.random.default_rng(width + LAYOUTS.index(layout))
+    X = batch(rng, (10, width), layout)
+    Q = batch(rng, (10, 10), layout)
+    assert_bitwise_equal(_accum.matvec_cols(Q, X), loop_matvec_cols(Q, X))
+
+
+def test_matvec_cols_keeps_the_sign_of_an_all_negative_zero_column():
+    # every product in column 0 is -0.0: the loop sums to -0.0, while einsum
+    # starts from +0.0 and gives +0.0
+    Q = np.array([[1.0, 2.0], [3.0, 4.0]])
+    X = np.array([[-0.0, 1.0], [-0.0, 2.0]])
+    raw = np.einsum("ij,jr->ir", Q, X, optimize=False)
+    assert not np.signbit(raw[:, 0]).any()
+    want = loop_matvec_cols(Q, X)
+    assert np.signbit(want[:, 0]).all()
+    assert_bitwise_equal(_accum.matvec_cols(Q, X), want)
+
+
+def test_matvec_cols_builds_no_product_temporary():
+    d, width = 10, 1000
+    rng = np.random.default_rng(7)
+    Q, X = batch(rng, (d, d), "C"), batch(rng, (d, width), "C")
+    tracemalloc.start()
+    try:
+        _accum.matvec_cols(Q, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * width * X.itemsize

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmlab import cli, growth, solvers
+from sgmlab import cli, growth, problems, solvers
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+QUADRATIC_L1_FLOOR = (CONFIGS_DIR / "quadratic_l1_floor.cfg").read_text()
 
 TWO_POINT_SMALL = """\
 [experiment]
@@ -121,6 +122,45 @@ def test_construction_errors_exit_3(tmp_path, capsys):
     assert run_cli(["validate", write_cfg(tmp_path, text, "m.cfg")]) == 3
 
 
+def test_memory_error_during_construction_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    def out_of_memory(**kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+    monkeypatch.setattr(problems, "make_quadratic_l1", out_of_memory)
+    cfg = write_cfg(tmp_path, QUADRATIC_L1_FLOOR)
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 3
+        assert ("construction error: Unable to allocate"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+SHIPPED_TEXT = {p.stem: p.read_text() for p in CONFIGS_DIR.glob("*.cfg")}
+
+
+@pytest.mark.parametrize("config,old,new", [
+    ("quadratic_l1_floor", "step = constant 0.002", "step = constant inf"),
+    ("kaczmarz_classical", "kind = sgm\nstep = constant 1.0",
+     "kind = resolvent_sgm\nstep = inverse_t inf"),
+    ("kaczmarz_recommend", "mix = 0.5", "mix = 0.5\nnoise = inf"),
+    ("quadratic_l1_floor", "l1_weight = 0.005", "l1_weight = inf"),
+    ("quadratic_l1_floor", "l1_weight = 0.005", "l1_weight = nan"),
+    ("kaczmarz_recommend", "mix = 0.5", "mix = nan"),
+])
+def test_non_finite_numbers_exit_2_with_line(tmp_path, capsys, monkeypatch,
+                                             config, old, new):
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = SHIPPED_TEXT[config].replace(old, new)
+    cfg = write_cfg(tmp_path, text)
+    bad_line = new.splitlines()[-1]
+    lineno = text.splitlines().index(bad_line) + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err and f":{lineno}:" in err
+    assert not (tmp_path / "o").exists()
+
+
 PROX_TWO_POINT = TWO_POINT_SMALL.replace(
     "kind = sgm", "kind = prox_sgm\nregularizer = {spec}")
 
@@ -182,9 +222,6 @@ def test_l1_regularizer_off_quadratic_l1_exits_2_with_line(
         err = capsys.readouterr().err
         assert "quadratic_l1" in err and f":{lineno}:" in err
     assert not (tmp_path / "o").exists()
-
-
-QUADRATIC_L1_FLOOR = (CONFIGS_DIR / "quadratic_l1_floor.cfg").read_text()
 
 
 @pytest.mark.parametrize("method", ["sgm", "psgm", "resolvent_sgm"])
