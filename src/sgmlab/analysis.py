@@ -2,9 +2,11 @@
 
 Estimators operate on the ensemble mean of squared distances to the
 solution set, since the convergence guarantees being tested bound exactly
-that conditional expectation.  The statistics reduce the (R, T+1) matrix
-whose row r is replication r, one numpy reduction each, so they are a pure
-function of that matrix.
+that conditional expectation.  The statistics are per-column reductions of
+the (R, T+1) matrix whose row r is replication r.  ``reduce_block`` reduces
+any block of its columns bit for bit as numpy's ``mean`` and ``std`` reduce
+the whole matrix, so ``StreamedStats`` can take the step loop's rows one
+block at a time and no (R, T+1) array need exist.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accum
+
 __all__ = [
     "EnsembleStats",
     "RateFit",
     "RateFitError",
+    "reduce_block",
+    "StreamedStats",
     "stats_from_matrix",
     "fit_linear_rate",
     "estimate_floor",
@@ -32,6 +38,7 @@ __all__ = [
 _LOG_GUARD = 1e-300
 INVERSE_T_MIN_ITERS = 1000  # shortest horizon the O(1/t) check accepts
 _FLOORLESS = 1e-14
+_STATS_WORDS = 2**15  # distances held per block across all replications
 
 
 @dataclass(eq=False)
@@ -73,21 +80,77 @@ class RateFitError(RuntimeError):
     """The decay curve has too few usable points for a rate fit."""
 
 
+def reduce_block(block: np.ndarray, mean: np.ndarray, stderr: np.ndarray,
+                 dev: np.ndarray) -> None:
+    """Write the column means and standard errors of a C-ordered (R, w) block
+    into ``mean`` and ``stderr`` (length w); ``dev`` is (R, w) scratch.
+
+    The results equal ``block.mean(axis=0)`` and
+    ``block.std(axis=0, ddof=1) / sqrt(R)`` on the whole matrix bit for bit,
+    whatever columns the block holds: both sums add rows r = 0, 1, … in
+    order through ``_accum._sum_rows``, which numpy's own reduce does not do
+    for a block of one column.  numpy's sum starts from +0.0, so a column of
+    -0.0 has mean +0.0; adding 0.0 gives the same.
+    """
+    R = block.shape[0]
+    np.add(_accum._sum_rows(block), 0.0, out=mean)
+    np.divide(mean, R, out=mean)
+    if R == 1:
+        stderr[:] = 0.0
+        return
+    np.subtract(block, mean, out=dev)
+    np.multiply(dev, dev, out=dev)
+    np.divide(_accum._sum_rows(dev), R - 1, out=stderr)
+    np.sqrt(stderr, out=stderr)
+    np.divide(stderr, math.sqrt(R), out=stderr)
+
+
+class StreamedStats:
+    """Column means and standard errors of an (R, n) matrix pushed one
+    column at a time.
+
+    Columns fill a C-ordered block of ``_STATS_WORDS`` values (at least two
+    columns); ``reduce_block`` reduces each block once it is full, and the
+    last one when its final column is in.  ``mean`` and ``stderr`` are
+    complete after n pushes.
+    """
+
+    def __init__(self, R: int, n: int):
+        self.mean, self.stderr = np.empty(n), np.empty(n)
+        self._R, self._width = R, max(2, _STATS_WORDS // R)
+        self._buf = np.empty(R * self._width)
+        self._dev = np.empty_like(self._buf)
+        self._block = None
+        self._t = 0
+
+    def push(self, row: np.ndarray) -> None:
+        t = self._t
+        c = t % self._width
+        if c == 0:  # the last block is narrower, but C-ordered too
+            w = min(self._width, len(self.mean) - t)
+            self._block = self._buf[:self._R * w].reshape(self._R, w)
+        block = self._block
+        block[:, c] = row
+        if c == block.shape[1] - 1:
+            reduce_block(block, self.mean[t - c:t + 1],
+                         self.stderr[t - c:t + 1],
+                         self._dev[:block.size].reshape(block.shape))
+        self._t = t + 1
+
+
 def stats_from_matrix(dist_sq: np.ndarray, gamma: float,
                       step_kind: str = "constant",
                       predicted_rho: float = math.nan) -> EnsembleStats:
-    """Reduce an (R, T+1) matrix of per-replication squared distances."""
-    dist_sq = np.asarray(dist_sq, dtype=float)
+    """Reduce an (R, T+1) matrix of per-replication squared distances as
+    one block."""
+    dist_sq = np.ascontiguousarray(dist_sq, dtype=float)
     if dist_sq.ndim != 2:
         raise ValueError("expected an (R, T+1) matrix")
-    R = dist_sq.shape[0]
-    mean = dist_sq.mean(axis=0)
-    if R > 1:
-        stderr = dist_sq.std(axis=0, ddof=1) / math.sqrt(R)
-    else:
-        stderr = np.zeros_like(mean)
-    return EnsembleStats(T=dist_sq.shape[1] - 1, R=R, mean_dist_sq=mean,
-                         stderr=stderr, gamma=gamma, step_kind=step_kind,
+    R, n = dist_sq.shape
+    mean, stderr = np.empty(n), np.empty(n)
+    reduce_block(dist_sq, mean, stderr, np.empty_like(dist_sq))
+    return EnsembleStats(T=n - 1, R=R, mean_dist_sq=mean, stderr=stderr,
+                         gamma=gamma, step_kind=step_kind,
                          predicted_rho=predicted_rho)
 
 
@@ -187,12 +250,10 @@ def format_float(x) -> str:
 
 def write_stats_csv(path, stats: EnsembleStats) -> None:
     """Per-experiment curve: columns t, mean_dist_sq, stderr."""
-    lines = ["t,mean_dist_sq,stderr"]
-    for t in range(stats.T + 1):
-        lines.append(f"{t},{format_float(stats.mean_dist_sq[t])},"
-                     f"{format_float(stats.stderr[t])}")
+    rows = zip(stats.mean_dist_sq.tolist(), stats.stderr.tolist())
+    text = "".join(f"{t},{m!r},{s!r}\n" for t, (m, s) in enumerate(rows))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,mean_dist_sq,stderr\n" + text)
 
 
 def write_summary_csv(path, row: dict) -> None:

@@ -8,8 +8,8 @@ silently ignored typo would invalidate whatever the experiment claims.
 
 Exit codes: 0 all requested checks passed; 1 a check failed or was
 skipped; 2 config parse error, unusable output directory, or (``report``) a
-missing or malformed manifest; 3 problem/solver construction error; 4
-divergence during simulation.
+missing or malformed manifest; 3 problem/solver construction error, or
+memory exhausted during simulation; 4 divergence during simulation.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ _EPILOG = """exit codes:
   2  config file could not be parsed (bad syntax, unknown or invalid key),
      the output directory cannot be created or written, or report found no
      readable manifest
-  3  problem or solver construction failed
+  3  problem or solver construction failed, or the simulation ran out of
+     memory; the latter leaves only a manifest.json with status "error"
+     and the reason in the output directory
   4  the iteration diverged (non-finite iterate, or farther than 1e12 from
      the solution set); the output directory then holds only a
      manifest.json with status "diverged"
@@ -619,15 +621,14 @@ def _check_floor(cfg, problem, stats, extras):
 # ---------------------------------------------------------------------------
 
 def _write_audit_csv(path, traj):
-    lines = ["t,dist_sq,gamma_t,sampled_index"]
-    T = traj.iters
-    for t in range(T + 1):
-        gamma_s = analysis.format_float(traj.step_values[t]) if t < T else ""
-        idx_s = str(int(traj.sampled_indices[t])) if t < T else ""
-        lines.append(f"{t},{analysis.format_float(traj.dist_sq[t])},"
-                     f"{gamma_s},{idx_s}")
+    dist = traj.dist_sq.tolist()
+    rows = zip(dist, traj.step_values.tolist(),
+               traj.sampled_indices.tolist())
+    lines = [f"{t},{d!r},{g!r},{i}" for t, (d, g, i) in enumerate(rows)]
+    lines.append(f"{traj.iters},{dist[-1]!r},,")  # no step is taken from T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,dist_sq,gamma_t,sampled_index\n" + "\n".join(lines)
+                 + "\n")
 
 
 def _summary_row(cfg, stats, results, extras):
@@ -723,10 +724,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                         replication=exc.replication)
         _write_manifest(out_dir, manifest)
         return EXIT_DIVERGED
+    except MemoryError as exc:
+        reason = f"out of memory: {str(exc) or type(exc).__name__}"
+        print(f"simulation error: {reason}", file=sys.stderr)
+        manifest.update(status="error", reason=reason)
+        _write_manifest(out_dir, manifest)
+        return EXIT_CONSTRUCTION
 
-    stats = analysis.stats_from_matrix(ens.dist_sq, gamma=spec.step.value(0),
-                                       step_kind=spec.step.kind,
-                                       predicted_rho=rho_pred)
+    stats = analysis.EnsembleStats(T=spec.iters, R=cfg.replications,
+                                   mean_dist_sq=ens.mean_dist_sq,
+                                   stderr=ens.stderr,
+                                   gamma=spec.step.value(0),
+                                   step_kind=spec.step.kind,
+                                   predicted_rho=rho_pred)
     results, extras = _run_checks(cfg, spec, rho_pred, ens, stats)
 
     analysis.write_stats_csv(out_dir / "trajectory_stats.csv", stats)
@@ -817,6 +827,9 @@ def _cmd_report(args) -> int:
         print(f"  diverged at step t={manifest.get('t')} in replication "
               f"{manifest.get('replication')}")
         return EXIT_DIVERGED
+    if manifest.get("status") == "error":
+        print(f"  failed: {manifest.get('reason')}")
+        return EXIT_CONSTRUCTION
     for name in sorted(checks):
         entry = dict(checks[name])
         status = entry.pop("status", "?")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accum
+from . import _accum, analysis
 from . import geometry as geo
 from . import rng
 from .geometry import ConvexSet, LinearMonotoneOperator, Regularizer
@@ -147,10 +147,12 @@ class Trajectory:
 
 @dataclass(eq=False)
 class EnsembleRun:
-    """Replicated runs: the (R, T+1) dist_sq matrix plus one full audit
-    trajectory (the first replication)."""
+    """Replicated runs: the per-t mean and standard error of the squared
+    distance over the replications, plus one full audit trajectory (the
+    first replication)."""
 
-    dist_sq: np.ndarray
+    mean_dist_sq: np.ndarray
+    stderr: np.ndarray
     audit: Trajectory
 
 
@@ -175,16 +177,19 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
 
     Replication r uses substream (seed, spec.replication + r) and is column
     r of one (d, R) batch; column 0 is the audit trajectory.  Each step's
-    row of squared distances to the solution set is stored and also guards
-    divergence: the ``DivergenceError`` names the earliest step t at which
-    any replication left the trust region, and the lowest replication at t.
+    row of squared distances to the solution set guards divergence: the
+    ``DivergenceError`` names the earliest step t at which any replication
+    left the trust region, and the lowest replication at t.  The rows are
+    reduced to the per-t mean and standard error block by block
+    (``analysis.StreamedStats``), so no (R, T+1) matrix is held.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     problem, step, T = spec.problem, spec.step, spec.iters
     project_solution = problem.solution_projector
     stride = _thin_stride(T)
-    dist = np.empty((replications, T + 1))
+    stats = analysis.StreamedStats(replications, T + 1)
+    audit_dist = np.empty(T + 1)
     points = np.empty((T // stride + 1, problem.dim))
     indices = np.empty(T, dtype=np.int64)
     streams = [rng.IndexStream(spec.seed, spec.replication + r,
@@ -195,7 +200,9 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     idx = np.empty((replications, block_len), dtype=np.int64)
 
     X = np.repeat(spec.x0[:, None], replications, axis=1)
-    dist[:, 0] = _accum.sumsq_cols(X - project_solution(X))
+    row = _accum.sumsq_cols(X - project_solution(X))
+    stats.push(row)
+    audit_dist[0] = row[0]
     points[0] = X[:, 0]
     for t in range(T):
         k = t % block_len
@@ -212,7 +219,8 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         if not row.max() <= _DIVERGENCE_DIST_SQ:
             bad = int(np.flatnonzero(~(row <= _DIVERGENCE_DIST_SQ))[0])
             raise DivergenceError(t + 1, spec.replication + bad)
-        dist[:, t + 1] = row
+        stats.push(row)
+        audit_dist[t + 1] = row[0]
         if (t + 1) % stride == 0:
             points[(t + 1) // stride] = X[:, 0]
 
@@ -221,11 +229,12 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         replication=spec.replication,
         point_steps=np.arange(0, T + 1, stride, dtype=np.int64),
         points=points,
-        dist_sq=dist[0].copy(),
+        dist_sq=audit_dist,
         sampled_indices=indices,
         step_values=step_values,
     )
-    return EnsembleRun(dist_sq=dist, audit=audit)
+    return EnsembleRun(mean_dist_sq=stats.mean, stderr=stats.stderr,
+                       audit=audit)
 
 
 def run(spec: SolverRun) -> Trajectory:

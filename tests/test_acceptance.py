@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from sgmlab import analysis, cli, geometry, growth, problems, solvers
-from sgmlab.analysis import estimate_floor, fit_linear_rate, predict_floor, \
-    stats_from_matrix
+from sgmlab.analysis import EnsembleStats, estimate_floor, fit_linear_rate, \
+    predict_floor
 from sgmlab.growth import (
     contraction_margins,
     fit_sgc,
@@ -33,6 +33,13 @@ from sgmlab.problems import (
 )
 from sgmlab.solvers import ConstantStep, InverseTStep, SolverRun, \
     recommend_step, run, run_ensemble
+
+
+def _stats(ens, R, gamma, step_kind="constant"):
+    """The EnsembleStats the CLI builds from a run's streamed statistics."""
+    return EnsembleStats(T=len(ens.mean_dist_sq) - 1, R=R,
+                         mean_dist_sq=ens.mean_dist_sq, stderr=ens.stderr,
+                         gamma=gamma, step_kind=step_kind)
 
 
 def _criterion(number, description, ok, elapsed, budget):
@@ -93,7 +100,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     spec = SolverRun(problem=kp, geometry=geometry.whole_space(),
                      step=ConstantStep(gamma), iters=5000, seed=2025)
     ens = run_ensemble(spec, 200)
-    stats = stats_from_matrix(ens.dist_sq, gamma=gamma)
+    stats = _stats(ens, 200, gamma)
     fit = fit_linear_rate(stats)
 
     ok = fit.rate_per_iter <= 1.0 - rho + 3.0 * fit.rate_stderr + 0.01
@@ -114,8 +121,8 @@ def test_criterion_3_unit_step_kaczmarz_converges():
     spec = SolverRun(problem=kp, step=ConstantStep(1.0),
                      iters=800, seed=2026)
     ens = run_ensemble(spec, 200)
-    fit = fit_linear_rate(stats_from_matrix(ens.dist_sq, gamma=1.0))
-    floor, _ = estimate_floor(stats_from_matrix(ens.dist_sq, gamma=1.0))
+    fit = fit_linear_rate(_stats(ens, 200, 1.0))
+    floor, _ = estimate_floor(_stats(ens, 200, 1.0))
 
     ok = fit.rate_per_iter < 1.0
     ok &= floor <= 1e-12
@@ -141,7 +148,7 @@ def test_criterion_4_proximal_noise_floor_prediction():
     spec = SolverRun(problem=p, geometry=p.regularizer,
                      step=ConstantStep(gamma), iters=6000, seed=20250814)
     ens = run_ensemble(spec, 1000)
-    floor, se = estimate_floor(stats_from_matrix(ens.dist_sq, gamma=gamma))
+    floor, se = estimate_floor(_stats(ens, 1000, gamma))
 
     # the prediction is an upper-bound fixed point: the measured level may
     # sit as much as 4x below it but must never exceed it; 3 standard
@@ -163,7 +170,7 @@ def test_criterion_5_floor_scales_with_step_size():
         spec = SolverRun(problem=tp, step=ConstantStep(gamma),
                          iters=2000, seed=20250814)
         ens = run_ensemble(spec, 10_000)
-        st = stats_from_matrix(ens.dist_sq, gamma=gamma)
+        st = _stats(ens, 10_000, gamma)
         stats_by_gamma[gamma] = st
         floors[gamma], ses[gamma] = estimate_floor(st)
 
@@ -198,7 +205,7 @@ def test_criterion_6_decaying_step_gives_one_over_t():
     spec = SolverRun(problem=p, geometry=p.regularizer,
                      step=InverseTStep(c), iters=100_000, seed=20250814)
     ens = run_ensemble(spec, 100)
-    st = stats_from_matrix(ens.dist_sq, gamma=c, step_kind="inverse_t")
+    st = _stats(ens, 100, c, step_kind="inverse_t")
     passed, slope = analysis.check_inverse_t_rate(st)
 
     _criterion(6, f"decaying-step mean squared distance decays like 1/t "

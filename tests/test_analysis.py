@@ -7,6 +7,7 @@ from sgmlab import analysis, problems
 from sgmlab.analysis import (
     EnsembleStats,
     RateFitError,
+    StreamedStats,
     check_inverse_t_rate,
     estimate_floor,
     fit_linear_rate,
@@ -38,6 +39,42 @@ def test_stats_from_matrix_mean_and_stderr(rng):
     assert np.allclose(st.mean_dist_sq, D.mean(axis=0), atol=1e-15)
     assert np.allclose(st.stderr, D.std(axis=0, ddof=1) / np.sqrt(6),
                        atol=1e-15)
+
+
+def parent_stats(D):
+    """Per-t mean and standard error as numpy reduces the whole C-ordered
+    matrix."""
+    R = D.shape[0]
+    stderr = (D.std(axis=0, ddof=1) / math.sqrt(R) if R > 1
+              else np.zeros(D.shape[1]))
+    return D.mean(axis=0), stderr
+
+
+def streamed(D):
+    stats = StreamedStats(*D.shape)
+    for column in D.T:
+        stats.push(column)
+    return stats
+
+
+@pytest.mark.parametrize("R", [1, 2, 7, 8, 100, 1000])
+@pytest.mark.parametrize("extra", ["short", 0, 1, 2])
+def test_streamed_statistics_equal_the_whole_matrix_reduction(rng, R, extra):
+    # T + 1 below one block, or two whole blocks and `extra` columns; a
+    # one-column last block is where numpy's own reduce sums pairwise
+    width = max(2, analysis._STATS_WORDS // R)
+    n = width // 2 + 1 if extra == "short" else 2 * width + extra
+    D = rng.random((R, n)) * rng.choice([1e-8, 1.0, 1e8], size=(R, n))
+    D[:, n // 2] = -0.0
+    mean, stderr = parent_stats(D)
+    stats, whole = streamed(D), stats_from_matrix(D, gamma=1.0)
+    for got_mean, got_stderr in ((stats.mean, stats.stderr),
+                                 (whole.mean_dist_sq, whole.stderr)):
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_stderr.tobytes() == stderr.tobytes()
+    assert not np.signbit(mean[n // 2])  # numpy's sum starts at +0.0
+    if R == 1:
+        assert np.all(stderr == 0.0)
 
 
 def test_single_replication_has_zero_stderr(rng):

@@ -135,6 +135,27 @@ def test_memory_error_during_construction_exits_3(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_memory_error_during_simulation_exits_3_with_a_record(
+        tmp_path, capsys, monkeypatch):
+    def out_of_memory(spec, replications):
+        raise MemoryError("Unable to allocate 6.94 EiB")
+    monkeypatch.setattr(solvers, "run_ensemble", out_of_memory)
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, QUADRATIC_L1_FLOOR)
+    assert run_cli(["run", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err == ("simulation error: out of memory: Unable to allocate "
+                   "6.94 EiB\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["reason"] == "out of memory: Unable to allocate 6.94 EiB"
+    assert manifest["replications"] == 1000
+    assert run_cli(["report", out]) == 3
+    assert ("failed: out of memory: Unable to allocate 6.94 EiB"
+            in capsys.readouterr().out)
+
+
 SHIPPED_TEXT = {p.stem: p.read_text() for p in CONFIGS_DIR.glob("*.cfg")}
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sgmlab import geometry as geo
-from sgmlab import problems, solvers
+from sgmlab import analysis, problems, solvers
 from sgmlab.solvers import (
     ConstantStep,
     DivergenceError,
@@ -15,6 +16,35 @@ from sgmlab.solvers import (
     run,
     run_ensemble,
 )
+
+
+@pytest.fixture
+def matrix_of(monkeypatch):
+    """Rebuilds a run's (R, T+1) distance matrix from the blocks its step
+    loop hands to ``analysis.reduce_block``: ``matrix_of(ens)``.
+
+    Blocks are filed under the run's mean array, so runs on several threads
+    at once each get their own matrix.
+    """
+    blocks = {}
+    reduce_block = analysis.reduce_block
+
+    def recording(block, mean, stderr, dev):
+        if mean.ctypes.data == mean.base.ctypes.data:  # a run's first block
+            blocks[id(mean.base)] = []
+        blocks[id(mean.base)].append(block.copy())
+        reduce_block(block, mean, stderr, dev)
+
+    monkeypatch.setattr(analysis, "reduce_block", recording)
+    return lambda ens: np.concatenate(blocks[id(ens.mean_dist_sq)], axis=1)
+
+
+def parent_stats(D):
+    """The per-t mean and standard error as numpy reduces a whole matrix."""
+    R = D.shape[0]
+    stderr = (D.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
+              else np.zeros(D.shape[1]))
+    return D.mean(axis=0), stderr
 
 
 def two_point_spec(**kw):
@@ -119,7 +149,8 @@ def test_rerun_is_bitwise_identical(two_point):
     assert np.array_equal(a.sampled_indices, b.sampled_indices)
 
 
-def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1):
+def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1,
+                                             matrix_of):
     # R = 600 and T = 2000 span more than one index block (2**20 // 600
     # steps), and rows on both sides of 256 cover the old chunk boundary
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
@@ -128,22 +159,23 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1):
     spec = SolverRun(problem=kaczmarz_20x5,
                      step=ConstantStep(gamma), iters=2000, seed=11,
                      geometry=geo.whole_space())
-    ens = run_ensemble(spec, 600)
+    D = matrix_of(run_ensemble(spec, 600))
     for r in (0, 255, 256, 599):
         single = run_ensemble(replace(spec, replication=r), 1)
-        assert np.array_equal(ens.dist_sq[r], single.dist_sq[0]), r
+        assert np.array_equal(D[r], matrix_of(single)[0]), r
     # at d = 10 a one-column batch is where numpy would sum pairwise
     spec = SolverRun(problem=quadratic_l1,
                      step=ConstantStep(0.05), iters=300, seed=11,
                      geometry=geo.l1_regularizer(0.005))
-    ens = run_ensemble(spec, 300)
+    D = matrix_of(run_ensemble(spec, 300))
     for r in (0, 7, 299):
         single = run(replace(spec, replication=r))
-        assert np.array_equal(ens.dist_sq[r], single.dist_sq), r
+        assert np.array_equal(D[r], single.dist_sq), r
 
 
 @pytest.mark.parametrize("threads", [None, 1, 2, 4])
-def test_thread_count_does_not_change_results(kaczmarz_20x5, threads):
+def test_thread_count_does_not_change_results(kaczmarz_20x5, threads,
+                                              matrix_of):
     # run_ensemble keeps no shared state, so callers that run the same spec
     # on several threads at once each get the calling thread's result
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
@@ -160,22 +192,54 @@ def test_thread_count_does_not_change_results(kaczmarz_20x5, threads):
             results = list(pool.map(lambda _: run_ensemble(spec, 600),
                                     range(threads)))
     for ens in results:
-        assert np.array_equal(ens.dist_sq, baseline.dist_sq)
+        assert np.array_equal(matrix_of(ens), matrix_of(baseline))
+        assert np.array_equal(ens.mean_dist_sq, baseline.mean_dist_sq)
+        assert np.array_equal(ens.stderr, baseline.stderr)
 
 
-def test_ensemble_rows_match_individual_runs(two_point):
+def test_ensemble_rows_match_individual_runs(two_point, matrix_of):
     ens = run_ensemble(two_point_spec(iters=60), 10)
+    D = matrix_of(ens)
     for r in range(10):
         single = run(two_point_spec(iters=60, replication=r))
-        assert np.array_equal(ens.dist_sq[r], single.dist_sq)
+        assert np.array_equal(D[r], single.dist_sq)
     # the audit trajectory is the first replication
-    assert np.array_equal(ens.audit.dist_sq, ens.dist_sq[0])
+    assert np.array_equal(ens.audit.dist_sq, D[0])
 
 
-def test_replication_offset_shifts_substreams(two_point):
+def test_replication_offset_shifts_substreams(two_point, matrix_of):
     ens = run_ensemble(two_point_spec(iters=60, replication=3), 4)
     base = run_ensemble(two_point_spec(iters=60, replication=0), 7)
-    assert np.array_equal(ens.dist_sq, base.dist_sq[3:])
+    assert np.array_equal(matrix_of(ens), matrix_of(base)[3:])
+
+
+@pytest.mark.parametrize("R,T", [
+    (1, 40), (8, 4095), (8, 4096), (100, 326), (100, 654), (100, 655),
+    (1000, 31), (1000, 64), (1000, 65)])
+def test_streamed_statistics_equal_the_whole_matrix_reduction(
+        kaczmarz_20x5, matrix_of, R, T):
+    # T + 1 below one block, and one, two, or no columns past whole blocks
+    # of max(2, 2**15 // R) columns
+    spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(0.05),
+                     iters=T, seed=5, geometry=geo.whole_space())
+    ens = run_ensemble(spec, R)
+    D = matrix_of(ens)
+    assert D.shape == (R, T + 1)
+    mean, stderr = parent_stats(D)
+    assert ens.mean_dist_sq.tobytes() == mean.tobytes()
+    assert ens.stderr.tobytes() == stderr.tobytes()
+
+
+def test_run_ensemble_holds_no_distance_matrix(two_point):
+    R, T = 100, 20_000
+    spec = two_point_spec(iters=T)
+    tracemalloc.start()
+    try:
+        run_ensemble(spec, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < R * (T + 1) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +275,7 @@ def test_divergence_names_earliest_step_then_lowest_replication(two_point):
     assert (err.value.t, err.value.replication) == expected
 
 
-def test_trust_region_is_centred_on_the_solution_set():
+def test_trust_region_is_centred_on_the_solution_set(matrix_of):
     # f(x) = ½(x − c)² with c = 3e12: the iterates converge to c, far outside
     # ‖x‖ ≤ 1e12 but never farther than 1 from the solution
     c = 3e12
@@ -224,9 +288,9 @@ def test_trust_region_is_centred_on_the_solution_set():
         all_component_grads=lambda x: (x - c)[None, :])
     spec = SolverRun(problem=p, step=ConstantStep(0.5),
                      iters=20, seed=0, x0=np.array([c + 1.0]))
-    ens = run_ensemble(spec, 3)
-    assert ens.dist_sq[:, 0].tolist() == [1.0] * 3
-    assert np.all(ens.dist_sq[:, 1:] < 1.0)
+    D = matrix_of(run_ensemble(spec, 3))
+    assert D[:, 0].tolist() == [1.0] * 3
+    assert np.all(D[:, 1:] < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +302,7 @@ def test_recommended_step_contracts_on_kaczmarz(kaczmarz_20x5):
     gamma, rho = recommend_step(p.lipschitz_L, p.analytic_M, p.restricted_mu)
     spec = SolverRun(problem=p, step=ConstantStep(gamma),
                      iters=200, seed=3, geometry=geo.whole_space())
-    ens = run_ensemble(spec, 64)
-    mean = ens.dist_sq.mean(axis=0)
+    mean = run_ensemble(spec, 64).mean_dist_sq
     assert mean[-1] < mean[0] * (1 - rho) ** 200 * 3  # within 3x of the bound
     assert mean[-1] < mean[0]
 
@@ -251,8 +314,7 @@ def test_two_point_mean_follows_exact_recursion(two_point):
     spec = two_point_spec(step=ConstantStep(gamma), iters=T, seed=97,
                           x0=np.array([0.0]))
     ens = run_ensemble(spec, R)
-    mean = ens.dist_sq.mean(axis=0)
-    se = ens.dist_sq.std(axis=0, ddof=1) / np.sqrt(R)
+    mean, se = ens.mean_dist_sq, ens.stderr
     exact = np.empty(T + 1)
     exact[0] = 0.0
     for t in range(T):
