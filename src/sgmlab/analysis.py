@@ -39,6 +39,7 @@ _LOG_GUARD = 1e-300
 INVERSE_T_MIN_ITERS = 1000  # shortest horizon the O(1/t) check accepts
 _FLOORLESS = 1e-14
 _STATS_WORDS = 2**15  # distances held per block across all replications
+_CSV_ROWS = 2**12  # rows formatted per write by the CSV writers
 
 
 @dataclass(eq=False)
@@ -249,11 +250,15 @@ def format_float(x) -> str:
 
 
 def write_stats_csv(path, stats: EnsembleStats) -> None:
-    """Per-experiment curve: columns t, mean_dist_sq, stderr."""
-    rows = zip(stats.mean_dist_sq.tolist(), stats.stderr.tolist())
-    text = "".join(f"{t},{m!r},{s!r}\n" for t, (m, s) in enumerate(rows))
+    """Per-experiment curve: columns t, mean_dist_sq, stderr, formatted
+    ``_CSV_ROWS`` rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,mean_dist_sq,stderr\n" + text)
+        fh.write("t,mean_dist_sq,stderr\n")
+        for lo in range(0, stats.T + 1, _CSV_ROWS):
+            rows = zip(stats.mean_dist_sq[lo:lo + _CSV_ROWS].tolist(),
+                       stats.stderr[lo:lo + _CSV_ROWS].tolist())
+            fh.write("".join(f"{t},{m!r},{s!r}\n"
+                             for t, (m, s) in enumerate(rows, lo)))
 
 
 def write_summary_csv(path, row: dict) -> None:

@@ -288,11 +288,14 @@ def parse_config(path) -> ExperimentConfig:
 
     x0 = None
     if "x0" in mth and mth["x0"].strip().lower() != "zero":
+        entries = mth["x0"].replace(",", " ").split()
         try:
-            x0 = np.array([float(v) for v in mth["x0"].replace(",", " ").split()])
+            for v in entries:
+                float(v)
         except ValueError:
             raise ConfigError(f"{where('method', 'x0')}: x0 must be 'zero' or "
                               "a list of numbers") from None
+        x0 = np.array([as_float("method", "x0", v) for v in entries])
 
     if "set" in mth and method != "psgm":
         raise ConfigError(f"{where('method', 'set')}: 'set' applies to psgm "
@@ -450,8 +453,7 @@ def floor_prediction(problem, method: str, gamma: float):
     if math.isnan(rho):
         return None, "no contraction certified at this step size"
     if method == "prox_sgm":
-        xstar = problem.solution_projector(np.zeros(problem.dim))
-        gstar = problem.full_grad(xstar)
+        gstar = problem.full_grad(problem.x_star)
         sigma1_sq = 2.0 * (1.0 + 2.0 * M) * float(gstar @ gstar) + 2.0 * s2
     elif method in ("sgm", "psgm"):
         sigma1_sq = s2  # unconstrained: min_C f equals the global infimum
@@ -538,8 +540,8 @@ def _check_necessary(problem, policy, ens, audit_moments):
                 "reason": "the bound is stated for constant steps"}
     sigma_sq = problem.analytic_sigma_sq
     if sigma_sq is None:
-        xbar = problem.solution_projector(np.zeros(problem.dim))
-        _, sigma_sq = problems.exact_conditional_moment(problem, xbar)
+        _, sigma_sq = problems.exact_conditional_moment(problem,
+                                                        problem.x_star)
     moments = audit_moments()
     omega = growth.measured_worst_omega(moments, sigma_sq)
     if not 0 < omega < 1:
@@ -621,14 +623,17 @@ def _check_floor(cfg, problem, stats, extras):
 # ---------------------------------------------------------------------------
 
 def _write_audit_csv(path, traj):
-    dist = traj.dist_sq.tolist()
-    rows = zip(dist, traj.step_values.tolist(),
-               traj.sampled_indices.tolist())
-    lines = [f"{t},{d!r},{g!r},{i}" for t, (d, g, i) in enumerate(rows)]
-    lines.append(f"{traj.iters},{dist[-1]!r},,")  # no step is taken from T
+    T, chunk = traj.iters, analysis._CSV_ROWS
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,dist_sq,gamma_t,sampled_index\n" + "\n".join(lines)
-                 + "\n")
+        fh.write("t,dist_sq,gamma_t,sampled_index\n")
+        for lo in range(0, T, chunk):
+            hi = min(lo + chunk, T)
+            rows = zip(traj.dist_sq[lo:hi].tolist(),
+                       traj.step_values[lo:hi].tolist(),
+                       traj.sampled_indices[lo:hi].tolist())
+            fh.write("".join(f"{t},{d!r},{g!r},{i}\n"
+                             for t, (d, g, i) in enumerate(rows, lo)))
+        fh.write(f"{T},{traj.dist_sq[T].item()!r},,\n")  # no step from T
 
 
 def _summary_row(cfg, stats, results, extras):

@@ -70,15 +70,14 @@ class GrowthReport:
 def probe_grid(problem: FiniteSumProblem, seed: int, n_points: int = 32,
                scales=(0.1, 1.0, 10.0)):
     """Deterministic probe set: seeded standard-normal points at several
-    scales, plus the problem's known stationary points and the projection
-    of the origin onto the solution set."""
+    scales, plus the problem's known stationary points and its solution
+    x*."""
     g = rng.substream(seed, _PROBE_STREAM)
     base = g.standard_normal((n_points, problem.dim))
     points = [s * z for z in base for s in scales]
     points.extend(np.asarray(p, dtype=float).copy()
                   for p in problem.grad_zero_points)
-    points.append(np.asarray(problem.solution_projector(np.zeros(problem.dim)),
-                             dtype=float))
+    points.append(problem.x_star.copy())
     return points
 
 
@@ -171,8 +170,8 @@ class SuccessorMoments:
 
     With x₊ the successor of x under component i and G = (x − x₊)/γ, entry
     k holds, for the k-th point: ``dist_sq`` ‖x−x̄‖², ``next_dist_sq``
-    E‖x₊−x̄₊‖², ``grad_sq`` E‖G‖² and ``mean_grad_sq`` ‖E G‖², where x̄ is
-    the projection onto the solution set.
+    E‖x₊−x̄₊‖², ``grad_sq`` E‖G‖² and ``mean_grad_sq`` ‖E G‖², where
+    x̄ = x̄₊ = x* is the problem's solution.
     """
 
     gamma: float
@@ -186,13 +185,13 @@ def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
                       points) -> SuccessorMoments:
     """Enumerate the n successors of every point once and record the exact
     moments that the per-iterate audits below are computed from."""
-    proj = problem.solution_projector
+    x_star = problem.x_star
     moments = np.empty((4, len(points)))
     for k, x in enumerate(points):
         x = np.asarray(x, dtype=float)
         succ = enumerate_successors(problem, geometry, gamma, x)
-        xc = x - proj(x)
-        Dp = succ - proj(succ)
+        xc = x - x_star
+        Dp = succ - x_star[:, None]
         G = (x[:, None] - succ) / gamma
         mean_G = G.mean(axis=1)
         moments[:, k] = (float(xc @ xc), float((Dp * Dp).sum(axis=0).mean()),
@@ -274,9 +273,9 @@ def contraction_margins(moments: SuccessorMoments, rho: float,
 def example1_constants(problem: FiniteSumProblem, probe_points):
     """Closed-form weak-growth constants M = 4L₀/μ and σ² = 2β².
 
-    β² is the largest conditional second moment over the solution
-    projections of the probes.  Asserts the resulting envelope on every
-    probe before returning.
+    β² is the conditional second moment at the solution x*, the projection
+    of every probe.  Asserts the resulting envelope on every probe before
+    returning.
     """
     mu = problem.restricted_mu
     L0 = problem.per_component_L0
@@ -286,11 +285,7 @@ def example1_constants(problem: FiniteSumProblem, probe_points):
     if not L0 > 0:
         raise ValueError("these constants require a positive per-component "
                          "smoothness bound")
-    beta_sq = 0.0
-    for x in probe_points:
-        xbar = problem.solution_projector(np.asarray(x, dtype=float))
-        _, moment = exact_conditional_moment(problem, xbar)
-        beta_sq = max(beta_sq, moment)
+    _, beta_sq = exact_conditional_moment(problem, problem.x_star)
     M = 4.0 * L0 / mu
     sigma_sq = 2.0 * beta_sq
     for x in probe_points:

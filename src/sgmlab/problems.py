@@ -1,7 +1,7 @@
 """Finite-sum problems f = (1/n) Σ fᵢ with exact component-gradient oracles.
 
-Every instance knows its smoothness and convexity constants, its solution
-set (as a projector), and any closed-form growth constants, so conditional
+Every instance knows its smoothness and convexity constants, its unique
+solution ``x_star``, and any closed-form growth constants, so conditional
 expectations over the uniform component index are exact finite sums rather
 than Monte Carlo estimates.
 
@@ -47,12 +47,12 @@ class EvaluationError(RuntimeError):
 
 @dataclass(eq=False)
 class FiniteSumProblem:
-    """f = (1/n) Σᵢ fᵢ over ℝ^d with known constants and solution set.
+    """f = (1/n) Σᵢ fᵢ over ℝ^d with known constants and unique solution.
 
-    ``solution_projector`` maps a point (or column batch) to its projection
-    onto the solution set of the full problem being solved — for composite
-    instances that is the regularized solution, not argmin f.  ``full_grad``
-    is the analytic ∇f.  ``batch_component_grad(X, idx)`` returns the
+    ``x_star`` is the read-only (dim,) solution of the full problem being
+    solved — for composite instances that is the regularized solution, not
+    argmin f.  ``full_grad`` is the analytic ∇f.
+    ``batch_component_grad(X, idx)`` returns the
     (d, R) matrix of ∇f_{idx[r]}(X[:, r]); ``all_component_grads(x)``
     returns the (n, d) matrix of every component gradient at one point.
     """
@@ -65,7 +65,7 @@ class FiniteSumProblem:
     strong_mu: float
     restricted_mu: float
     f_star: float
-    solution_projector: Callable
+    x_star: np.ndarray
     full_grad: Callable
     batch_component_grad: Callable
     all_component_grads: Callable
@@ -75,6 +75,18 @@ class FiniteSumProblem:
     analytic_B: float | None = None
     regularizer: Regularizer | None = None
     kaczmarz: "KaczmarzSystem | None" = None
+
+    def __post_init__(self):
+        self.x_star = np.array(self.x_star, dtype=float)
+        if self.x_star.shape != (self.dim,):
+            raise ValueError("x_star must have shape (dim,)")
+        self.x_star.flags.writeable = False
+
+    def solution_projector(self, x) -> np.ndarray:
+        """x_star in the shape of a point or (d, R) batch x.  Nothing in
+        ``src/`` calls it; only the perfbench tracer reads it, by name."""
+        xs = self.x_star if np.ndim(x) == 1 else self.x_star[:, None]
+        return np.broadcast_to(xs, np.shape(x)).copy()
 
     def component_grad(self, i: int, x) -> np.ndarray:
         """∇fᵢ(x), as the batch kernel on a one-column batch."""
@@ -107,18 +119,6 @@ def exact_conditional_moment(problem: FiniteSumProblem, x):
     return mean_grad, second_moment
 
 
-def _constant_projector(xstar: np.ndarray) -> Callable:
-    xstar = np.asarray(xstar, dtype=float)
-
-    def proj(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return xstar.copy()
-        return np.repeat(xstar[:, None], x.shape[1], axis=1)
-
-    return proj
-
-
 # ---------------------------------------------------------------------------
 # Two-point quadratic: the canonical instance where noise never vanishes.
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def make_two_point_quadratic() -> FiniteSumProblem:
         strong_mu=1.0,
         restricted_mu=1.0,
         f_star=0.5,
-        solution_projector=_constant_projector(np.zeros(1)),
+        x_star=np.zeros(1),
         full_grad=lambda x: np.asarray(x, dtype=float).copy(),
         batch_component_grad=batch_grad,
         all_component_grads=all_grads,
@@ -298,7 +298,7 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
         strong_mu=lam_min / m,
         restricted_mu=lam_min / m,
         f_star=0.5 * sigma_sq,
-        solution_projector=_constant_projector(sys.x_ls),
+        x_star=sys.x_ls,
         full_grad=full_grad,
         batch_component_grad=batch_grad,
         all_component_grads=all_grads,
@@ -344,7 +344,7 @@ def make_shared_minimizer_quadratics(dim: int = 3, n_components: int = 4,
         strong_mu=s_bar,
         restricted_mu=s_bar,
         f_star=0.0,
-        solution_projector=_constant_projector(center),
+        x_star=center,
         full_grad=full_grad,
         batch_component_grad=batch_grad,
         all_component_grads=all_grads,
@@ -415,7 +415,7 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
         strong_mu=mu,
         restricted_mu=0.0,
         f_star=0.0,
-        solution_projector=_constant_projector(xstar),
+        x_star=xstar,
         full_grad=full_grad,
         batch_component_grad=batch_grad,
         all_component_grads=all_grads,

@@ -40,14 +40,14 @@ __all__ = [
 METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 
 _INDEX_WORDS = 2**20  # indices drawn per block across all replications (8 MB)
-_DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x̄‖ > 1e12
+_DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x*‖ > 1e12
 _THIN_LIMIT = 10_000
 _GEOMETRY_TYPES = (type(None), ConvexSet, Regularizer, LinearMonotoneOperator)
 
 
 class DivergenceError(RuntimeError):
-    """An iterate overflowed or left the trust region ‖x − x̄‖ ≤ 1e12, x̄
-    its projection onto the solution set.
+    """An iterate overflowed or left the trust region ‖x − x*‖ ≤ 1e12
+    around the problem's solution x*.
 
     ``t`` is the earliest step at which any replication left it and
     ``replication`` the lowest replication index that left it at that step.
@@ -130,7 +130,7 @@ class Trajectory:
 
     ``points`` holds iterates at the iteration numbers in ``point_steps``
     (all of 0..T when T ≤ 10⁴, else every ⌈T/10⁴⌉-th); ``dist_sq`` is the
-    squared distance to the solution set at every t regardless of thinning.
+    squared distance to the solution x* at every t regardless of thinning.
     """
 
     replication: int
@@ -177,7 +177,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
 
     Replication r uses substream (seed, spec.replication + r) and is column
     r of one (d, R) batch; column 0 is the audit trajectory.  Each step's
-    row of squared distances to the solution set guards divergence: the
+    row of squared distances to the solution x* guards divergence: the
     ``DivergenceError`` names the earliest step t at which any replication
     left the trust region, and the lowest replication at t.  The rows are
     reduced to the per-t mean and standard error block by block
@@ -186,7 +186,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     if replications < 1:
         raise ValueError("need at least one replication")
     problem, step, T = spec.problem, spec.step, spec.iters
-    project_solution = problem.solution_projector
+    x_star = problem.x_star[:, None]
     stride = _thin_stride(T)
     stats = analysis.StreamedStats(replications, T + 1)
     audit_dist = np.empty(T + 1)
@@ -198,9 +198,10 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     # blocks partition each stream, so the block length never moves a bit
     block_len = min(T, max(1, _INDEX_WORDS // replications))
     idx = np.empty((replications, block_len), dtype=np.int64)
+    step_values = [step.value(t) for t in range(T)]
 
     X = np.repeat(spec.x0[:, None], replications, axis=1)
-    row = _accum.sumsq_cols(X - project_solution(X))
+    row = _accum.sumsq_cols(X - x_star)
     stats.push(row)
     audit_dist[0] = row[0]
     points[0] = X[:, 0]
@@ -211,10 +212,10 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
             for r, stream in enumerate(streams):
                 idx[r, :block] = stream.next_block(block)
             indices[t:t + block] = idx[0, :block]
-        gamma_t = step.value(t)
+        gamma_t = step_values[t]
         grads = problem.batch_component_grad(X, idx[:, k])
         X = _apply_geometry(spec.geometry, gamma_t, X - gamma_t * grads)
-        row = _accum.sumsq_cols(X - project_solution(X))
+        row = _accum.sumsq_cols(X - x_star)
         # max propagates NaN, so one comparison catches overflow as well
         if not row.max() <= _DIVERGENCE_DIST_SQ:
             bad = int(np.flatnonzero(~(row <= _DIVERGENCE_DIST_SQ))[0])
@@ -224,14 +225,13 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         if (t + 1) % stride == 0:
             points[(t + 1) // stride] = X[:, 0]
 
-    step_values = np.array([step.value(t) for t in range(T)])
     audit = Trajectory(
         replication=spec.replication,
         point_steps=np.arange(0, T + 1, stride, dtype=np.int64),
         points=points,
         dist_sq=audit_dist,
         sampled_indices=indices,
-        step_values=step_values,
+        step_values=np.array(step_values),
     )
     return EnsembleRun(mean_dist_sq=stats.mean, stderr=stats.stderr,
                        audit=audit)

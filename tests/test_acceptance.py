@@ -139,7 +139,7 @@ def test_criterion_4_proximal_noise_floor_prediction():
     L, M, mu = p.lipschitz_L, p.analytic_M, p.strong_mu
     rho = gamma * mu * (1.0 - 2.0 * gamma * L * M)
     assert 0.0 < rho < 1.0
-    xstar = p.solution_projector(np.zeros(p.dim))
+    xstar = p.x_star
     gstar = p.full_grad(xstar)
     sigma1_sq = 2.0 * (1.0 + 2.0 * M) * float(gstar @ gstar) \
         + 2.0 * p.analytic_sigma_sq

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,35 @@ def test_write_stats_csv_round_trip(tmp_path, rng):
         assert int(f0) == t
         assert float(f1) == st.mean_dist_sq[t]
         assert float(f2) == st.stderr[t]
+
+
+def test_write_stats_csv_chunks_keep_the_one_pass_text(tmp_path, rng,
+                                                       monkeypatch):
+    # T + 1 = 8 rows in chunks of 3, 3 and 2 against the text formatted in
+    # one pass
+    st = stats_from_matrix(rng.random((4, 8)), gamma=0.3)
+    monkeypatch.setattr(analysis, "_CSV_ROWS", 3)
+    path = tmp_path / "stats.csv"
+    write_stats_csv(path, st)
+    rows = zip(st.mean_dist_sq.tolist(), st.stderr.tolist())
+    expected = "t,mean_dist_sq,stderr\n" + "".join(
+        f"{t},{m!r},{s!r}\n" for t, (m, s) in enumerate(rows))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_stats_csv_memory_is_bounded(tmp_path, rng):
+    # formatting all 10⁵ rows into one string peaks near 18 MB; a chunk of
+    # rows at a time stays below 4 MB
+    n = 100_001
+    st = EnsembleStats(T=n - 1, R=2, mean_dist_sq=rng.random(n),
+                       stderr=rng.random(n), gamma=0.1)
+    tracemalloc.start()
+    try:
+        write_stats_csv(tmp_path / "stats.csv", st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_write_summary_csv(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmlab import cli, growth, problems, solvers
+from sgmlab import analysis, cli, growth, problems, solvers
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 QUADRATIC_L1_FLOOR = (CONFIGS_DIR / "quadratic_l1_floor.cfg").read_text()
@@ -167,6 +167,8 @@ SHIPPED_TEXT = {p.stem: p.read_text() for p in CONFIGS_DIR.glob("*.cfg")}
     ("quadratic_l1_floor", "l1_weight = 0.005", "l1_weight = inf"),
     ("quadratic_l1_floor", "l1_weight = 0.005", "l1_weight = nan"),
     ("kaczmarz_recommend", "mix = 0.5", "mix = nan"),
+    ("quadratic_l1_floor", "x0 = zero", "x0 = nan"),
+    ("quadratic_l1_floor", "x0 = zero", "x0 = 1 inf"),
 ])
 def test_non_finite_numbers_exit_2_with_line(tmp_path, capsys, monkeypatch,
                                              config, old, new):
@@ -269,7 +271,7 @@ def test_quadratic_l1_off_prox_sgm_measures_distance_to_argmin_f(tmp_path,
     text = (QUADRATIC_L1_FLOOR.replace("kind = prox_sgm", f"kind = {method}")
             .replace("l1_weight = 0.005\n", ""))
     problem = cli.build_problem(cli.parse_config(write_cfg(tmp_path, text)))
-    xstar = problem.solution_projector(np.zeros(problem.dim))
+    xstar = problem.x_star
     assert np.allclose(xstar, problem.grad_zero_points[0], rtol=0, atol=1e-10)
 
 
@@ -361,6 +363,25 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     # audit CSV ends with an empty step/index (no step leaves iterate T)
     last = (out / "audit_trajectory.csv").read_text().splitlines()[-1]
     assert last.startswith("300,") and last.endswith(",,")
+
+
+def test_audit_csv_chunks_keep_the_one_pass_text(tmp_path, monkeypatch):
+    # T = 7 steps in chunks of 3, 3 and 1, then the stepless row T, against
+    # the text formatted in one pass
+    g = np.random.default_rng(5)
+    traj = solvers.Trajectory(
+        replication=0, point_steps=np.arange(8), points=np.zeros((8, 1)),
+        dist_sq=g.random(8), sampled_indices=g.integers(0, 9, 7),
+        step_values=g.random(7))
+    monkeypatch.setattr(analysis, "_CSV_ROWS", 3)
+    path = tmp_path / "audit.csv"
+    cli._write_audit_csv(path, traj)
+    dist = traj.dist_sq.tolist()
+    rows = zip(dist, traj.step_values.tolist(), traj.sampled_indices.tolist())
+    expected = ["t,dist_sq,gamma_t,sampled_index"]
+    expected += [f"{t},{d!r},{gm!r},{i}" for t, (d, gm, i) in enumerate(rows)]
+    expected.append(f"7,{dist[-1]!r},,")
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_run_without_checks_succeeds(tmp_path):

@@ -33,7 +33,7 @@ def constant_problem():
         name="cancel", dim=2, n_components=2,
         lipschitz_L=1.0, per_component_L0=1.0, strong_mu=0.0,
         restricted_mu=0.0, f_star=0.0,
-        solution_projector=lambda x: np.asarray(x, dtype=float).copy(),
+        x_star=np.zeros(2),  # one point of the solution set, the whole plane
         full_grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         batch_component_grad=batch,
         all_component_grads=lambda x: np.stack([x, -x]),
@@ -50,8 +50,8 @@ def test_probe_grid_is_seeded_and_includes_landmarks(kaczmarz_20x5):
     assert len(pts_a) == len(pts_b)
     assert all(np.array_equal(x, y) for x, y in zip(pts_a, pts_b))
     assert len(probe_grid(kaczmarz_20x5, 43)) == len(pts_a)
-    # landmarks: every declared zero-gradient point and P_S(0)
-    sol = kaczmarz_20x5.solution_projector(np.zeros(5))
+    # landmarks: every declared zero-gradient point and x*
+    sol = kaczmarz_20x5.x_star
     assert any(np.array_equal(p, sol) for p in pts_a)
     # 32 points per scale x 3 scales + landmarks
     assert len(pts_a) == 32 * 3 + len(kaczmarz_20x5.grad_zero_points) + 1
@@ -125,7 +125,7 @@ def test_degenerate_probe_set_is_flagged():
 
 def test_m_is_never_below_one(kaczmarz_20x5):
     # even on a restricted probe set where the raw ratio max would be < 1
-    sol = kaczmarz_20x5.solution_projector(np.zeros(5))
+    sol = kaczmarz_20x5.x_star
     rep = fit_wgc(kaczmarz_20x5, [sol + 1e3 * np.ones(5)])
     assert rep.M_wgc >= 1.0
 
@@ -230,13 +230,12 @@ def test_successor_moments_are_enumerated_moments(rng):
     points = rng.normal(size=(4, p.dim)) * 3
     moments = successor_moments(p, S, gamma, points)
     assert moments.gamma == gamma
-    proj = p.solution_projector
     for k, x in enumerate(points):
         succ = enumerate_successors(p, S, gamma, x)
         assert np.array_equal(succ, _l1_steps(p, gamma, x))
         G = (x[:, None] - succ) / gamma
-        D = succ - proj(succ)
-        assert moments.dist_sq[k] == np.sum((x - proj(x)) ** 2)
+        D = succ - p.x_star[:, None]
+        assert moments.dist_sq[k] == np.sum((x - p.x_star) ** 2)
         assert np.isclose(moments.next_dist_sq[k],
                           np.mean(np.sum(D * D, axis=0)), rtol=1e-14)
         assert np.isclose(moments.grad_sq[k], np.mean(np.sum(G * G, axis=0)),
@@ -248,7 +247,7 @@ def test_successor_moments_are_enumerated_moments(rng):
 def _reference_audits(p, gamma, points, omega, sigma_sq, rho):
     """The three audits as separate per-point loops, each enumerating the
     successors itself: the arithmetic the shared moments must reproduce."""
-    proj, tol = p.solution_projector, growth._MARGIN_RTOL
+    x_star, tol = p.x_star, growth._MARGIN_RTOL
     margins, flagged, hyp_failures = [], [], []
     worst, c_margins, c_flagged = 0.0, [], []
     for t, x in enumerate(points):
@@ -258,9 +257,9 @@ def _reference_audits(p, gamma, points, omega, sigma_sq, rho):
         mean_G = G.mean(axis=1)
         rhs = float(mean_G @ mean_G) / (1.0 - omega) + sigma_sq
         margins.append(rhs - lhs)
-        Dp = succ - proj(succ)
+        Dp = succ - x_star[:, None]
         mean_next = float((Dp * Dp).sum(axis=0).mean())
-        xc = x - proj(x)
+        xc = x - x_star
         dist = float(xc @ xc)
         if dist > 1e-30:
             worst = max(worst, (mean_next - gamma * gamma * sigma_sq) / dist)

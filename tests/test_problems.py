@@ -132,8 +132,8 @@ def test_two_point_values_and_constants(two_point):
     x = np.array([0.7])
     # mean objective is 0.5 x^2 + 0.5
     assert np.isclose(mean_value(two_point_value, p, x), 0.5 * 0.49 + 0.5)
-    assert np.allclose(p.solution_projector(x), [0.0])
-    assert mean_value(two_point_value, p, p.solution_projector(x)) == p.f_star
+    assert np.allclose(p.x_star, [0.0])
+    assert mean_value(two_point_value, p, p.x_star) == p.f_star
     mean_grad, second = exact_conditional_moment(p, x)
     assert np.allclose(mean_grad, x)
     assert np.isclose(second, 0.49 + 1.0)  # x^2 + sigma^2 with sigma^2 = 1
@@ -197,7 +197,7 @@ def test_kaczmarz_objective_identity(rng):
     value = kaczmarz_value(sys_)
     assert np.isclose(mean_value(value, p, x), (r @ r) / (2 * 10), rtol=1e-12)
     assert np.isclose(p.f_star, sys_.residual_norm ** 2 / (2 * 10), rtol=1e-10)
-    assert np.isclose(mean_value(value, p, p.solution_projector(x)), p.f_star,
+    assert np.isclose(mean_value(value, p, p.x_star), p.f_star,
                       rtol=1e-10)
     # f's gradient is the problem's full gradient
     assert np.allclose(fd_grad(lambda z: mean_value(value, p, z), x),
@@ -289,9 +289,40 @@ def test_quadratic_l1_growth_identity_is_exact(quadratic_l1, rng):
     assert p.analytic_M == 1.0
 
 
+def problem_and_solution(kind, sys_):
+    """A constructor's problem and its solution, recomputed here from the
+    constructor's definition."""
+    if kind == "two_point":
+        return make_two_point_quadratic(), np.zeros(1)
+    if kind == "kaczmarz":
+        return make_kaczmarz_problem(sys_), sys_.x_ls.copy()
+    if kind == "shared_minimizer":
+        g = sgm_rng.substream(7, 0)
+        g.random(4)  # the scales come first
+        return (make_shared_minimizer_quadratics(3, 4, construction_seed=7),
+                g.standard_normal(3))
+    p = make_quadratic_l1(dim=5)
+    return p, problems._prox_gradient_solve(p.full_grad, p.regularizer,
+                                            p.lipschitz_L, np.zeros(5))
+
+
+@pytest.mark.parametrize("kind", ["two_point", "kaczmarz", "shared_minimizer",
+                                  "quadratic_l1"])
+def test_x_star_is_a_read_only_copy_of_the_solution(kind):
+    sys_ = make_random_kaczmarz_system(12, 4, 3, consistent=False)
+    p, solution = problem_and_solution(kind, sys_)
+    assert p.x_star.shape == (p.dim,) and p.x_star.dtype == np.float64
+    assert not p.x_star.flags.writeable
+    with pytest.raises(ValueError):
+        p.x_star[0] = 1.0
+    assert p.x_star.tobytes() == solution.tobytes()
+    sys_.x_ls[:] = 7.0  # the array a constructor passed may change later
+    assert p.x_star.tobytes() == solution.tobytes()
+
+
 def test_quadratic_l1_solution_is_prox_fixed_point(quadratic_l1):
     p = quadratic_l1
-    xstar = p.solution_projector(np.zeros(p.dim))
+    xstar = p.x_star
     gamma = 1.0 / p.lipschitz_L
     step = geo.prox(p.regularizer, gamma, xstar - gamma * p.full_grad(xstar))
     assert np.allclose(step, xstar, atol=1e-8)

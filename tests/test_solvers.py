@@ -282,7 +282,7 @@ def test_trust_region_is_centred_on_the_solution_set(matrix_of):
     p = problems.FiniteSumProblem(
         name="shifted", dim=1, n_components=1, lipschitz_L=1.0,
         per_component_L0=1.0, strong_mu=1.0, restricted_mu=1.0, f_star=0.0,
-        solution_projector=lambda x: np.full_like(x, c),
+        x_star=np.array([c]),
         full_grad=lambda x: x - c,
         batch_component_grad=lambda X, idx: X - c,
         all_component_grads=lambda x: (x - c)[None, :])
