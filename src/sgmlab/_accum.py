@@ -48,8 +48,9 @@ def sumsq_cols(X: np.ndarray) -> np.ndarray:
 
 
 def rowdot_cols(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Paired inner products ⟨rows[r], X[:, r]⟩ for rows (R, d), X (d, R)."""
-    return _sum_rows(np.multiply(rows.T, X, order="C"))
+    """Column-wise inner products ⟨rows[:, r], X[:, r]⟩ of two (d, R)
+    batches."""
+    return _sum_rows(np.multiply(rows, X, order="C"))
 
 
 def _matvec_products(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -62,9 +63,8 @@ def matvec_cols(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
         return _matvec_products(Q, X)
     out = np.einsum("ij,jr->ir", np.ascontiguousarray(Q),
                     np.ascontiguousarray(X), optimize=False)
-    zero = out == 0.0
-    if zero.any():
-        cols = zero.any(axis=0)
+    if not out.all():  # some entry is ±0.0; NaN counts as nonzero
+        cols = (out == 0.0).any(axis=0)
         out[:, cols] = _matvec_products(Q, X[:, cols])
     return out
 

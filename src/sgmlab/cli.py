@@ -96,6 +96,7 @@ class ExperimentConfig:
     x0: np.ndarray | None = None
     regularizer_spec: tuple | None = None
     output: str | None = None
+    x0_where: str = ""  # "path:line" of x0, for the length check at build
 
 
 def _line_map(text: str) -> dict:
@@ -332,6 +333,7 @@ def parse_config(path) -> ExperimentConfig:
         replications=replications, checks=tuple(checks), problem_kind=kind,
         problem_params=params, method=method, step_spec=step_spec, x0=x0,
         regularizer_spec=regularizer_spec, output=exp.get("output"),
+        x0_where=where("method", "x0"),
     )
 
 
@@ -676,10 +678,16 @@ def _write_manifest(out_dir: Path, manifest: dict) -> None:
 
 
 def _construct(cfg: ExperimentConfig):
-    """(spec, rho_pred) for the config's run, or None after reporting a
-    construction error."""
+    """(spec, rho_pred) for the config's run, or the exit code after
+    reporting a config or construction error."""
     try:
         problem = build_problem(cfg)
+        if cfg.x0 is not None and len(cfg.x0) != problem.dim:
+            # the dimension is known only now, but the fault is the config's
+            print(f"config error: {cfg.x0_where}: x0 has {len(cfg.x0)} "
+                  f"entries, but the problem dimension is d = {problem.dim}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         geometry_obj = build_geometry(cfg, problem)
         policy, rho_pred = resolve_step(cfg, problem)
         spec = solvers.SolverRun(problem=problem, geometry=geometry_obj,
@@ -688,15 +696,15 @@ def _construct(cfg: ExperimentConfig):
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"construction error: {str(exc) or type(exc).__name__}",
               file=sys.stderr)
-        return None
+        return EXIT_CONSTRUCTION
     return spec, rho_pred
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Build, run, check, and write artifacts.  Returns the exit code."""
     built = _construct(cfg)
-    if built is None:
-        return EXIT_CONSTRUCTION
+    if isinstance(built, int):
+        return built
     spec, rho_pred = built
 
     try:
@@ -798,8 +806,8 @@ def _cmd_validate(args) -> int:
     if cfg is None:
         return EXIT_CONFIG
     built = _construct(cfg)
-    if built is None:
-        return EXIT_CONSTRUCTION
+    if isinstance(built, int):
+        return built
     spec, rho_pred = built
     gamma0 = spec.step.value(0)
     print(f"config ok: {cfg.name}: {cfg.method} on {cfg.problem_kind}, "

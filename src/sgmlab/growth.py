@@ -6,10 +6,20 @@ counterexample rather than Monte Carlo noise.  Constants are fitted over an
 explicit probe set and are sound only there; reports carry the probe
 descriptor to make that scope visible.
 
-The per-iterate audits share one enumeration: ``successor_moments`` visits
-each point's n one-step successors once and records the four exact moments
-the audits need; ``measured_worst_omega``, ``verify_necessary_condition``
-and ``contraction_margins`` are arithmetic on that record.
+Every exact enumeration goes through the block oracle
+``all_component_grads``, which takes a (P, d) stack of points and returns
+the (P, n, d) component gradients.  The per-iterate audits share one
+enumeration: ``successor_moments`` visits each point's n one-step successors
+once, a block of points at a time, and records the four exact moments the
+audits need; ``measured_worst_omega``, ``verify_necessary_condition`` and
+``contraction_margins`` are arithmetic on that record.  The growth fits take
+their probe gradients from one block.
+
+Each moment is reduced as the per-point expressions ``x @ x`` and
+``.mean()`` would reduce it, so a point's moments do not depend on the block
+it falls in: squared norms of points are stacked ``np.matmul`` dot products
+of C-contiguous (p, d) rows, and sums over d run along axis 0 of the
+successor array in the memory layout the geometry gave it.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ __all__ = [
 ZERO_GRAD_TOL = 1e-12
 _PROBE_STREAM = 0x70726F6265  # reserved substream index for probe draws
 _MARGIN_RTOL = 1e-9
+_BLOCK_ENTRIES = 2**15  # successor entries (points × n × d) per audit block
 
 
 @dataclass
@@ -81,17 +92,20 @@ def probe_grid(problem: FiniteSumProblem, seed: int, n_points: int = 32,
     return points
 
 
+def _sqnorms(a: np.ndarray) -> np.ndarray:
+    """‖a[k]‖² of each row of a C-contiguous (p, d) stack, each the dot
+    product that ``a[k] @ a[k]`` computes."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
 def _probe_rows(problem: FiniteSumProblem, probe_points):
-    """(‖∇f(x)‖², E‖∇fᵢ(x)‖², maxᵢ‖∇fᵢ(x)‖²) at each probe, from one
-    enumeration of the component gradients per probe."""
-    rows = []
-    for x in probe_points:
-        grads = _finite_component_grads(problem, x)
-        comp_sq = (grads * grads).sum(axis=1)
-        mean_grad = grads.mean(axis=0)
-        rows.append((float(mean_grad @ mean_grad), float(np.mean(comp_sq)),
-                     float(comp_sq.max())))
-    return rows
+    """(‖∇f(x)‖², E‖∇fᵢ(x)‖², maxᵢ‖∇fᵢ(x)‖²) at each probe, from one block
+    enumeration of the component gradients."""
+    grads = _finite_component_grads(problem, probe_points)
+    comp_sq = (grads * grads).sum(axis=2)
+    return list(zip(_sqnorms(grads.mean(axis=1)).tolist(),
+                    comp_sq.mean(axis=1).tolist(),
+                    comp_sq.max(axis=1).tolist()))
 
 
 def _sgc_constant(rows) -> float:
@@ -156,12 +170,16 @@ def kaczmarz_M(sys: KaczmarzSystem) -> float:
 
 
 def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
-                         x: np.ndarray) -> np.ndarray:
-    """All n one-step successors of x as columns of a (d, n) matrix."""
-    x = np.asarray(x, dtype=float)
-    grads = problem.all_component_grads(x)
-    Y = x[:, None] - gamma * grads.T
-    return solvers._apply_geometry(geometry, gamma, Y)
+                         Xp: np.ndarray) -> np.ndarray:
+    """All n one-step successors of each point of a (p, d) stack, as the
+    (d, p, n) array whose [:, k, i] column is Xp[k]'s successor under
+    component i.  The geometry maps all p·n columns in one call."""
+    Xp = np.asarray(Xp, dtype=float)
+    p, d = Xp.shape
+    grads = problem.all_component_grads(Xp)
+    Y = Xp.T[:, :, None] - gamma * grads.transpose(2, 0, 1)
+    succ = solvers._apply_geometry(geometry, gamma, Y.reshape(d, -1))
+    return succ.reshape(d, p, -1)
 
 
 @dataclass
@@ -184,19 +202,25 @@ class SuccessorMoments:
 def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
                       points) -> SuccessorMoments:
     """Enumerate the n successors of every point once and record the exact
-    moments that the per-iterate audits below are computed from."""
-    x_star = problem.x_star
+    moments that the per-iterate audits below are computed from.
+
+    ``points`` is a sequence of P points of shape (d,) or a (P, d) array.
+    They are enumerated ``max(1, 2**15 // (n·d))`` at a time, which bounds
+    the memory of one block; no point's moments depend on the block size.
+    """
+    x_star, d = problem.x_star, problem.dim
+    points = np.ascontiguousarray(points, dtype=float).reshape(len(points), d)
+    block = max(1, _BLOCK_ENTRIES // (problem.n_components * d))
     moments = np.empty((4, len(points)))
-    for k, x in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        succ = enumerate_successors(problem, geometry, gamma, x)
-        xc = x - x_star
-        Dp = succ - x_star[:, None]
-        G = (x[:, None] - succ) / gamma
-        mean_G = G.mean(axis=1)
-        moments[:, k] = (float(xc @ xc), float((Dp * Dp).sum(axis=0).mean()),
-                         float((G * G).sum(axis=0).mean()),
-                         float(mean_G @ mean_G))
+    for start in range(0, len(points), block):
+        Xp = points[start:start + block]
+        succ = enumerate_successors(problem, geometry, gamma, Xp)
+        Dp = succ - x_star[:, None, None]
+        G = (Xp.T[:, :, None] - succ) / gamma
+        mean_G = np.ascontiguousarray(G.mean(axis=2).T)
+        moments[:, start:start + block] = (
+            _sqnorms(Xp - x_star), (Dp * Dp).sum(axis=0).mean(axis=-1),
+            (G * G).sum(axis=0).mean(axis=-1), _sqnorms(mean_G))
     return SuccessorMoments(gamma, *moments)
 
 
@@ -274,8 +298,8 @@ def example1_constants(problem: FiniteSumProblem, probe_points):
     """Closed-form weak-growth constants M = 4L₀/μ and σ² = 2β².
 
     β² is the conditional second moment at the solution x*, the projection
-    of every probe.  Asserts the resulting envelope on every probe before
-    returning.
+    of every probe.  Asserts the resulting envelope on every probe, from one
+    block enumeration, before returning.
     """
     mu = problem.restricted_mu
     L0 = problem.per_component_L0
@@ -288,9 +312,8 @@ def example1_constants(problem: FiniteSumProblem, probe_points):
     _, beta_sq = exact_conditional_moment(problem, problem.x_star)
     M = 4.0 * L0 / mu
     sigma_sq = 2.0 * beta_sq
-    for x in probe_points:
-        mean_grad, moment = exact_conditional_moment(problem, x)
-        envelope = M * float(mean_grad @ mean_grad) + sigma_sq
+    for full_sq, moment, _ in _probe_rows(problem, probe_points):
+        envelope = M * full_sq + sigma_sq
         if moment > envelope + 1e-9:
             raise RuntimeError(
                 f"analytic envelope M={M:g}, sigma_sq={sigma_sq:g} fails at a "

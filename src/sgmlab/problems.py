@@ -7,10 +7,11 @@ than Monte Carlo estimates.
 
 Each problem has one gradient oracle, the batch kernel
 ``batch_component_grad``, plus ``all_component_grads`` for enumerating every
-component at one point; single-component gradients come from the batch
-kernel.  Batched kernels operate on column batches X of shape (d, R) and are
-written with elementwise ops and fixed-order axis reductions only, so column
-r of a batched evaluation is bitwise identical to evaluating column r alone.
+component at a stack of points; single-component gradients come from the
+batch kernel.  Batched kernels operate on column batches X of shape (d, R),
+and ``all_component_grads`` on row stacks of shape (P, d); both are written
+with elementwise ops and fixed-order axis reductions only, so column r (or
+row p) of a batched evaluation is bitwise identical to evaluating it alone.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class FiniteSumProblem:
     solved — for composite instances that is the regularized solution, not
     argmin f.  ``full_grad`` is the analytic ∇f.
     ``batch_component_grad(X, idx)`` returns the
-    (d, R) matrix of ∇f_{idx[r]}(X[:, r]); ``all_component_grads(x)``
-    returns the (n, d) matrix of every component gradient at one point.
+    (d, R) matrix of ∇f_{idx[r]}(X[:, r]); ``all_component_grads(Xp)``
+    takes a (P, d) stack of points and returns the C-ordered (P, n, d) array
+    whose [p, i] row is ∇fᵢ(Xp[p]).
     """
 
     name: str
@@ -94,14 +96,16 @@ class FiniteSumProblem:
         return self.batch_component_grad(x[:, None], np.array([i]))[:, 0]
 
 
-def _finite_component_grads(problem: FiniteSumProblem, x) -> np.ndarray:
-    """The (n, d) matrix of all component gradients at a finite point x;
-    raises ``EvaluationError`` if x or any gradient is non-finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+def _finite_component_grads(problem: FiniteSumProblem, Xp) -> np.ndarray:
+    """The (P, n, d) component gradients at a (P, d) stack of finite points;
+    raises ``EvaluationError`` if a point or any gradient is non-finite."""
+    Xp = np.asarray(Xp, dtype=float).reshape(len(Xp), problem.dim)
+    if not np.all(np.isfinite(Xp)):
         raise EvaluationError("evaluation point is not finite")
-    grads = problem.all_component_grads(x)
-    if not np.all(np.isfinite(grads)):
+    grads = problem.all_component_grads(Xp)
+    finite = np.isfinite(grads).all(axis=(1, 2))
+    if not finite.all():
+        x = Xp[np.flatnonzero(~finite)[0]]
         raise EvaluationError(
             f"non-finite component gradient at x with norm {np.linalg.norm(x):.3e}")
     return grads
@@ -113,7 +117,7 @@ def exact_conditional_moment(problem: FiniteSumProblem, x):
     Computed by enumerating all n components; raises ``EvaluationError`` if
     any component gradient is non-finite.
     """
-    grads = _finite_component_grads(problem, x)
+    grads = _finite_component_grads(problem, [x])[0]
     mean_grad = grads.mean(axis=0)
     second_moment = float(np.mean((grads * grads).sum(axis=1)))
     return mean_grad, second_moment
@@ -134,8 +138,8 @@ def make_two_point_quadratic() -> FiniteSumProblem:
     def batch_grad(X, idx):
         return X - targets[idx][None, :]
 
-    def all_grads(x):
-        return x[0] - targets[:, None]
+    def all_grads(Xp):
+        return Xp[:, None, :] - targets[None, :, None]
 
     return FiniteSumProblem(
         name="two_point",
@@ -277,14 +281,16 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
         resid = np.einsum("ij,j->i", A, x, optimize=False) - b
         return np.einsum("ji,j->i", A, resid, optimize=False) / m
 
-    def batch_grad(X, idx):
-        rows = A[idx]
-        resid = _accum.rowdot_cols(rows, X) - b[idx]
-        return rows.T * resid[None, :]
+    AT = np.ascontiguousarray(A.T)  # gathered rows come out (d, R) C-ordered
 
-    def all_grads(x):
-        resid = np.einsum("ij,j->i", A, x, optimize=False) - b
-        return A * resid[:, None]
+    def batch_grad(X, idx):
+        rows = AT.take(idx, axis=1)
+        resid = _accum.rowdot_cols(rows, X) - b.take(idx)
+        return rows * resid[None, :]
+
+    def all_grads(Xp):
+        resid = np.einsum("ij,pj->pi", A, Xp, optimize=False) - b
+        return A[None, :, :] * resid[:, :, None]
 
     # a certified-consistent system gets an exact zero so that zero-noise
     # code paths (exact floor, per-step contraction) engage
@@ -332,8 +338,8 @@ def make_shared_minimizer_quadratics(dim: int = 3, n_components: int = 4,
     def batch_grad(X, idx):
         return scales[idx][None, :] * (X - center[:, None])
 
-    def all_grads(x):
-        return scales[:, None] * (x - center)[None, :]
+    def all_grads(Xp):
+        return scales[None, :, None] * (Xp - center)[:, None, :]
 
     return FiniteSumProblem(
         name="shared_minimizer",
@@ -398,8 +404,10 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
         return (_accum.matvec_cols(Q, X - xbar[:, None])
                 + C.take(idx, axis=0).T)
 
-    def all_grads(x):
-        return _accum.matvec_vec(Q, x - xbar)[None, :] + C
+    def all_grads(Xp):
+        # C order: the audits' reductions over n and d assume it
+        return np.add(_accum.matvec_cols(Q, (Xp - xbar).T).T[:, None, :], C,
+                      order="C")
 
     reg = l1_regularizer(l1_weight)
     if regularizer is not None:

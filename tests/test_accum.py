@@ -74,7 +74,7 @@ def test_kernels_equal_loops(d, layout):
         rows = batch(rng, (width, d), layout)
         Q = batch(rng, (d, d), layout)
         assert_bitwise_equal(_accum.sumsq_cols(X), loop_sumsq_cols(X))
-        assert_bitwise_equal(_accum.rowdot_cols(rows, X),
+        assert_bitwise_equal(_accum.rowdot_cols(rows.T, X),
                              loop_rowdot_cols(rows, X))
         assert_bitwise_equal(_accum.matvec_cols(Q, X), loop_matvec_cols(Q, X))
         assert_bitwise_equal(_accum.matvec_vec(Q, a), loop_matvec_vec(Q, a))

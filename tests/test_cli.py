@@ -184,6 +184,21 @@ def test_non_finite_numbers_exit_2_with_line(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("x0", ["1 2", ", ".join(["0.5"] * 11)])
+def test_wrong_length_x0_exits_2_with_line_and_dimension(tmp_path, capsys,
+                                                         monkeypatch, x0):
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = SHIPPED_TEXT["quadratic_l1_floor"].replace("x0 = zero",
+                                                      f"x0 = {x0}")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(f"x0 = {x0}") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert f":{lineno}: x0 has" in err and "d = 10" in err
+    assert not (tmp_path / "o").exists()
+
+
 PROX_TWO_POINT = TWO_POINT_SMALL.replace(
     "kind = sgm", "kind = prox_sgm\nregularizer = {spec}")
 
@@ -542,15 +557,21 @@ def test_config_seed_range_is_inclusive(tmp_path):
 
 def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
     # the necessary-condition check and the per-step contraction audit in
-    # 'rate' must share one enumeration of each audit point's successors
-    calls = []
-    inner = growth.enumerate_successors
+    # 'rate' must share one enumeration of each audit point's successors,
+    # which visits the points block by block
+    blocks, audited = [], []
+    inner, inner_moments = growth.enumerate_successors, growth.successor_moments
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counted(problem, geometry, gamma, Xp):
+        blocks.append(np.array(Xp))
+        return inner(problem, geometry, gamma, Xp)
+
+    def recorded(problem, geometry, gamma, points):
+        audited.append(np.array(points))
+        return inner_moments(problem, geometry, gamma, points)
 
     monkeypatch.setattr(growth, "enumerate_successors", counted)
+    monkeypatch.setattr(growth, "successor_moments", recorded)
     out = tmp_path / "o"
     # T = 400 is too short for the zero-floor part of 'rate' (exit 1); both
     # audits still run, which is what is counted here
@@ -558,7 +579,10 @@ def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
     checks = json.loads((out / "manifest.json").read_text())["checks"]
     assert checks["necessary"]["status"] == "pass"
     assert checks["rate"]["contraction_violations"] == 0
-    assert len(calls) == 400 + 1
+    assert sum(len(block) for block in blocks) == 400 + 1
+    # every point once, in order: the blocks tile the audited trajectory
+    assert len(audited) == 1
+    assert np.array_equal(np.concatenate(blocks), audited[0])
 
 
 def test_resolvent_run_solves_once_per_step_and_equals_sgm(tmp_path,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def constant_problem():
         x_star=np.zeros(2),  # one point of the solution set, the whole plane
         full_grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         batch_component_grad=batch,
-        all_component_grads=lambda x: np.stack([x, -x]),
+        all_component_grads=lambda Xp: np.stack([Xp, -Xp], axis=1),
     )
 
 
@@ -198,11 +199,11 @@ def test_example1_requires_positive_curvature():
 
 def test_enumerate_successors_plain(two_point):
     x = np.array([0.8])
-    succ = enumerate_successors(two_point, None, 0.5, x)
+    succ = enumerate_successors(two_point, None, 0.5, x[None])
     manual = np.stack([x - 0.5 * two_point.component_grad(i, x)
                        for i in range(2)], axis=1)
-    assert np.array_equal(succ, manual)
-    assert succ.shape == (1, 2)
+    assert succ.shape == (1, 1, 2)
+    assert np.array_equal(succ[:, 0], manual)
 
 
 def _l1_steps(p, gamma, x):
@@ -215,11 +216,11 @@ def _l1_steps(p, gamma, x):
 def test_enumerate_successors_respects_geometry(quadratic_l1, rng):
     p, gamma = quadratic_l1, 0.3
     x = rng.normal(size=p.dim) * 0.2
-    succ = enumerate_successors(p, p.regularizer, gamma, x)
+    succ = enumerate_successors(p, p.regularizer, gamma, x[None])[:, 0]
     assert succ.shape == (p.dim, p.n_components)
     assert np.array_equal(succ, _l1_steps(p, gamma, x))
     # the l1 prox shrinks every plain step here, so the map is not skipped
-    plain = enumerate_successors(p, None, gamma, x)
+    plain = enumerate_successors(p, None, gamma, x[None])[:, 0]
     assert np.all(np.abs(succ) < np.abs(plain))
 
 
@@ -231,7 +232,7 @@ def test_successor_moments_are_enumerated_moments(rng):
     moments = successor_moments(p, S, gamma, points)
     assert moments.gamma == gamma
     for k, x in enumerate(points):
-        succ = enumerate_successors(p, S, gamma, x)
+        succ = enumerate_successors(p, S, gamma, x[None])[:, 0]
         assert np.array_equal(succ, _l1_steps(p, gamma, x))
         G = (x[:, None] - succ) / gamma
         D = succ - p.x_star[:, None]
@@ -244,6 +245,71 @@ def test_successor_moments_are_enumerated_moments(rng):
                           np.sum(G.mean(axis=1) ** 2), rtol=1e-14)
 
 
+def _per_point_moments(p, geometry, gamma, points):
+    """The per-point loop that the block enumeration replaced, kept as its
+    reference: one enumeration per point, each moment a dot product or a
+    ``.mean()`` of that point's successors."""
+    x_star = p.x_star
+    moments = np.empty((4, len(points)))
+    for k, x in enumerate(points):
+        grads = p.all_component_grads(x[None])[0]
+        succ = solvers._apply_geometry(geometry, gamma,
+                                       x[:, None] - gamma * grads.T)
+        xc = x - x_star
+        Dp = succ - x_star[:, None]
+        G = (x[:, None] - succ) / gamma
+        mean_G = G.mean(axis=1)
+        moments[:, k] = (float(xc @ xc), float((Dp * Dp).sum(axis=0).mean()),
+                         float((G * G).sum(axis=0).mean()),
+                         float(mean_G @ mean_G))
+    return moments
+
+
+AUDIT_GEOMETRIES = {
+    "none": lambda d: None,
+    "whole_space": lambda d: geo.whole_space(),
+    "l1": lambda d: geo.l1_regularizer(0.05),
+    "zero_resolvent": lambda d: geo.LinearMonotoneOperator(np.zeros((d, d))),
+}
+
+
+@pytest.mark.parametrize("geometry", AUDIT_GEOMETRIES)
+@pytest.mark.parametrize("problem", ["quadratic_l1", "kaczmarz_20x5"])
+def test_successor_moments_equal_the_per_point_loop(problem, geometry,
+                                                     request):
+    # d = 10 >= 8 makes numpy's sums over d depend on memory layout, and the
+    # sizes put points on each side of a block boundary
+    p, gamma = request.getfixturevalue(problem), 0.3
+    S = AUDIT_GEOMETRIES[geometry](p.dim)
+    w = growth._BLOCK_ENTRIES // (p.n_components * p.dim)
+    rng = np.random.default_rng(len(geometry) + p.dim)
+    for P in (1, w - 1, w, w + 1, 2 * w + 3):
+        points = rng.normal(size=(P, p.dim)) * np.exp2(
+            rng.integers(-10, 10, (P, 1)))
+        points[P // 2] = p.x_star
+        points[-1, 0] = -0.0
+        moments = successor_moments(p, S, gamma, points)
+        want = _per_point_moments(p, S, gamma, points)
+        for k, name in enumerate(("dist_sq", "next_dist_sq", "grad_sq",
+                                  "mean_grad_sq")):
+            assert getattr(moments, name).tobytes() == want[k].tobytes(), (
+                P, name)
+
+
+def test_successor_moments_memory_is_bounded_by_a_block(kaczmarz_20x5):
+    # one (d, P·n) array of every successor at once would be 4 MB here
+    p = kaczmarz_20x5
+    points = np.random.default_rng(3).normal(size=(5001, p.dim))
+    whole = p.dim * len(points) * p.n_components * points.itemsize
+    tracemalloc.start()
+    try:
+        successor_moments(p, None, 0.5, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole
+
+
 def _reference_audits(p, gamma, points, omega, sigma_sq, rho):
     """The three audits as separate per-point loops, each enumerating the
     successors itself: the arithmetic the shared moments must reproduce."""
@@ -251,7 +317,7 @@ def _reference_audits(p, gamma, points, omega, sigma_sq, rho):
     margins, flagged, hyp_failures = [], [], []
     worst, c_margins, c_flagged = 0.0, [], []
     for t, x in enumerate(points):
-        succ = enumerate_successors(p, None, gamma, x)
+        succ = enumerate_successors(p, None, gamma, x[None])[:, 0]
         G = (x[:, None] - succ) / gamma
         lhs = float((G * G).sum(axis=0).mean())
         mean_G = G.mean(axis=1)

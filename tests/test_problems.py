@@ -90,7 +90,7 @@ def test_component_gradients_match_finite_differences(factory, rng):
 def test_full_gradient_is_component_mean(factory, rng):
     p = factory()
     x = rng.normal(size=p.dim) * 2
-    grads = p.all_component_grads(x)
+    grads = p.all_component_grads(x[None])[0]
     assert grads.shape == (p.n_components, p.dim)
     stacked = np.stack([p.component_grad(i, x) for i in range(p.n_components)])
     assert np.allclose(grads, stacked, atol=1e-14)
@@ -102,9 +102,25 @@ def test_exact_conditional_moment_is_brute_force_mean(factory, rng):
     p = factory()
     x = rng.normal(size=p.dim)
     mean_grad, second = exact_conditional_moment(p, x)
-    grads = p.all_component_grads(x)
+    grads = p.all_component_grads(x[None])[0]
     assert np.allclose(mean_grad, grads.mean(axis=0), atol=1e-13)
     assert np.isclose(second, (grads * grads).sum(axis=1).mean(), rtol=1e-13)
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES + [
+    lambda: make_kaczmarz_problem(make_random_kaczmarz_system(30, 10, 2)),
+    lambda: make_quadratic_l1(construction_seed=4, dim=10)])
+@pytest.mark.parametrize("P", [1, 700])
+def test_all_component_grads_of_a_stack_equal_one_row_calls(factory, P, rng):
+    p = factory()
+    Xp = rng.normal(size=(P, p.dim)) * np.exp2(rng.integers(-20, 20, (P, 1)))
+    Xp[0] = p.x_star
+    Xp[-1, 0] = -0.0
+    G = p.all_component_grads(Xp)
+    assert G.shape == (P, p.n_components, p.dim)
+    assert G.flags.c_contiguous  # the audits' reduction orders rest on it
+    rows = np.stack([p.all_component_grads(Xp[k:k + 1])[0] for k in range(P)])
+    assert G.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
@@ -258,7 +274,7 @@ def test_text_loader_rejects_malformed_input(tmp_path, content, fragment):
 def test_shared_minimizer_gradients_vanish_together(shared_minimizer):
     p = shared_minimizer
     center = p.grad_zero_points[0]
-    grads = p.all_component_grads(center)
+    grads = p.all_component_grads(center[None])[0]
     assert np.allclose(grads, 0.0, atol=1e-12)
     assert np.allclose(p.full_grad(center), 0.0, atol=1e-12)
 
@@ -268,7 +284,7 @@ def test_shared_minimizer_component_ratio_is_constant(shared_minimizer, rng):
     for _ in range(5):
         x = rng.normal(size=p.dim) * 3
         full = p.full_grad(x)
-        grads = p.all_component_grads(x)
+        grads = p.all_component_grads(x[None])[0]
         ratio = (grads * grads).sum(axis=1).max() / (full @ full)
         assert np.isclose(ratio, p.analytic_B, rtol=1e-10)
 

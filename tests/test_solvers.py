@@ -285,7 +285,7 @@ def test_trust_region_is_centred_on_the_solution_set(matrix_of):
         x_star=np.array([c]),
         full_grad=lambda x: x - c,
         batch_component_grad=lambda X, idx: X - c,
-        all_component_grads=lambda x: (x - c)[None, :])
+        all_component_grads=lambda Xp: (Xp - c)[:, None, :])
     spec = SolverRun(problem=p, step=ConstantStep(0.5),
                      iters=20, seed=0, x0=np.array([c + 1.0]))
     D = matrix_of(run_ensemble(spec, 3))
