@@ -13,7 +13,11 @@ one C-ordered array P whose axis 0 runs over d, and sum that axis with one
 ``np.add.reduce``, which adds P[0] + P[1] + … row by row.  numpy sums a
 Fortran-ordered P, or rows of one element once d ≥ 8, pairwise instead,
 hence ``order="C"`` and the loop fallback in ``_sum_rows``.  Starting from
--0.0 keeps the sign of an all-zero column.
+-0.0 keeps the sign of an all-zero column.  ``sumsq_cols`` also takes an
+(n, d, R) stack, the step loop's history of n batches, and sums its axis 1
+the same way, so row k is bit for bit ``sumsq_cols`` of batch k; a width-1
+stack is the one-element case and takes the loop.  The step loop passes its
+history block as ``out`` as well, so the squares overwrite it.
 
 ``matvec_cols`` is one ``np.einsum`` contraction, which never builds the
 (d, d, R) product.  On C-ordered operands, with ``optimize=False``, numpy's
@@ -27,24 +31,32 @@ a sum of only -0.0 products gives +0.0 where the loop gives -0.0; a zero
 result is the only place the two can differ.
 """
 
+import math
+
 import numpy as np
 
 __all__ = ["sumsq_cols", "rowdot_cols", "matvec_cols", "matvec_vec"]
 
 
-def _sum_rows(P: np.ndarray) -> np.ndarray:
-    """P[0] + P[1] + … + P[-1], added in that order."""
-    if P[0].size != 1:
-        return np.add.reduce(P, axis=0, initial=-0.0)
-    acc = P[0]
-    for j in range(1, P.shape[0]):
-        acc = acc + P[j]
+def _sum_rows(P: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The slices of a C-ordered P along ``axis``, P[0] + P[1] + … + P[-1]
+    for axis 0, added in that order."""
+    if math.prod(P.shape[axis + 1:]) != 1:
+        return np.add.reduce(P, axis=axis, initial=-0.0)
+    head = (slice(None),) * axis
+    acc = P[head + (0,)]
+    for j in range(1, P.shape[axis]):
+        acc = acc + P[head + (j,)]
     return acc
 
 
-def sumsq_cols(X: np.ndarray) -> np.ndarray:
-    """Column-wise squared Euclidean norms of a (d, R) batch."""
-    return _sum_rows(np.multiply(X, X, order="C"))
+def sumsq_cols(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Column-wise squared Euclidean norms of a (d, R) batch, or the (n, R)
+    norms of an (n, d, R) stack of batches, row k those of batch k.
+
+    ``out``, a C-ordered array of X's shape, receives the squares; pass X
+    itself to square it in place instead of allocating them."""
+    return _sum_rows(np.multiply(X, X, out=out, order="C"), axis=X.ndim - 2)
 
 
 def rowdot_cols(rows: np.ndarray, X: np.ndarray) -> np.ndarray:

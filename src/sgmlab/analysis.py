@@ -107,13 +107,13 @@ def reduce_block(block: np.ndarray, mean: np.ndarray, stderr: np.ndarray,
 
 
 class StreamedStats:
-    """Column means and standard errors of an (R, n) matrix pushed one
-    column at a time.
+    """Column means and standard errors of an (R, n) matrix handed over as
+    blocks of its columns, each block given as the rows of an (m, R) array.
 
     Columns fill a C-ordered block of ``_STATS_WORDS`` values (at least two
     columns); ``reduce_block`` reduces each block once it is full, and the
-    last one when its final column is in.  ``mean`` and ``stderr`` are
-    complete after n pushes.
+    last one when its final column is in.  A block of rows may straddle
+    them.  ``mean`` and ``stderr`` are complete after n columns.
     """
 
     def __init__(self, R: int, n: int):
@@ -124,19 +124,25 @@ class StreamedStats:
         self._block = None
         self._t = 0
 
-    def push(self, row: np.ndarray) -> None:
-        t = self._t
-        c = t % self._width
-        if c == 0:  # the last block is narrower, but C-ordered too
-            w = min(self._width, len(self.mean) - t)
-            self._block = self._buf[:self._R * w].reshape(self._R, w)
-        block = self._block
-        block[:, c] = row
-        if c == block.shape[1] - 1:
-            reduce_block(block, self.mean[t - c:t + 1],
-                         self.stderr[t - c:t + 1],
-                         self._dev[:block.size].reshape(block.shape))
-        self._t = t + 1
+    def push_rows(self, rows: np.ndarray) -> None:
+        """Take the next len(rows) columns; row k of ``rows`` is column
+        t + k of the matrix."""
+        done = 0
+        while done < len(rows):
+            t = self._t
+            c = t % self._width
+            if c == 0:  # the last block is narrower, but C-ordered too
+                w = min(self._width, len(self.mean) - t)
+                self._block = self._buf[:self._R * w].reshape(self._R, w)
+            block = self._block
+            m = min(len(rows) - done, block.shape[1] - c)
+            block[:, c:c + m] = rows[done:done + m].T
+            if c + m == block.shape[1]:
+                lo = t - c
+                reduce_block(block, self.mean[lo:lo + c + m],
+                             self.stderr[lo:lo + c + m],
+                             self._dev[:block.size].reshape(block.shape))
+            self._t, done = t + m, done + m
 
 
 def stats_from_matrix(dist_sq: np.ndarray, gamma: float,

@@ -136,8 +136,10 @@ def prox(g: Regularizer, gamma, x):
     if g.kind in ("zero", "constant"):
         out = X.copy()
     elif g.kind == "l1":
+        # soft thresholding as X minus its clip to [-t, t]: bit for bit
+        # sign(X)·max(|X| − t, 0), except that every zero it gives is +0.0
         t = gamma * g.weight
-        out = np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
+        out = X - np.minimum(np.maximum(X, -t), t)
     elif g.kind == "indicator":
         out = project(g.set_, X)
     else:

@@ -178,7 +178,7 @@ def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
     p, d = Xp.shape
     grads = problem.all_component_grads(Xp)
     Y = Xp.T[:, :, None] - gamma * grads.transpose(2, 0, 1)
-    succ = solvers._apply_geometry(geometry, gamma, Y.reshape(d, -1))
+    succ = solvers._step_map(geometry)(gamma, Y.reshape(d, -1))
     return succ.reshape(d, p, -1)
 
 

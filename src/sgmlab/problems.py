@@ -400,9 +400,10 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
     def full_grad(x):
         return _accum.matvec_vec(Q, x - xbar)
 
+    xbar_col, Ct = xbar[:, None], np.ascontiguousarray(C.T)
+
     def batch_grad(X, idx):
-        return (_accum.matvec_cols(Q, X - xbar[:, None])
-                + C.take(idx, axis=0).T)
+        return _accum.matvec_cols(Q, X - xbar_col) + Ct.take(idx, axis=1)
 
     def all_grads(Xp):
         # C order: the audits' reductions over n and d assume it

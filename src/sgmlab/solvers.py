@@ -4,15 +4,19 @@ One engine drives all four methods; the type of the run's geometry object
 alone picks the step map (identity, projection, prox or resolvent), so a
 run carries no method name.  All replications of an ensemble are
 simulated as the columns of one (d, R) batch, in one loop on the calling
-thread.  Every kernel in the hot path uses elementwise arithmetic and the
-fixed-order accumulations from ``_accum`` only, so each replication's
-trajectory is bitwise identical whether it runs alone or inside a batch of
-any width.  Randomness comes from counter-based per-replication substreams
+thread.  The loop has two parts: each step takes the gradient, applies the
+step map and stores the batch in a history block, and nothing else; the
+distances to the solution, the divergence guard, the statistics and the
+audit record are computed once per block of steps.  Every kernel in the hot
+path uses elementwise arithmetic and the fixed-order accumulations from
+``_accum`` only, so each replication's trajectory is bitwise identical
+whether it runs alone or inside a batch of any width.  Randomness comes from counter-based per-replication substreams
 keyed by (master_seed, replication_index).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +44,7 @@ __all__ = [
 METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 
 _INDEX_WORDS = 2**20  # indices drawn per block across all replications (8 MB)
+_HISTORY_WORDS = 2**16  # iterates held per history block, all replications
 _DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x*‖ > 1e12
 _THIN_LIMIT = 10_000
 _GEOMETRY_TYPES = (type(None), ConvexSet, Regularizer, LinearMonotoneOperator)
@@ -156,16 +161,18 @@ class EnsembleRun:
     audit: Trajectory
 
 
-def _apply_geometry(geometry, gamma: float, Y):
-    """The step map the geometry's type names: identity, projection, prox
-    or resolvent."""
+def _step_map(geometry):
+    """The step map (γ, Y) ↦ Y' the geometry's type names: identity,
+    projection, prox or resolvent.  Built once per run, it calls the public
+    ``geometry`` function as that name is bound at the time, once per
+    call."""
     if geometry is None:
-        return Y
+        return lambda gamma, Y: Y
     if isinstance(geometry, ConvexSet):
-        return geo.project(geometry, Y)
+        return lambda gamma, Y: geo.project(geometry, Y)
     if isinstance(geometry, Regularizer):
-        return geo.prox(geometry, gamma, Y)
-    return geo.resolvent(geometry, gamma, Y)
+        return functools.partial(geo.prox, geometry)
+    return functools.partial(geo.resolvent, geometry)
 
 
 def _thin_stride(T: int) -> int:
@@ -176,12 +183,17 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     """Run ``replications`` independent copies of ``spec`` as one batch.
 
     Replication r uses substream (seed, spec.replication + r) and is column
-    r of one (d, R) batch; column 0 is the audit trajectory.  Each step's
-    row of squared distances to the solution x* guards divergence: the
-    ``DivergenceError`` names the earliest step t at which any replication
-    left the trust region, and the lowest replication at t.  The rows are
-    reduced to the per-t mean and standard error block by block
-    (``analysis.StreamedStats``), so no (R, T+1) matrix is held.
+    r of one (d, R) batch; column 0 is the audit trajectory.  A step takes
+    the gradient, applies the step map and copies the batch into a history
+    block of ``_HISTORY_WORDS`` values (max(1, 2¹⁶ // (d·R)) points); nothing
+    else.  Once per full or final block, the block's audit points are kept
+    and one stacked ``_accum.sumsq_cols`` gives every point's row of squared
+    distances to the solution x*.  The rows guard divergence: the
+    ``DivergenceError`` names the earliest step t ≥ 1 at which any
+    replication left the trust region, and the lowest replication at t,
+    whatever the block.  They are then reduced to the per-t mean and
+    standard error (``analysis.StreamedStats``), so no (R, T+1) matrix is
+    held.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -199,31 +211,41 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     block_len = min(T, max(1, _INDEX_WORDS // replications))
     idx = np.empty((replications, block_len), dtype=np.int64)
     step_values = [step.value(t) for t in range(T)]
+    step_map = _step_map(spec.geometry)
+    grad = problem.batch_component_grad
 
     X = np.repeat(spec.x0[:, None], replications, axis=1)
-    row = _accum.sumsq_cols(X - x_star)
-    stats.push(row)
-    audit_dist[0] = row[0]
-    points[0] = X[:, 0]
-    for t in range(T):
-        k = t % block_len
-        if k == 0:
-            block = min(block_len, T - t)
-            for r, stream in enumerate(streams):
-                idx[r, :block] = stream.next_block(block)
-            indices[t:t + block] = idx[0, :block]
-        gamma_t = step_values[t]
-        grads = problem.batch_component_grad(X, idx[:, k])
-        X = _apply_geometry(spec.geometry, gamma_t, X - gamma_t * grads)
-        row = _accum.sumsq_cols(X - x_star)
-        # max propagates NaN, so one comparison catches overflow as well
-        if not row.max() <= _DIVERGENCE_DIST_SQ:
-            bad = int(np.flatnonzero(~(row <= _DIVERGENCE_DIST_SQ))[0])
-            raise DivergenceError(t + 1, spec.replication + bad)
-        stats.push(row)
-        audit_dist[t + 1] = row[0]
-        if (t + 1) % stride == 0:
-            points[(t + 1) // stride] = X[:, 0]
+    n_hist = min(T + 1, max(1, _HISTORY_WORDS // X.size))
+    hist = np.empty((n_hist,) + X.shape)  # points t0, t0 + 1, … of a block
+    hist[0] = X
+    for t0 in range(0, T + 1, n_hist):
+        n = min(n_hist, T + 1 - t0)
+        # a diverging batch may overflow before its block is checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(max(t0, 1), t0 + n):  # step t − 1 gives point t
+                k = (t - 1) % block_len
+                if k == 0:
+                    block = min(block_len, T - t + 1)
+                    for r, stream in enumerate(streams):
+                        idx[r, :block] = stream.next_block(block)
+                    indices[t - 1:t - 1 + block] = idx[0, :block]
+                gamma_t = step_values[t - 1]
+                X = step_map(gamma_t, X - gamma_t * grad(X, idx[:, k]))
+                hist[t - t0] = X
+        H = hist[:n]
+        first = -(-t0 // stride) * stride  # first audited point of the block
+        audited = H[first - t0::stride, :, 0]
+        points[first // stride:first // stride + len(audited)] = audited
+        np.subtract(H, x_star, out=H)  # the block is its own scratch
+        with np.errstate(over="ignore"):  # an overflow is inf, caught below
+            rows = _accum.sumsq_cols(H, out=H)
+        bad = ~(rows <= _DIVERGENCE_DIST_SQ)  # NaN compares false
+        bad[0] &= t0 > 0  # x0 itself is not guarded
+        if bad.any():
+            k, r = np.argwhere(bad)[0]
+            raise DivergenceError(t0 + int(k), spec.replication + int(r))
+        stats.push_rows(rows)
+        audit_dist[t0:t0 + n] = rows[:, 0]
 
     audit = Trajectory(
         replication=spec.replication,

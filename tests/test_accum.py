@@ -89,6 +89,37 @@ def test_single_column_falls_back_to_the_loop():
     assert_bitwise_equal(_accum.sumsq_cols(X), loop_sumsq_cols(X))
 
 
+@pytest.mark.parametrize("width", (1, 2, 3, 100))
+@pytest.mark.parametrize("d", (1, 2, 7, 8, 10, 17))
+def test_sumsq_cols_of_a_stack_equals_each_batch(d, width):
+    # row k of the (n, d, R) stack's norms is bit for bit the loop over
+    # batch k, for widths 1 (where a bare reduce over axis 1 sums pairwise
+    # once d >= 8) and up; a −0.0 column, inf and NaN pass through
+    rng = np.random.default_rng(100 * d + width)
+    H = np.stack([batch(rng, (d, width), "C") for _ in range(6)])
+    H[1, :, 0] = -0.0
+    H[2, 0, -1] = np.inf
+    H[3, -1, 0] = np.nan
+    H[4, :, -1] = -np.inf
+    got = _accum.sumsq_cols(H)
+    want = np.stack([loop_sumsq_cols(Hk) for Hk in H])
+    assert_bitwise_equal(got, want)
+    for k, Hk in enumerate(H):
+        assert_bitwise_equal(got[k], _accum.sumsq_cols(Hk))
+    squared = H.copy()  # in place, as the step loop squares its history
+    assert_bitwise_equal(_accum.sumsq_cols(squared, out=squared), want)
+    assert_bitwise_equal(squared, H * H)
+    assert got[1, 0] == 0.0 and np.isinf(got[2, -1]) and np.isnan(got[3, 0])
+
+
+def test_stack_of_single_columns_falls_back_to_the_loop():
+    H = np.stack([np.array([[1.0]] + [[8e-9]] * 9)] * 3)
+    P = H * H
+    assert np.add.reduce(P, axis=1)[0, 0] != loop_sumsq_cols(H[0])[0]
+    assert_bitwise_equal(_accum.sumsq_cols(H),
+                         np.stack([loop_sumsq_cols(Hk) for Hk in H]))
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("width", (4096, 20_000))
 def test_matvec_cols_beyond_the_iterator_buffer(width, layout):

@@ -51,10 +51,11 @@ def parent_stats(D):
     return D.mean(axis=0), stderr
 
 
-def streamed(D):
+def streamed(D, m):
+    """StreamedStats of D, handed m columns at a time as rows."""
     stats = StreamedStats(*D.shape)
-    for column in D.T:
-        stats.push(column)
+    for lo in range(0, D.shape[1], m):
+        stats.push_rows(D[:, lo:lo + m].T)
     return stats
 
 
@@ -62,15 +63,19 @@ def streamed(D):
 @pytest.mark.parametrize("extra", ["short", 0, 1, 2])
 def test_streamed_statistics_equal_the_whole_matrix_reduction(rng, R, extra):
     # T + 1 below one block, or two whole blocks and `extra` columns; a
-    # one-column last block is where numpy's own reduce sums pairwise
+    # one-column last block is where numpy's own reduce sums pairwise.
+    # Row blocks of one column, of 3 and width ± 1 columns (which straddle
+    # statistics blocks), and of all n columns at once.
     width = max(2, analysis._STATS_WORDS // R)
     n = width // 2 + 1 if extra == "short" else 2 * width + extra
     D = rng.random((R, n)) * rng.choice([1e-8, 1.0, 1e8], size=(R, n))
     D[:, n // 2] = -0.0
     mean, stderr = parent_stats(D)
-    stats, whole = streamed(D), stats_from_matrix(D, gamma=1.0)
-    for got_mean, got_stderr in ((stats.mean, stats.stderr),
-                                 (whole.mean_dist_sq, whole.stderr)):
+    results = [(s.mean, s.stderr) for s in
+               (streamed(D, m) for m in (1, 3, width - 1, width + 1, n))]
+    whole = stats_from_matrix(D, gamma=1.0)
+    results.append((whole.mean_dist_sq, whole.stderr))
+    for got_mean, got_stderr in results:
         assert got_mean.tobytes() == mean.tobytes()
         assert got_stderr.tobytes() == stderr.tobytes()
     assert not np.signbit(mean[n // 2])  # numpy's sum starts at +0.0

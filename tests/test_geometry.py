@@ -72,6 +72,30 @@ def test_prox_l1_soft_threshold(gamma):
     assert np.allclose(p, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_prox_l1_is_the_sign_max_form_bit_for_bit_with_positive_zeros(
+        gamma, rng):
+    # X − clip(X, −t, t) equals sign(X)·max(|X| − t, 0) in every nonzero
+    # bit, and every zero it gives is +0.0, where the sign·max form gave
+    # −0.0 for x in [−t, 0)
+    w = 0.4
+    t = gamma * w
+    X = rng.standard_normal((6, 50)) * t * np.exp2(rng.integers(-4, 4, (6, 50)))
+    X[0, :6] = [-t, -0.5 * t, -0.0, 0.0, 0.5 * t, t]
+    X[1, :4] = [np.inf, -np.inf, np.nan, -np.nextafter(t, 0.0)]
+    p = geo.prox(geo.l1_regularizer(w), gamma, X)
+    sign_max = np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
+    zero = sign_max == 0.0
+    assert zero[0, :6].all() and zero[1, 3]
+    assert zero.sum() > 50 and (~zero).sum() > 50
+    assert p[~zero].tobytes() == sign_max[~zero].tobytes()
+    assert p[zero].tobytes() == np.zeros(zero.sum()).tobytes()
+    assert np.signbit(sign_max[0, :2]).all()  # what the old form gave
+    for c in range(X.shape[1]):  # a batch is column by column a point
+        assert p[:, c].tobytes() == geo.prox(geo.l1_regularizer(w), gamma,
+                                             X[:, c]).tobytes()
+
+
 @given(finite_vec(4), st.floats(0.01, 10))
 @settings(max_examples=50, deadline=None)
 def test_prox_l1_optimality(x, gamma):

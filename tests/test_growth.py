@@ -253,8 +253,8 @@ def _per_point_moments(p, geometry, gamma, points):
     moments = np.empty((4, len(points)))
     for k, x in enumerate(points):
         grads = p.all_component_grads(x[None])[0]
-        succ = solvers._apply_geometry(geometry, gamma,
-                                       x[:, None] - gamma * grads.T)
+        succ = solvers._step_map(geometry)(gamma,
+                                           x[:, None] - gamma * grads.T)
         xc = x - x_star
         Dp = succ - x_star[:, None]
         G = (x[:, None] - succ) / gamma

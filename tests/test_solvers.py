@@ -7,6 +7,7 @@ import pytest
 
 from sgmlab import geometry as geo
 from sgmlab import analysis, problems, solvers
+from sgmlab.rng import IndexStream
 from sgmlab.solvers import (
     ConstantStep,
     DivergenceError,
@@ -130,7 +131,6 @@ def test_long_runs_thin_points_but_not_distances(two_point):
 
 
 def test_sampled_indices_follow_the_declared_substream(two_point):
-    from sgmlab.rng import IndexStream
     spec = two_point_spec(iters=40, seed=123, replication=5)
     traj = run(spec)
     expected = IndexStream(123, 5, 2).next_block(40)
@@ -273,6 +273,66 @@ def test_divergence_names_earliest_step_then_lowest_replication(two_point):
     with pytest.raises(DivergenceError) as err:
         run_ensemble(spec, R)
     assert (err.value.t, err.value.replication) == expected
+
+
+def per_step_escape(spec, R):
+    """The (t, replication) that a guard on every step's row names, replayed
+    step by step for an sgm run, or None."""
+    p = spec.problem
+    idx = np.array([IndexStream(spec.seed, spec.replication + r,
+                                p.n_components).next_block(spec.iters)
+                    for r in range(R)])
+    X = np.repeat(spec.x0[:, None], R, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(spec.iters):
+            gamma = spec.step.value(t)
+            X = X - gamma * p.batch_component_grad(X, idx[:, t])
+            bad = np.flatnonzero(~(((X - p.x_star[:, None]) ** 2).sum(axis=0)
+                                   <= 1e24))
+            if len(bad):
+                return t + 1, spec.replication + int(bad[0])
+    return None
+
+
+def _block_for(where, t):
+    """A history block length B >= 8 that puts point t where asked, and the
+    horizon T to run."""
+    fits = {"first_step": lambda b: True,
+            "block_end": lambda b: (t + 1) % b == 0,
+            "mid_block": lambda b: 0 < t % b < b - 1,
+            # T = t + 1 ends in a partial block that holds t
+            "final_partial": lambda b: (t + 1) % b and (t + 2) % b}[where]
+    B = next(b for b in range(8, t + 9) if fits(b))
+    return B, (t + 1 if where == "final_partial" else 400)
+
+
+@pytest.mark.parametrize("R", [1, 5])
+@pytest.mark.parametrize("where", ["first_step", "block_end", "mid_block",
+                                   "final_partial"])
+def test_block_guard_names_what_a_per_step_guard_names(two_point, monkeypatch,
+                                                       where, R):
+    # the guard runs once per history block, after the steps that follow a
+    # divergence; it must still name the earliest t, then the lowest
+    # replication.  Under seed 0, gamma = 2.2 escapes at t = 172 (R = 1) and
+    # t = 143 in replication 4 (R = 5); gamma = 1e10 escapes at t = 1
+    spec = two_point_spec(step=ConstantStep(2.2), iters=400, seed=0)
+    if where == "first_step":
+        spec = replace(spec, step=ConstantStep(1e10), x0=np.array([1e6]))
+    t, r = per_step_escape(spec, R)
+    assert (t == 1) == (where == "first_step")
+    B, T = _block_for(where, t)
+    monkeypatch.setattr(solvers, "_HISTORY_WORDS", B * R)  # d = 1
+    with pytest.raises(DivergenceError) as err:
+        run_ensemble(replace(spec, iters=T), R)
+    assert (err.value.t, err.value.replication) == (t, r)
+
+
+def test_start_point_is_not_guarded(two_point):
+    # x0 lies 1e13 from x* = 0, outside the trust region; a full step
+    # (gamma = 1) lands on a component's target, so nothing diverges
+    traj = run(two_point_spec(step=ConstantStep(1.0), iters=5,
+                              x0=np.array([1e13])))
+    assert traj.dist_sq.tolist() == [1e26] + [1.0] * 5
 
 
 def test_trust_region_is_centred_on_the_solution_set(matrix_of):
