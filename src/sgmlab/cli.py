@@ -119,7 +119,7 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     lines = _line_map(text)
 
@@ -822,7 +822,7 @@ def _cmd_report(args) -> int:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     checks = manifest.get("checks", {}) if isinstance(manifest, dict) else None

@@ -2,7 +2,8 @@
 operators.
 
 The projection and the proximal maps of the zero, constant, l1 and indicator
-regularizers are closed form; the resolvent is a dense linear solve, one
+regularizers are closed form; the resolvent is a copy when its system is
+the identity (the zero operator) and otherwise a dense linear solve, one
 stacked ``np.linalg.solve`` call per batch.  All operations accept a single
 point of shape ``(d,)`` or a batch of column vectors of shape ``(d, R)`` and
 preserve the input shape; a batched call is bitwise identical, column by
@@ -88,7 +89,8 @@ class LinearMonotoneOperator:
     """
 
     M_op: np.ndarray
-    # last checked resolvent system (γ, I + γ M_op); see ``resolvent``
+    # last resolvent system (γ, I + γ M_op, or None for the identity); see
+    # ``resolvent``
     _system: tuple | None = field(default=None, init=False, compare=False,
                                   repr=False)
 
@@ -148,15 +150,19 @@ def prox(g: Regularizer, gamma, x):
 
 
 def resolvent(op: LinearMonotoneOperator, gamma, x):
-    """(Id + gamma M)^{-1} x via a dense solve.
+    """(Id + gamma M)^{-1} x: a copy when the system is the identity, else a
+    dense solve.
 
-    Every column of a batch is solved in one stacked call: numpy's gufunc
-    runs LAPACK ``dgesv`` with one right-hand side per column, the same call
+    ``I + gamma M`` is built and classified once per distinct gamma: the
+    operator keeps the last system, so a constant step builds it once per
+    run.  When it is exactly the identity (the zero operator) the resolvent
+    is a copy of x, bit for bit, -0.0 and inf included; LAPACK would turn
+    most -0.0 into +0.0 and a column holding inf into NaN.  Any other system
+    gets one condition check per gamma and one stacked solve per call: numpy's
+    gufunc runs LAPACK ``dgesv`` with one right-hand side per column, the call
     ``np.linalg.solve(mat, X[:, j])`` makes, so each column is bitwise what
-    a single-point call gives.  ``I + gamma M`` and its condition check are
-    computed once per distinct gamma: the operator keeps the last checked
-    system, so a constant step checks conditioning once per run.  Raises
-    ``NumericalError`` when the system is too ill-conditioned to trust.
+    a single-point call gives.  Raises ``NumericalError`` when the system is
+    too ill-conditioned to trust.
     """
     if not gamma > 0:
         raise ValueError("resolvent needs gamma > 0")
@@ -165,10 +171,16 @@ def resolvent(op: LinearMonotoneOperator, gamma, x):
     if cached is not None and cached[0] == gamma:
         mat = cached[1]
     else:
-        mat = np.eye(op.M_op.shape[0]) + gamma * op.M_op
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > _RESOLVENT_COND_LIMIT:
-            raise NumericalError(
-                f"resolvent system is too ill-conditioned (cond ~ {cond:.3e})")
+        eye = np.eye(op.M_op.shape[0])
+        mat = eye + gamma * op.M_op
+        if np.array_equal(mat, eye):
+            mat = None  # cond(I) = 1: nothing to check, nothing to solve
+        else:
+            cond = np.linalg.cond(mat)
+            if not np.isfinite(cond) or cond > _RESOLVENT_COND_LIMIT:
+                raise NumericalError("resolvent system is too ill-conditioned"
+                                     f" (cond ~ {cond:.3e})")
         op._system = (gamma, mat)
+    if mat is None:
+        return _restore(X.copy(), squeeze)
     return _restore(np.linalg.solve(mat, X.T[:, :, None])[:, :, 0].T, squeeze)

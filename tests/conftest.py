@@ -30,3 +30,16 @@ def shared_minimizer():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.solve and np.linalg.cond calls from here on."""
+    calls = {"solve": 0, "cond": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

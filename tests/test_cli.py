@@ -111,6 +111,18 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TWO_POINT_SMALL.replace("tp_small", "café")
+                    .encode("latin-1"))
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_construction_errors_exit_3(tmp_path, capsys):
     # prox_sgm on a problem with no built-in regularizer and none configured
     text = TWO_POINT_SMALL.replace("kind = sgm", "kind = prox_sgm")
@@ -586,23 +598,38 @@ def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
 
 
 def test_resolvent_run_solves_once_per_step_and_equals_sgm(tmp_path,
-                                                            monkeypatch):
-    # kaczmarz_classical as resolvent_sgm: the zero operator's resolvent is
-    # the identity, so the run must reproduce the sgm run byte for byte,
-    # with one stacked solve per step and one condition check per run
-    calls = {"solve": 0, "cond": 0}
-    for name in calls:
-        def counted(*args, _inner=getattr(np.linalg, name), _name=name,
-                    **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+                                                            linalg_calls):
+    # kaczmarz_classical as resolvent_sgm: the zero operator's resolvent
+    # system is the identity, applied as a copy, so the run must reproduce
+    # the sgm run byte for byte with no solve and no condition check
     cfg = CONFIGS_DIR / "kaczmarz_classical.cfg"
     text = cfg.read_text().replace("kind = sgm", "kind = resolvent_sgm")
     assert run_cli(["run", write_cfg(tmp_path, text), "--out",
                     tmp_path / "resolvent"]) == 0
-    assert calls == {"solve": 800, "cond": 1}  # T, not T * R = 160000
+    assert linalg_calls == {"solve": 0, "cond": 0}
     assert run_cli(["run", cfg, "--out", tmp_path / "sgm"]) == 0
+    for fname in ("trajectory_stats.csv", "audit_trajectory.csv"):
+        assert ((tmp_path / "resolvent" / fname).read_bytes()
+                == (tmp_path / "sgm" / fname).read_bytes()), fname
+
+
+def test_inverse_t_resolvent_run_neither_solves_nor_checks(tmp_path,
+                                                          linalg_calls):
+    # with a decaying step gamma changes at every step, so the system is
+    # built and classified afresh each step; the identity still needs no
+    # solve and no condition check, and the run equals the sgm run
+    sgm = (CONFIGS_DIR / "kaczmarz_classical.cfg").read_text()
+    for old, new in (("iterations = 800", "iterations = 200"),
+                     ("checks = rate", ""),
+                     ("step = constant 1.0", "step = inverse_t 1.0")):
+        assert old in sgm
+        sgm = sgm.replace(old, new)
+    text = sgm.replace("kind = sgm", "kind = resolvent_sgm")
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out",
+                    tmp_path / "resolvent"]) == 0
+    assert linalg_calls == {"solve": 0, "cond": 0}
+    assert run_cli(["run", write_cfg(tmp_path, sgm), "--out",
+                    tmp_path / "sgm"]) == 0
     for fname in ("trajectory_stats.csv", "audit_trajectory.csv"):
         assert ((tmp_path / "resolvent" / fname).read_bytes()
                 == (tmp_path / "sgm" / fname).read_bytes()), fname
@@ -708,6 +735,15 @@ def test_report_malformed_manifest_exits_2(tmp_path, capsys, content):
     assert run_cli(["report", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "not an sgmlab manifest" in err and len(err.splitlines()) == 1
+
+
+def test_report_non_utf8_manifest_exits_2(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes(
+        '{"experiment": "café", "checks": {}}'.encode("latin-1"))
+    assert run_cli(["report", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {tmp_path / 'manifest.json'}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_report_propagates_failure(tmp_path, capsys):

@@ -230,6 +230,37 @@ def test_resolvent_alternating_gammas_match_fresh_operators(rng):
                               geo.resolvent(fresh, gamma, X))
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 40)], ids=["vector", "batch"])
+def test_resolvent_of_zero_operator_is_an_exact_copy(shape, linalg_calls,
+                                                     rng):
+    # LAPACK on the identity turns most -0.0 into +0.0 and a column holding
+    # inf into NaN; the identity system is applied as a copy instead, with
+    # no solve and no condition check
+    op = geo.LinearMonotoneOperator(M_op=np.zeros((5, 5)))
+    x = rng.normal(size=shape)
+    x[x < 0] = -0.0
+    x.flat[1] = np.inf
+    assert (np.signbit(x) & (x == 0)).any()
+    for gamma in (0.7, 0.7, 3.0):
+        out = geo.resolvent(op, gamma, x)
+        assert out.shape == x.shape
+        assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
+        assert not np.shares_memory(out, x)
+    assert linalg_calls == {"solve": 0, "cond": 0}
+
+
+def test_resolvent_of_nonzero_operator_solves_once_per_call(linalg_calls,
+                                                            rng):
+    # one stacked solve per call, whatever the width, and one condition
+    # check each time gamma changes
+    op = geo.LinearMonotoneOperator(M_op=_monotone_matrix(4, rng))
+    gammas = (0.5, 0.5, 2.0, 2.0, 2.0, 0.5)
+    for gamma in gammas:
+        geo.resolvent(op, gamma, rng.normal(size=(4, 7)))
+    geo.resolvent(op, 0.5, rng.normal(size=4))
+    assert linalg_calls == {"solve": len(gammas) + 1, "cond": 3}
+
+
 def test_monotone_operator_matrix_is_a_read_only_copy():
     M = np.diag([1.0, 2.0])
     op = geo.LinearMonotoneOperator(M_op=M)

@@ -1,10 +1,11 @@
 """Cross-commit golden digests of the artifacts of golden configs.
 
-The golden configs are three shipped configs and five short runs kept in
+The golden configs are three shipped configs and six short runs kept in
 ``tests/golden/<config>.cfg``; the short runs pin the l1 prox, the decaying
 step, the wide (R = 1000) batch, the one-column last block of the ensemble
-statistics and the resolvent solve, whose shipped configs are too long for
-Tier-1.
+statistics and the identity resolvent at a constant and at a decaying step
+(one cached system per run, a new one per step), whose shipped configs are
+too long for Tier-1.
 ``tests/golden/<config>.sha256`` holds the SHA-256 of every artifact the
 config writes at its own seed, in ``sha256sum`` format, and
 ``tests/golden/environment.json`` the numpy version and BLAS build they were
@@ -36,7 +37,7 @@ ENVIRONMENT = GOLDEN_DIR / "environment.json"
 SHIPPED = ("two_point", "kaczmarz_classical", "kaczmarz_recommend")
 SHORT = ("quadratic_l1_constant_short", "quadratic_l1_inverse_t_short",
          "quadratic_l1_wide_short", "quadratic_l1_tail_short",
-         "kaczmarz_resolvent_short")
+         "kaczmarz_resolvent_short", "kaczmarz_resolvent_inverse_t_short")
 CONFIGS = SHIPPED + SHORT
 
 
