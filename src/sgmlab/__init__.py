@@ -6,14 +6,12 @@ analysis with a config-driven CLI (``sgmlab run|validate|report``).
 """
 
 from .analysis import (
-    EnsembleStats,
     RateFit,
     RateFitError,
     check_inverse_t_rate,
     estimate_floor,
     fit_linear_rate,
     predict_floor,
-    stats_from_matrix,
 )
 from .geometry import (
     ConvexSet,
@@ -35,10 +33,8 @@ from .growth import (
     SuccessorMoments,
     contraction_margins,
     enumerate_successors,
-    fit_sgc,
     fit_wgc,
     growth_record,
-    kaczmarz_M,
     measured_worst_omega,
     probe_grid,
     successor_moments,

@@ -8,7 +8,7 @@ Bit identity rests on them, ``tests/test_accum.py`` checks every kernel
 against the loops, and ``tests/golden/environment.json`` pins the numpy
 build.
 
-``sumsq_cols``, ``rowdot_cols`` and ``matvec_vec`` form their products as
+``sumsq_cols`` and ``rowdot_cols`` form their products as
 one C-ordered array P whose axis 0 runs over d, and sum that axis with one
 ``np.add.reduce``, which adds P[0] + P[1] + … row by row.  numpy sums a
 Fortran-ordered P, or rows of one element once d ≥ 8, pairwise instead,
@@ -28,14 +28,15 @@ cost nothing there.  Two cases go through the product-and-reduce path
 instead: a batch of width 1, which einsum does not add in loop order, and
 every column with an entry that comes out zero.  Einsum starts from +0.0, so
 a sum of only -0.0 products gives +0.0 where the loop gives -0.0; a zero
-result is the only place the two can differ.
+result is the only place the two can differ.  A single vector x is the
+width-1 batch ``x[:, None]``.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["sumsq_cols", "rowdot_cols", "matvec_cols", "matvec_vec"]
+__all__ = ["sumsq_cols", "rowdot_cols", "matvec_cols"]
 
 
 def _sum_rows(P: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -79,8 +80,3 @@ def matvec_cols(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
         cols = (out == 0.0).any(axis=0)
         out[:, cols] = _matvec_products(Q, X[:, cols])
     return out
-
-
-def matvec_vec(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q @ x with the same accumulation order as ``matvec_cols``."""
-    return _sum_rows(np.multiply(Q.T, x[:, None], order="C"))

@@ -6,7 +6,9 @@ that conditional expectation.  The statistics are per-column reductions of
 the (R, T+1) matrix whose row r is replication r.  ``reduce_block`` reduces
 any block of its columns bit for bit as numpy's ``mean`` and ``std`` reduce
 the whole matrix, so ``StreamedStats`` can take the step loop's rows one
-block at a time and no (R, T+1) array need exist.
+block at a time and no (R, T+1) array need exist.  The estimators and
+``write_stats_csv`` take the resulting length-(T+1) ``mean`` (and
+``stderr``) arrays, the ones ``solvers.EnsembleRun`` holds.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ import numpy as np
 from . import _accum
 
 __all__ = [
-    "EnsembleStats",
     "RateFit",
     "RateFitError",
     "reduce_block",
     "StreamedStats",
-    "stats_from_matrix",
     "fit_linear_rate",
     "estimate_floor",
     "predict_floor",
@@ -40,25 +40,6 @@ INVERSE_T_MIN_ITERS = 1000  # shortest horizon the O(1/t) check accepts
 _FLOORLESS = 1e-14
 _STATS_WORDS = 2**15  # distances held per block across all replications
 _CSV_ROWS = 2**12  # rows formatted per write by the CSV writers
-
-
-@dataclass(eq=False)
-class EnsembleStats:
-    """Per-iteration mean and standard error of ‖x_t − x̄_t‖² over R runs."""
-
-    T: int
-    R: int
-    mean_dist_sq: np.ndarray
-    stderr: np.ndarray
-    gamma: float
-    step_kind: str = "constant"
-    predicted_rho: float = math.nan
-
-    def __post_init__(self):
-        if len(self.mean_dist_sq) != self.T + 1 or len(self.stderr) != self.T + 1:
-            raise ValueError("statistics arrays must have length T+1")
-        if np.any(self.mean_dist_sq < 0) or np.any(self.stderr < 0):
-            raise ValueError("distances and standard errors must be nonnegative")
 
 
 @dataclass
@@ -145,48 +126,29 @@ class StreamedStats:
             self._t, done = t + m, done + m
 
 
-def stats_from_matrix(dist_sq: np.ndarray, gamma: float,
-                      step_kind: str = "constant",
-                      predicted_rho: float = math.nan) -> EnsembleStats:
-    """Reduce an (R, T+1) matrix of per-replication squared distances as
-    one block."""
-    dist_sq = np.ascontiguousarray(dist_sq, dtype=float)
-    if dist_sq.ndim != 2:
-        raise ValueError("expected an (R, T+1) matrix")
-    R, n = dist_sq.shape
-    mean, stderr = np.empty(n), np.empty(n)
-    reduce_block(dist_sq, mean, stderr, np.empty_like(dist_sq))
-    return EnsembleStats(T=n - 1, R=R, mean_dist_sq=mean, stderr=stderr,
-                         gamma=gamma, step_kind=step_kind,
-                         predicted_rho=predicted_rho)
+def _tail(a: np.ndarray) -> np.ndarray:
+    """The final-10% floor window of a length-(T+1) curve."""
+    return a[len(a) - max(1, len(a) // 10):]
 
 
-def _floor_window(T: int) -> int:
-    """Start index of the final-10% floor window."""
-    return (T + 1) - max(1, (T + 1) // 10)
-
-
-def estimate_floor(stats: EnsembleStats):
-    """Noise-floor estimate: mean of mean_dist_sq over the final 10% of
+def estimate_floor(mean: np.ndarray, stderr: np.ndarray):
+    """Noise-floor estimate: the mean of ``mean`` over the final 10% of
     iterations, with a conservative standard error (the average per-t
-    standard error over the same window, not reduced by window length)."""
-    start = _floor_window(stats.T)
-    window = stats.mean_dist_sq[start:]
-    return float(window.mean()), float(stats.stderr[start:].mean())
+    ``stderr`` over the same window, not reduced by window length)."""
+    return float(_tail(mean).mean()), float(_tail(stderr).mean())
 
 
-def fit_linear_rate(stats: EnsembleStats) -> RateFit:
-    """Fit mean_dist_sq ≈ floor + C·rateᵗ by least squares in log space.
+def fit_linear_rate(mean: np.ndarray) -> RateFit:
+    """Fit mean[t] ≈ floor + C·rateᵗ by least squares in log space.
 
     The floor is the final-10% mean; the fit window keeps iterations with
-    mean_dist_sq ≥ 10·floor (the decay-dominated phase).  When the floor is
+    mean[t] ≥ 10·floor (the decay-dominated phase).  When the floor is
     below 1e-14 the fit is floorless over [0.1T, 0.9T].
     """
-    T = stats.T
+    T = len(mean) - 1
     if T < 50:
         raise RateFitError("rate fitting needs a horizon of at least 50 iterations")
-    mean = stats.mean_dist_sq
-    floor_hat, _ = estimate_floor(stats)
+    floor_hat = float(_tail(mean).mean())
     if floor_hat <= _FLOORLESS:
         t_start, t_end = int(0.1 * T), int(0.9 * T) + 1
     else:
@@ -229,19 +191,17 @@ def predict_floor(gamma: float, rho: float, sigma1_sq: float) -> float:
     return gamma * gamma * sigma1_sq / rho
 
 
-def check_inverse_t_rate(stats: EnsembleStats):
-    """Log-log slope of mean_dist_sq over [0.1T, T]; passes in [−1.3, −0.7].
+def check_inverse_t_rate(mean: np.ndarray):
+    """Log-log slope of mean[t] over [0.1T, T]; passes in [−1.3, −0.7].
 
     Only meaningful for runs with the γ_t = c/(1+t) schedule.
     """
-    if stats.step_kind != "inverse_t":
-        raise ValueError("the O(1/t) check applies only to inverse_t runs")
-    T = stats.T
+    T = len(mean) - 1
     if T < INVERSE_T_MIN_ITERS:
         raise ValueError(f"the O(1/t) check needs T >= {INVERSE_T_MIN_ITERS}")
     t_start = max(1, int(0.1 * T))
     ts = np.arange(t_start, T + 1, dtype=float)
-    ys = np.log(np.maximum(stats.mean_dist_sq[t_start:], _LOG_GUARD))
+    ys = np.log(np.maximum(mean[t_start:], _LOG_GUARD))
     slope, *_ = _least_squares_line(np.log(ts), ys)
     return (-1.3 <= slope <= -0.7), float(slope)
 
@@ -255,14 +215,14 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def write_stats_csv(path, stats: EnsembleStats) -> None:
+def write_stats_csv(path, mean: np.ndarray, stderr: np.ndarray) -> None:
     """Per-experiment curve: columns t, mean_dist_sq, stderr, formatted
     ``_CSV_ROWS`` rows at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,mean_dist_sq,stderr\n")
-        for lo in range(0, stats.T + 1, _CSV_ROWS):
-            rows = zip(stats.mean_dist_sq[lo:lo + _CSV_ROWS].tolist(),
-                       stats.stderr[lo:lo + _CSV_ROWS].tolist())
+        for lo in range(0, len(mean), _CSV_ROWS):
+            rows = zip(mean[lo:lo + _CSV_ROWS].tolist(),
+                       stderr[lo:lo + _CSV_ROWS].tolist())
             fh.write("".join(f"{t},{m!r},{s!r}\n"
                              for t, (m, s) in enumerate(rows, lo)))
 

@@ -226,11 +226,23 @@ def parse_config(path) -> ExperimentConfig:
         params["consistent"] = as_bool("problem", "consistent",
                                        prb.get("consistent", "true"))
         params["noise"] = as_float("problem", "noise", prb.get("noise", "0.1"))
+        if params["m"] < params["d"]:
+            key = "m" if "m" in prb else "d"
+            raise ConfigError(f"{where('problem', key)}: the system needs "
+                              f"m >= d rows, got m = {params['m']} < d = "
+                              f"{params['d']}")
     elif kind == "quadratic_l1":
         params["dim"] = as_int("problem", "d", prb.get("d", "10"), 1)
         params["n_components"] = as_int("problem", "n", prb.get("n", "20"), 2)
+        if params["n_components"] % 2:
+            raise ConfigError(f"{where('problem', 'n')}: 'n' must be even "
+                              "(the linear terms come in ± pairs), got "
+                              f"{params['n_components']}")
         params["l1_weight"] = as_float("problem", "l1_weight",
                                        prb.get("l1_weight", "0.005"))
+        if not params["l1_weight"] > 0:
+            raise ConfigError(f"{where('problem', 'l1_weight')}: 'l1_weight' "
+                              f"must be positive, got {params['l1_weight']}")
         params["construction_seed"] = as_int(
             "problem", "construction_seed",
             prb.get("construction_seed", str(seed)), 0, SEED_MAX)
@@ -476,7 +488,7 @@ def _num(x):
     return None if math.isnan(x) else x
 
 
-def _run_checks(cfg, spec, rho_pred, ens, stats):
+def _run_checks(cfg, spec, rho_pred, ens):
     """Execute the requested checks; returns (manifest_checks, extras)."""
     problem, policy = spec.problem, spec.step
     results = {}
@@ -487,9 +499,10 @@ def _run_checks(cfg, spec, rho_pred, ens, stats):
 
     growth_report = None
     if "wgc" in cfg.checks or "sgc" in cfg.checks:
-        probes = growth.probe_grid(problem, cfg.seed)
+        probes = growth.probe_grid(problem, cfg.seed,
+                                   scales=growth.PROBE_SCALES)
         growth_report = growth.fit_wgc(problem, probes, probe_seed=cfg.seed,
-                                       probe_scales=(0.1, 1.0, 10.0))
+                                       probe_scales=growth.PROBE_SCALES)
         extras["growth_report"] = growth_report
 
     if "wgc" in cfg.checks:
@@ -514,18 +527,18 @@ def _run_checks(cfg, spec, rho_pred, ens, stats):
                                                 audit_moments)
 
     if "rate" in cfg.checks:
-        results["rate"] = _check_rate(cfg, problem, policy, rho_pred, stats,
+        results["rate"] = _check_rate(cfg, problem, policy, rho_pred, ens,
                                       extras, audit_moments)
 
     if "floor" in cfg.checks:
-        results["floor"] = _check_floor(cfg, problem, stats, extras)
+        results["floor"] = _check_floor(cfg, problem, policy, ens, extras)
 
     if "inverse_t" in cfg.checks:
-        if stats.step_kind != "inverse_t":
+        if policy.kind != "inverse_t":
             results["inverse_t"] = {"status": "skipped",
                                     "reason": "step policy is not inverse_t"}
         else:
-            passed, slope = analysis.check_inverse_t_rate(stats)
+            passed, slope = analysis.check_inverse_t_rate(ens.mean_dist_sq)
             extras["loglog_slope"] = slope
             results["inverse_t"] = {"status": "pass" if passed else "fail",
                                     "slope": slope, "band": [-1.3, -0.7]}
@@ -541,9 +554,6 @@ def _check_necessary(problem, policy, ens, audit_moments):
         return {"status": "skipped",
                 "reason": "the bound is stated for constant steps"}
     sigma_sq = problem.analytic_sigma_sq
-    if sigma_sq is None:
-        _, sigma_sq = problems.exact_conditional_moment(problem,
-                                                        problem.x_star)
     moments = audit_moments()
     omega = growth.measured_worst_omega(moments, sigma_sq)
     if not 0 < omega < 1:
@@ -561,12 +571,12 @@ def _check_necessary(problem, policy, ens, audit_moments):
     }
 
 
-def _check_rate(cfg, problem, policy, rho_pred, stats, extras, audit_moments):
+def _check_rate(cfg, problem, policy, rho_pred, ens, extras, audit_moments):
     if policy.kind != "constant":
         return {"status": "skipped",
                 "reason": "rate fitting applies to constant-step runs"}
     try:
-        fit = analysis.fit_linear_rate(stats)
+        fit = analysis.fit_linear_rate(ens.mean_dist_sq)
     except analysis.RateFitError as exc:
         return {"status": "fail", "reason": str(exc)}
     extras["rate_fit"] = fit
@@ -593,15 +603,15 @@ def _check_rate(cfg, problem, policy, rho_pred, stats, extras, audit_moments):
     return out
 
 
-def _check_floor(cfg, problem, stats, extras):
-    if stats.step_kind != "constant":
+def _check_floor(cfg, problem, policy, ens, extras):
+    if policy.kind != "constant":
         return {"status": "skipped",
                 "reason": "the floor prediction applies to constant steps"}
-    pred, reason = floor_prediction(problem, cfg.method, stats.gamma)
+    pred, reason = floor_prediction(problem, cfg.method, policy.gamma)
     if pred is None:
         return {"status": "skipped", "reason": reason}
     rho, sigma1_sq, floor_pred = pred
-    floor_fit, se = analysis.estimate_floor(stats)
+    floor_fit, se = analysis.estimate_floor(ens.mean_dist_sq, ens.stderr)
     extras["floor_fit"] = floor_fit
     extras["floor_pred"] = floor_pred
     out = {"floor_fit": floor_fit, "floor_pred": floor_pred,
@@ -638,17 +648,17 @@ def _write_audit_csv(path, traj):
         fh.write(f"{T},{traj.dist_sq[T].item()!r},,\n")  # no step from T
 
 
-def _summary_row(cfg, stats, results, extras):
+def _summary_row(cfg, step, rho_pred, results, extras):
     fit = extras.get("rate_fit")
     fmt = lambda v: "" if v is None else analysis.format_float(v)
     row = {
         "experiment": cfg.name,
         "problem": cfg.problem_kind,
         "method": cfg.method,
-        "step": stats.step_kind,
-        "gamma": analysis.format_float(stats.gamma),
-        "rho_pred": "" if math.isnan(stats.predicted_rho)
-                    else analysis.format_float(stats.predicted_rho),
+        "step": step.kind,
+        "gamma": analysis.format_float(step.value(0)),
+        "rho_pred": "" if math.isnan(rho_pred)
+                    else analysis.format_float(rho_pred),
         "rate_fit": fmt(fit.rate_per_iter if fit else None),
         "rate_stderr": fmt(fit.rate_stderr if fit else None),
         "floor_pred": fmt(extras.get("floor_pred")),
@@ -744,26 +754,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_manifest(out_dir, manifest)
         return EXIT_CONSTRUCTION
 
-    stats = analysis.EnsembleStats(T=spec.iters, R=cfg.replications,
-                                   mean_dist_sq=ens.mean_dist_sq,
-                                   stderr=ens.stderr,
-                                   gamma=spec.step.value(0),
-                                   step_kind=spec.step.kind,
-                                   predicted_rho=rho_pred)
-    results, extras = _run_checks(cfg, spec, rho_pred, ens, stats)
+    results, extras = _run_checks(cfg, spec, rho_pred, ens)
 
-    analysis.write_stats_csv(out_dir / "trajectory_stats.csv", stats)
+    analysis.write_stats_csv(out_dir / "trajectory_stats.csv",
+                             ens.mean_dist_sq, ens.stderr)
     _write_audit_csv(out_dir / "audit_trajectory.csv", ens.audit)
     if "growth_report" in extras:
         growth.write_growth_json(out_dir / "growth.json",
                                  extras["growth_report"])
     analysis.write_summary_csv(out_dir / "summary.csv",
-                               _summary_row(cfg, stats, results, extras))
+                               _summary_row(cfg, spec.step, rho_pred, results,
+                                            extras))
 
     all_pass = all(r.get("status") == "pass" for r in results.values())
-    manifest.update(gamma=_num(stats.gamma),
-                    rho_pred=_num(stats.predicted_rho), checks=results,
-                    all_checks_passed=all_pass)
+    manifest.update(gamma=_num(spec.step.value(0)), rho_pred=_num(rho_pred),
+                    checks=results, all_checks_passed=all_pass)
     _write_manifest(out_dir, manifest)  # keys sorted: insertion order is moot
 
     for check in cfg.checks:

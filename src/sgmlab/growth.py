@@ -12,8 +12,9 @@ the (P, n, d) component gradients.  The per-iterate audits share one
 enumeration: ``successor_moments`` visits each point's n one-step successors
 once, a block of points at a time, and records the four exact moments the
 audits need; ``measured_worst_omega``, ``verify_necessary_condition`` and
-``contraction_margins`` are arithmetic on that record.  The growth fits take
-their probe gradients from one block.
+``contraction_margins`` are arithmetic on that record.  ``fit_wgc`` takes
+its probe gradients from one block and gives both growth constants, B and
+(M, σ²); the closed-form M of a problem is its ``analytic_M``.
 
 Each moment is reduced as the per-point expressions ``x @ x`` and
 ``.mean()`` would reduce it, so a point's moments do not depend on the block
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng, solvers
-from .problems import (FiniteSumProblem, KaczmarzSystem,
-                       _finite_component_grads, exact_conditional_moment)
+from .problems import (FiniteSumProblem, _finite_component_grads,
+                       exact_conditional_moment)
 
 __all__ = [
     "GrowthReport",
@@ -40,8 +41,6 @@ __all__ = [
     "SuccessorMoments",
     "probe_grid",
     "fit_wgc",
-    "fit_sgc",
-    "kaczmarz_M",
     "enumerate_successors",
     "successor_moments",
     "verify_necessary_condition",
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 ZERO_GRAD_TOL = 1e-12
+PROBE_SCALES = (0.1, 1.0, 10.0)  # scales of the seeded probe points
 _PROBE_STREAM = 0x70726F6265  # reserved substream index for probe draws
 _MARGIN_RTOL = 1e-9
 _BLOCK_ENTRIES = 2**15  # successor entries (points × n × d) per audit block
@@ -79,7 +79,7 @@ class GrowthReport:
 
 
 def probe_grid(problem: FiniteSumProblem, seed: int, n_points: int = 32,
-               scales=(0.1, 1.0, 10.0)):
+               scales=PROBE_SCALES):
     """Deterministic probe set: seeded standard-normal points at several
     scales, plus the problem's known stationary points and its solution
     x*."""
@@ -108,26 +108,6 @@ def _probe_rows(problem: FiniteSumProblem, probe_points):
                     comp_sq.max(axis=1).tolist()))
 
 
-def _sgc_constant(rows) -> float:
-    B = 1.0
-    for full_sq, _, max_comp in rows:
-        if math.sqrt(full_sq) <= ZERO_GRAD_TOL:
-            if math.sqrt(max_comp) > ZERO_GRAD_TOL:
-                return math.inf
-        else:
-            B = max(B, max_comp / full_sq)
-    return B
-
-
-def fit_sgc(problem: FiniteSumProblem, probe_points) -> float:
-    """Smallest B with maxᵢ‖∇fᵢ(x)‖² ≤ B‖∇f(x)‖² over the probe set.
-
-    Returns ∞ when a probe has ‖∇f(x)‖ ≤ 1e-12 while some component
-    gradient does not vanish — strong growth demands interpolation.
-    """
-    return _sgc_constant(_probe_rows(problem, probe_points))
-
-
 def fit_wgc(problem: FiniteSumProblem, probe_points, probe_seed=None,
             probe_scales=()) -> GrowthReport:
     """Lexicographically minimal (σ², M) envelope over the probe set.
@@ -135,16 +115,24 @@ def fit_wgc(problem: FiniteSumProblem, probe_points, probe_seed=None,
     σ² is pinned by the probes with vanishing mean gradient (the envelope
     there is σ² alone), then M is the smallest multiplier covering the
     rest, clamped below at 1 — the conditional variance decomposition makes
-    any smaller M unsound.  B comes from the same per-probe gradients.
+    any smaller M unsound.  B, the smallest constant with
+    maxᵢ‖∇fᵢ(x)‖² ≤ B‖∇f(x)‖² on the probes, comes from the same per-probe
+    gradients; it is ∞ when a probe has ‖∇f(x)‖ ≤ 1e-12 while some
+    component gradient does not vanish, since strong growth demands
+    interpolation.
     """
     if not probe_points:
         raise ValueError("probe set must be nonempty")
     rows = _probe_rows(problem, probe_points)
-    sigma_sq = 0.0
+    sigma_sq, B = 0.0, 1.0
     ratios = []
-    for full_sq, moment, _ in rows:
-        if math.sqrt(full_sq) <= ZERO_GRAD_TOL:
+    for full_sq, moment, max_comp in rows:
+        if math.sqrt(full_sq) > ZERO_GRAD_TOL:
+            B = max(B, max_comp / full_sq)
+        else:
             sigma_sq = max(sigma_sq, moment)
+            if math.sqrt(max_comp) > ZERO_GRAD_TOL:
+                B = math.inf
     for full_sq, moment, _ in rows:
         if math.sqrt(full_sq) > ZERO_GRAD_TOL:
             ratios.append((moment - sigma_sq) / full_sq)
@@ -155,18 +143,10 @@ def fit_wgc(problem: FiniteSumProblem, probe_points, probe_seed=None,
             raise RuntimeError("weak-growth envelope fit is unsound; "
                                "this indicates a broken component oracle")
     classification = "GC" if sigma_sq <= 1e-12 else "WGC"
-    return GrowthReport(B_sgc=_sgc_constant(rows), M_wgc=M,
+    return GrowthReport(B_sgc=B, M_wgc=M,
                         sigma_sq=sigma_sq, classification=classification,
                         probe_seed=probe_seed, probe_scales=tuple(probe_scales),
                         analytic=False, degenerate=degenerate)
-
-
-def kaczmarz_M(sys: KaczmarzSystem) -> float:
-    """Closed-form weak-growth constant m‖A‖²‖(AᵀA)⁻¹‖² of a Kaczmarz system."""
-    ev = np.linalg.eigvalsh(sys.A.T @ sys.A)
-    if ev[0] <= 0:
-        raise ValueError("system matrix must have full column rank")
-    return sys.m * float(ev[-1]) / float(ev[0]) ** 2
 
 
 def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,

@@ -76,7 +76,6 @@ class FiniteSumProblem:
     analytic_sigma_sq: float | None = None
     analytic_B: float | None = None
     regularizer: Regularizer | None = None
-    kaczmarz: "KaczmarzSystem | None" = None
 
     def __post_init__(self):
         self.x_star = np.array(self.x_star, dtype=float)
@@ -256,6 +255,8 @@ def load_kaczmarz_text(path) -> KaczmarzSystem:
             row = np.array([float(v) for v in vals])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
         A[r] = row[:d]
         b[r] = row[d]
     norms = np.sqrt((A * A).sum(axis=1))
@@ -311,7 +312,6 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
         grad_zero_points=[sys.x_ls.copy()],
         analytic_M=m * lam_max / lam_min ** 2,
         analytic_sigma_sq=sigma_sq,
-        kaczmarz=sys,
     )
 
 
@@ -398,7 +398,7 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
     L, mu = float(ev[-1]), float(ev[0])
 
     def full_grad(x):
-        return _accum.matvec_vec(Q, x - xbar)
+        return _accum.matvec_cols(Q, (x - xbar)[:, None])[:, 0]
 
     xbar_col, Ct = xbar[:, None], np.ascontiguousarray(C.T)
 

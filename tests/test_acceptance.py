@@ -12,13 +12,10 @@ import numpy as np
 import pytest
 
 from sgmlab import analysis, cli, geometry, growth, problems, solvers
-from sgmlab.analysis import EnsembleStats, estimate_floor, fit_linear_rate, \
-    predict_floor
+from sgmlab.analysis import estimate_floor, fit_linear_rate, predict_floor
 from sgmlab.growth import (
     contraction_margins,
-    fit_sgc,
     fit_wgc,
-    kaczmarz_M,
     measured_worst_omega,
     probe_grid,
     successor_moments,
@@ -35,13 +32,6 @@ from sgmlab.solvers import ConstantStep, InverseTStep, SolverRun, \
     recommend_step, run, run_ensemble
 
 
-def _stats(ens, R, gamma, step_kind="constant"):
-    """The EnsembleStats the CLI builds from a run's streamed statistics."""
-    return EnsembleStats(T=len(ens.mean_dist_sq) - 1, R=R,
-                         mean_dist_sq=ens.mean_dist_sq, stderr=ens.stderr,
-                         gamma=gamma, step_kind=step_kind)
-
-
 def _criterion(number, description, ok, elapsed, budget):
     status = "PASS" if (ok and elapsed < budget) else "FAIL"
     print(f"[{status}] criterion {number}: {description} "
@@ -53,8 +43,8 @@ def _criterion(number, description, ok, elapsed, budget):
 
 
 def _kaczmarz_instance():
-    sys_ = make_random_kaczmarz_system(20, 5, 20250814, mix=0.5)
-    return sys_, make_kaczmarz_problem(sys_)
+    return make_kaczmarz_problem(
+        make_random_kaczmarz_system(20, 5, 20250814, mix=0.5))
 
 
 def test_criterion_1_necessary_condition_holds_everywhere():
@@ -62,7 +52,7 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     ok = True
 
     # (a) consistent Kaczmarz: zero gradient noise at the solution
-    _, kp = _kaczmarz_instance()
+    kp = _kaczmarz_instance()
     gamma_a, _ = recommend_step(kp.lipschitz_L, kp.analytic_M,
                                 kp.restricted_mu, "sgm")
     traj_a = run(SolverRun(problem=kp,
@@ -94,14 +84,13 @@ def test_criterion_1_necessary_condition_holds_everywhere():
 
 def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     t0 = time.perf_counter()
-    sys_, kp = _kaczmarz_instance()
-    M = kaczmarz_M(sys_)
-    gamma, rho = recommend_step(kp.lipschitz_L, M, kp.restricted_mu, "psgm")
+    kp = _kaczmarz_instance()
+    gamma, rho = recommend_step(kp.lipschitz_L, kp.analytic_M,
+                                kp.restricted_mu, "psgm")
     spec = SolverRun(problem=kp, geometry=geometry.whole_space(),
                      step=ConstantStep(gamma), iters=5000, seed=2025)
     ens = run_ensemble(spec, 200)
-    stats = _stats(ens, 200, gamma)
-    fit = fit_linear_rate(stats)
+    fit = fit_linear_rate(ens.mean_dist_sq)
 
     ok = fit.rate_per_iter <= 1.0 - rho + 3.0 * fit.rate_stderr + 0.01
     ok &= fit.floor_estimate <= 1e-12
@@ -117,12 +106,12 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
 
 def test_criterion_3_unit_step_kaczmarz_converges():
     t0 = time.perf_counter()
-    _, kp = _kaczmarz_instance()
+    kp = _kaczmarz_instance()
     spec = SolverRun(problem=kp, step=ConstantStep(1.0),
                      iters=800, seed=2026)
     ens = run_ensemble(spec, 200)
-    fit = fit_linear_rate(_stats(ens, 200, 1.0))
-    floor, _ = estimate_floor(_stats(ens, 200, 1.0))
+    fit = fit_linear_rate(ens.mean_dist_sq)
+    floor, _ = estimate_floor(ens.mean_dist_sq, ens.stderr)
 
     ok = fit.rate_per_iter < 1.0
     ok &= floor <= 1e-12
@@ -148,7 +137,7 @@ def test_criterion_4_proximal_noise_floor_prediction():
     spec = SolverRun(problem=p, geometry=p.regularizer,
                      step=ConstantStep(gamma), iters=6000, seed=20250814)
     ens = run_ensemble(spec, 1000)
-    floor, se = estimate_floor(_stats(ens, 1000, gamma))
+    floor, se = estimate_floor(ens.mean_dist_sq, ens.stderr)
 
     # the prediction is an upper-bound fixed point: the measured level may
     # sit as much as 4x below it but must never exceed it; 3 standard
@@ -163,16 +152,16 @@ def test_criterion_4_proximal_noise_floor_prediction():
 def test_criterion_5_floor_scales_with_step_size():
     t0 = time.perf_counter()
     tp = make_two_point_quadratic()
-    floors, ses, preds, stats_by_gamma = {}, {}, {}, {}
+    floors, ses, preds, mean_by_gamma = {}, {}, {}, {}
     for gamma in (0.5, 0.25):
         rho = gamma * 1.0 * (1.0 - gamma)  # gamma mu (1 - gamma L M)
         preds[gamma] = predict_floor(gamma, rho, 1.0)
         spec = SolverRun(problem=tp, step=ConstantStep(gamma),
                          iters=2000, seed=20250814)
         ens = run_ensemble(spec, 10_000)
-        st = _stats(ens, 10_000, gamma)
-        stats_by_gamma[gamma] = st
-        floors[gamma], ses[gamma] = estimate_floor(st)
+        mean_by_gamma[gamma] = ens.mean_dist_sq
+        floors[gamma], ses[gamma] = estimate_floor(ens.mean_dist_sq,
+                                                   ens.stderr)
 
     ratio_fit = floors[0.5] / floors[0.25]
     ratio_pred = preds[0.5] / preds[0.25]
@@ -181,15 +170,14 @@ def test_criterion_5_floor_scales_with_step_size():
     # the exact mean recursion m_{t+1} = (1-g)^2 m_t + g^2 from m_0 = 0:
     # its first step gives exactly 0.25 at gamma = 0.5, and the measured
     # window mean must match the recursion's window mean to 3 stderr
-    m1 = stats_by_gamma[0.5].mean_dist_sq[1]
+    m1 = mean_by_gamma[0.5][1]
     ok &= abs(m1 - 0.25) <= 1e-12
     for gamma in (0.5, 0.25):
         exact = np.empty(2001)
         exact[0] = 0.0
         for t in range(2000):
             exact[t + 1] = (1 - gamma) ** 2 * exact[t] + gamma ** 2
-        start = analysis._floor_window(2000)
-        oracle = float(exact[start:].mean())
+        oracle = float(analysis._tail(exact).mean())
         ok &= abs(floors[gamma] - oracle) <= 3.0 * ses[gamma]
 
     _criterion(5, f"measured floors scale like the predictions across step "
@@ -205,8 +193,7 @@ def test_criterion_6_decaying_step_gives_one_over_t():
     spec = SolverRun(problem=p, geometry=p.regularizer,
                      step=InverseTStep(c), iters=100_000, seed=20250814)
     ens = run_ensemble(spec, 100)
-    st = _stats(ens, 100, c, step_kind="inverse_t")
-    passed, slope = analysis.check_inverse_t_rate(st)
+    passed, slope = analysis.check_inverse_t_rate(ens.mean_dist_sq)
 
     _criterion(6, f"decaying-step mean squared distance decays like 1/t "
                   f"(log-log slope {slope:.3f})", passed,
@@ -219,9 +206,9 @@ def test_criterion_7_growth_classification():
     shared = make_shared_minimizer_quadratics(dim=3, n_components=4,
                                               construction_seed=7)
 
-    B_tp = fit_sgc(tp, probe_grid(tp, 7))
-    B_shared = fit_sgc(shared, probe_grid(shared, 7))
     rep = fit_wgc(tp, probe_grid(tp, 7))
+    B_tp = rep.B_sgc
+    B_shared = fit_wgc(shared, probe_grid(shared, 7)).B_sgc
 
     ok = np.isinf(B_tp)
     ok &= np.isfinite(B_shared)
@@ -235,7 +222,7 @@ def test_criterion_7_growth_classification():
 
 def test_criterion_8_method_reductions_are_bitwise():
     t0 = time.perf_counter()
-    _, kp = _kaczmarz_instance()
+    kp = _kaczmarz_instance()
     gamma = 0.04
     ok = True
     for seed in range(10):

@@ -77,7 +77,8 @@ def test_kernels_equal_loops(d, layout):
         assert_bitwise_equal(_accum.rowdot_cols(rows.T, X),
                              loop_rowdot_cols(rows, X))
         assert_bitwise_equal(_accum.matvec_cols(Q, X), loop_matvec_cols(Q, X))
-        assert_bitwise_equal(_accum.matvec_vec(Q, a), loop_matvec_vec(Q, a))
+        assert_bitwise_equal(_accum.matvec_cols(Q, a[:, None])[:, 0],
+                             loop_matvec_vec(Q, a))
 
 
 def test_single_column_falls_back_to_the_loop():

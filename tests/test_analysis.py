@@ -6,7 +6,6 @@ import pytest
 
 from sgmlab import analysis, problems
 from sgmlab.analysis import (
-    EnsembleStats,
     RateFitError,
     StreamedStats,
     check_inverse_t_rate,
@@ -14,32 +13,28 @@ from sgmlab.analysis import (
     fit_linear_rate,
     format_float,
     predict_floor,
-    stats_from_matrix,
+    reduce_block,
     write_stats_csv,
     write_summary_csv,
 )
-
-
-def stats_from_curve(mean, gamma=0.1, step_kind="constant", stderr=None):
-    mean = np.asarray(mean, dtype=float)
-    if stderr is None:
-        stderr = np.zeros_like(mean)
-    return EnsembleStats(T=len(mean) - 1, R=1, mean_dist_sq=mean,
-                         stderr=np.asarray(stderr, dtype=float), gamma=gamma,
-                         step_kind=step_kind)
 
 
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
 
-def test_stats_from_matrix_mean_and_stderr(rng):
+def whole(D):
+    """(mean, stderr) of D reduced as one block."""
+    mean, stderr = np.empty(D.shape[1]), np.empty(D.shape[1])
+    reduce_block(D, mean, stderr, np.empty_like(D))
+    return mean, stderr
+
+
+def test_reduce_block_mean_and_stderr(rng):
     D = rng.random((6, 11))
-    st = stats_from_matrix(D, gamma=0.2)
-    assert st.T == 10 and st.R == 6
-    assert np.allclose(st.mean_dist_sq, D.mean(axis=0), atol=1e-15)
-    assert np.allclose(st.stderr, D.std(axis=0, ddof=1) / np.sqrt(6),
-                       atol=1e-15)
+    mean, stderr = whole(D)
+    assert np.allclose(mean, D.mean(axis=0), atol=1e-15)
+    assert np.allclose(stderr, D.std(axis=0, ddof=1) / np.sqrt(6), atol=1e-15)
 
 
 def parent_stats(D):
@@ -73,8 +68,7 @@ def test_streamed_statistics_equal_the_whole_matrix_reduction(rng, R, extra):
     mean, stderr = parent_stats(D)
     results = [(s.mean, s.stderr) for s in
                (streamed(D, m) for m in (1, 3, width - 1, width + 1, n))]
-    whole = stats_from_matrix(D, gamma=1.0)
-    results.append((whole.mean_dist_sq, whole.stderr))
+    results.append(whole(D))
     for got_mean, got_stderr in results:
         assert got_mean.tobytes() == mean.tobytes()
         assert got_stderr.tobytes() == stderr.tobytes()
@@ -84,19 +78,8 @@ def test_streamed_statistics_equal_the_whole_matrix_reduction(rng, R, extra):
 
 
 def test_single_replication_has_zero_stderr(rng):
-    st = stats_from_matrix(rng.random((1, 8)), gamma=1.0)
-    assert np.all(st.stderr == 0.0)
-
-
-def test_stats_validation():
-    with pytest.raises(ValueError):
-        stats_from_matrix(np.ones(5), gamma=0.1)  # not 2-d
-    with pytest.raises(ValueError):
-        EnsembleStats(T=3, R=1, mean_dist_sq=np.ones(4), stderr=np.ones(2),
-                      gamma=0.1)
-    with pytest.raises(ValueError):
-        EnsembleStats(T=3, R=1, mean_dist_sq=-np.ones(4), stderr=np.zeros(4),
-                      gamma=0.1)
+    _, stderr = whole(rng.random((1, 8)))
+    assert np.all(stderr == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +89,7 @@ def test_stats_validation():
 def test_fit_recovers_exact_geometric_decay():
     T = 500
     mean = 4.0 * 0.9 ** np.arange(T + 1)
-    fit = fit_linear_rate(stats_from_curve(mean))
+    fit = fit_linear_rate(mean)
     # subtracting the tail-mean floor estimate bends only the last decade
     # of the window, so the recovered rate is accurate to ~1e-4
     assert abs(fit.rate_per_iter - 0.9) < 5e-4
@@ -117,7 +100,7 @@ def test_fit_recovers_exact_geometric_decay():
 def test_fit_recovers_decay_above_a_floor():
     T = 500
     mean = 0.9 ** np.arange(T + 1) + 1e-4
-    fit = fit_linear_rate(stats_from_curve(mean))
+    fit = fit_linear_rate(mean)
     assert abs(fit.floor_estimate - 1e-4) < 1e-6
     assert abs(fit.rate_per_iter - 0.9) < 1e-3
     # window stops once the curve is within 10x of the floor
@@ -129,26 +112,26 @@ def test_fit_rate_is_capped_at_one():
     # rising during the decay-dominated window, then parked at the floor
     mean = np.full(201, 0.1)
     mean[:31] = 5.0 + np.arange(31) / 30.0
-    fit = fit_linear_rate(stats_from_curve(mean))
+    fit = fit_linear_rate(mean)
     assert fit.rate_per_iter == 1.0
 
 
 def test_fit_refuses_short_horizons():
     with pytest.raises(RateFitError):
-        fit_linear_rate(stats_from_curve(np.ones(30)))
+        fit_linear_rate(np.ones(30))
 
 
 def test_fit_refuses_noise_dominated_trajectories():
     mean = np.full(201, 0.42)  # flat at the floor from t = 0
     with pytest.raises(RateFitError, match="fewer than 10 points"):
-        fit_linear_rate(stats_from_curve(mean))
+        fit_linear_rate(mean)
 
 
 def test_fit_survives_exact_zero_tail():
     # underflow to exact zero must not produce -inf logs
     mean = np.zeros(201)
     mean[:20] = 2.0 * 0.5 ** np.arange(20)
-    fit = fit_linear_rate(stats_from_curve(mean))
+    fit = fit_linear_rate(mean)
     assert 0 < fit.rate_per_iter <= 1.0
 
 
@@ -158,16 +141,15 @@ def test_fit_survives_exact_zero_tail():
 
 def test_estimate_floor_uses_final_tenth():
     mean = np.concatenate([np.full(90, 7.0), np.full(10, 1.0)])
-    st = stats_from_curve(mean)  # T = 99, window is the last 10 entries
-    floor, se = estimate_floor(st)
+    # T = 99, window is the last 10 entries
+    floor, se = estimate_floor(mean, np.zeros_like(mean))
     assert floor == 1.0
     assert se == 0.0
 
 
 def test_estimate_floor_reports_conservative_stderr():
     mean = np.ones(100)
-    st = stats_from_curve(mean, stderr=np.full(100, 0.25))
-    _, se = estimate_floor(st)
+    _, se = estimate_floor(mean, np.full(100, 0.25))
     assert se == 0.25  # not reduced by the window length
 
 
@@ -195,26 +177,21 @@ def test_predict_floor_validates_inputs():
 def test_inverse_t_slope_detects_one_over_t():
     t = np.arange(2001, dtype=float)
     mean = 5.0 / (1.0 + t)
-    st = stats_from_curve(mean, step_kind="inverse_t")
-    passed, slope = check_inverse_t_rate(st)
+    passed, slope = check_inverse_t_rate(mean)
     assert passed
     assert abs(slope + 1.0) < 0.01
 
 
 def test_inverse_t_slope_rejects_wrong_power():
     t = np.arange(2001, dtype=float)
-    st = stats_from_curve(5.0 / (1.0 + t) ** 2, step_kind="inverse_t")
-    passed, slope = check_inverse_t_rate(st)
+    passed, slope = check_inverse_t_rate(5.0 / (1.0 + t) ** 2)
     assert not passed
     assert slope < -1.5
 
 
 def test_inverse_t_check_validates_inputs():
     with pytest.raises(ValueError):
-        check_inverse_t_rate(stats_from_curve(np.ones(2001)))  # constant step
-    with pytest.raises(ValueError):
-        check_inverse_t_rate(stats_from_curve(np.ones(500),
-                                              step_kind="inverse_t"))
+        check_inverse_t_rate(np.ones(500))
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +206,28 @@ def test_format_float_round_trips(x):
 
 
 def test_write_stats_csv_round_trip(tmp_path, rng):
-    st = stats_from_matrix(rng.random((4, 6)), gamma=0.3)
+    mean, stderr = whole(rng.random((4, 6)))
     path = tmp_path / "stats.csv"
-    write_stats_csv(path, st)
+    write_stats_csv(path, mean, stderr)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,mean_dist_sq,stderr"
     assert len(lines) == 7
     for t, line in enumerate(lines[1:]):
         f0, f1, f2 = line.split(",")
         assert int(f0) == t
-        assert float(f1) == st.mean_dist_sq[t]
-        assert float(f2) == st.stderr[t]
+        assert float(f1) == mean[t]
+        assert float(f2) == stderr[t]
 
 
 def test_write_stats_csv_chunks_keep_the_one_pass_text(tmp_path, rng,
                                                        monkeypatch):
     # T + 1 = 8 rows in chunks of 3, 3 and 2 against the text formatted in
     # one pass
-    st = stats_from_matrix(rng.random((4, 8)), gamma=0.3)
+    mean, stderr = whole(rng.random((4, 8)))
     monkeypatch.setattr(analysis, "_CSV_ROWS", 3)
     path = tmp_path / "stats.csv"
-    write_stats_csv(path, st)
-    rows = zip(st.mean_dist_sq.tolist(), st.stderr.tolist())
+    write_stats_csv(path, mean, stderr)
+    rows = zip(mean.tolist(), stderr.tolist())
     expected = "t,mean_dist_sq,stderr\n" + "".join(
         f"{t},{m!r},{s!r}\n" for t, (m, s) in enumerate(rows))
     assert path.read_bytes() == expected.encode()
@@ -260,11 +237,10 @@ def test_write_stats_csv_memory_is_bounded(tmp_path, rng):
     # formatting all 10⁵ rows into one string peaks near 18 MB; a chunk of
     # rows at a time stays below 4 MB
     n = 100_001
-    st = EnsembleStats(T=n - 1, R=2, mean_dist_sq=rng.random(n),
-                       stderr=rng.random(n), gamma=0.1)
+    mean, stderr = rng.random(n), rng.random(n)
     tracemalloc.start()
     try:
-        write_stats_csv(tmp_path / "stats.csv", st)
+        write_stats_csv(tmp_path / "stats.csv", mean, stderr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

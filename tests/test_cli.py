@@ -567,6 +567,43 @@ def test_config_seed_range_is_inclusive(tmp_path):
     assert run_cli(["validate", write_cfg(tmp_path, text)]) == 0
 
 
+@pytest.mark.parametrize("text,old,line,fragment", [
+    (QUADRATIC_L1_FLOOR, "l1_weight = 0.005", "l1_weight = 0",
+     "'l1_weight' must be positive"),
+    (QUADRATIC_L1_FLOOR, "l1_weight = 0.005", "l1_weight = -0.5",
+     "'l1_weight' must be positive"),
+    (QUADRATIC_L1_FLOOR, "n = 20", "n = 7", "'n' must be even"),
+    (KACZMARZ_SMALL, "m = 20", "m = 4", "needs m >= d"),
+], ids=["l1_weight_zero", "l1_weight_negative", "odd_n", "m_below_d"])
+def test_unconstructible_problem_values_exit_2_with_line(
+        tmp_path, capsys, monkeypatch, text, old, line, fragment):
+    # each value is a config error, known before the problem is built
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    assert old in text
+    text = text.replace(old, line)
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index(line) + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and f"{cfg}:{lineno}:" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_non_finite_matrix_entry_exits_3_with_its_line(tmp_path, capsys,
+                                                       entry):
+    # rejected while the file is read: no SVD failure, no RuntimeWarning
+    (tmp_path / "system.txt").write_text(f"2 2\n1 0 1\n0 {entry} 1\n")
+    text = TWO_POINT_SMALL.replace(
+        "kind = two_point", "kind = custom_matrix_file\npath = system.txt")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    path = (tmp_path / "system.txt").resolve()
+    assert err == f"construction error: {path}:3: non-finite value\n"
+
+
 def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
     # the necessary-condition check and the per-step contraction audit in
     # 'rate' must share one enumeration of each audit point's successors,

@@ -78,6 +78,17 @@ def test_shipped_config_artifacts_match_golden_digests(name, tmp_path):
         assert got == run_config(name, tmp_path / "b")
 
 
+def test_kaczmarz_recommend_golden_equals_perfbench_audit_heavy():
+    # perfbench runs the same config as its audit_heavy workload and keeps
+    # its own digests; the two stores must not drift apart
+    perfbench = ROOT / "perfbench"
+    assert ((perfbench / "configs" / "audit_heavy.cfg").read_bytes()
+            == (ROOT / "configs" / "kaczmarz_recommend.cfg").read_bytes())
+    stored = json.loads((perfbench / "digests.json").read_text())
+    assert stored["workloads"]["audit_heavy"] == read_golden(
+        "kaczmarz_recommend")
+
+
 def record() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,10 +11,8 @@ from sgmlab.growth import (
     contraction_margins,
     enumerate_successors,
     example1_constants,
-    fit_sgc,
     fit_wgc,
     growth_record,
-    kaczmarz_M,
     measured_worst_omega,
     probe_grid,
     successor_moments,
@@ -69,12 +67,12 @@ def test_probe_grid_scales_spread(two_point):
 # ---------------------------------------------------------------------------
 
 def test_sgc_is_infinite_when_noise_persists(two_point):
-    B = fit_sgc(two_point, probe_grid(two_point, 1))
+    B = fit_wgc(two_point, probe_grid(two_point, 1)).B_sgc
     assert math.isinf(B)
 
 
 def test_sgc_is_finite_under_interpolation(shared_minimizer):
-    B = fit_sgc(shared_minimizer, probe_grid(shared_minimizer, 1))
+    B = fit_wgc(shared_minimizer, probe_grid(shared_minimizer, 1)).B_sgc
     assert math.isfinite(B)
     assert np.isclose(B, shared_minimizer.analytic_B, rtol=1e-9)
 
@@ -105,12 +103,28 @@ def test_wgc_envelope_holds_on_probes(quadratic_l1):
         assert second <= bound * (1 + 1e-9) + 1e-12
 
 
+def sgc_oracle(p, probes):
+    """Smallest B >= 1 with ‖∇fᵢ(x)‖² <= B‖∇f(x)‖² for every component and
+    probe, from the analytic ∇f and one component gradient at a time; ∞
+    when ∇f vanishes at a probe where some ∇fᵢ does not."""
+    B = 1.0
+    for x in probes:
+        full = p.full_grad(x)
+        comp = max(float(g @ g) for g in (p.component_grad(i, x)
+                                          for i in range(p.n_components)))
+        if math.sqrt(full @ full) > growth.ZERO_GRAD_TOL:
+            B = max(B, comp / float(full @ full))
+        elif math.sqrt(comp) > growth.ZERO_GRAD_TOL:
+            B = math.inf
+    return B
+
+
 def test_wgc_chain_finite_B_implies_zero_sigma(kaczmarz_20x5,
                                                shared_minimizer, two_point):
     for p in (kaczmarz_20x5, shared_minimizer, two_point):
         probes = probe_grid(p, 5)
         rep = fit_wgc(p, probes)
-        assert rep.B_sgc == fit_sgc(p, probes)
+        assert rep.B_sgc == pytest.approx(sgc_oracle(p, probes), rel=1e-9)
         if math.isfinite(rep.B_sgc):
             assert rep.sigma_sq <= 1e-12
 
@@ -137,28 +151,31 @@ def test_m_is_never_below_one(kaczmarz_20x5):
 
 def test_kaczmarz_M_identity_rows():
     sys_ = problems.KaczmarzSystem(A=np.eye(2), b=np.zeros(2))
-    assert np.isclose(kaczmarz_M(sys_), 2.0, rtol=1e-12)
+    p = problems.make_kaczmarz_problem(sys_)
+    assert np.isclose(p.analytic_M, 2.0, rtol=1e-12)
 
 
 def test_kaczmarz_M_orthonormal_rows():
     th = 0.3
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     sys_ = problems.KaczmarzSystem(A=R, b=np.ones(2))
-    assert np.isclose(kaczmarz_M(sys_), 2.0, rtol=1e-12)
+    p = problems.make_kaczmarz_problem(sys_)
+    assert np.isclose(p.analytic_M, 2.0, rtol=1e-12)
 
 
 def test_kaczmarz_M_against_svd_oracle():
     sys_ = problems.make_random_kaczmarz_system(20, 5, 77, mix=0.8)
     sv = np.linalg.svd(sys_.A, compute_uv=False)
     oracle = 20 * sv[0] ** 2 / sv[-1] ** 4
-    assert np.isclose(kaczmarz_M(sys_), oracle, rtol=1e-8)
+    p = problems.make_kaczmarz_problem(sys_)
+    assert np.isclose(p.analytic_M, oracle, rtol=1e-8)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_kaczmarz_M_dominates_measured_ratios(seed):
     sys_ = problems.make_random_kaczmarz_system(15, 4, seed, mix=0.7)
     p = problems.make_kaczmarz_problem(sys_)
-    M = kaczmarz_M(sys_)
+    M = p.analytic_M
     g = np.random.default_rng(seed)
     X = g.normal(size=(1000, 4)) * g.choice([0.1, 1, 10], size=(1000, 1))
     for x in X:

@@ -197,8 +197,9 @@ def test_kaczmarz_constants_match_spectrum():
 
 
 def test_kaczmarz_unit_step_projects_onto_row(rng):
-    p = make_kaczmarz_problem(make_random_kaczmarz_system(8, 3, 1))
-    A, b = p.kaczmarz.A, p.kaczmarz.b
+    sys_ = make_random_kaczmarz_system(8, 3, 1)
+    p = make_kaczmarz_problem(sys_)
+    A, b = sys_.A, sys_.b
     x = rng.normal(size=3)
     for i in range(8):
         x_next = x - p.component_grad(i, x)  # gamma = 1
@@ -250,6 +251,9 @@ def test_text_loader_normalizes_rows(tmp_path):
     assert np.allclose(sys_.A @ sys_.x_ls, sys_.b, atol=1e-10)
 
 
+# a non-finite entry is caught as its row is read, before a nan reaches the
+# SVD or an inf the row normalization (where it raises a RuntimeWarning)
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("content,fragment", [
     ("", "empty"),
     ("2\n1 0 1\n0 1 1\n", "header"),
@@ -259,6 +263,8 @@ def test_text_loader_normalizes_rows(tmp_path):
     ("1 2\n1 0 1\n", "m >= d"),
     ("2 2\n1 0 1\n1 0 1\n", "rank"),
     ("2 2\n0 0 1\n0 1 1\n", "zero row"),
+    ("2 2\n1 0 1\n0 nan 1\n", ":3: non-finite value"),
+    ("2 2\n1 0 1\n0 inf 1\n", ":3: non-finite value"),
 ])
 def test_text_loader_rejects_malformed_input(tmp_path, content, fragment):
     path = tmp_path / "bad.txt"
