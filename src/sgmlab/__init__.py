@@ -50,7 +50,6 @@ from .problems import (
     make_kaczmarz_problem,
     make_quadratic_l1,
     make_random_kaczmarz_system,
-    make_shared_minimizer_quadratics,
     make_two_point_quadratic,
 )
 from .solvers import (
@@ -62,7 +61,6 @@ from .solvers import (
     SolverRun,
     Trajectory,
     recommend_step,
-    run,
     run_ensemble,
 )
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import json
 import math
 import os
@@ -26,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, geometry, growth, problems, solvers
+from . import analysis, checks, geometry, growth, problems, solvers
+from .checks import CHECKS
 
 __all__ = ["main", "parse_config", "run_experiment", "ConfigError",
            "ExperimentConfig", "CHECKS"]
 
-CHECKS = ("wgc", "sgc", "necessary", "rate", "floor", "inverse_t")
 OUTPUT_ROOT_ENV = "SGMLAB_OUTPUT_ROOT"
 
 EXIT_OK = 0
@@ -401,42 +400,15 @@ def build_geometry(cfg: ExperimentConfig, problem):
                                                           problem.dim)))
 
 
-def _effective_mu(problem, method: str) -> float:
-    """μ for rate predictions: restricted toward the solution set when
-    available, the plain strong-convexity constant for the proximal path."""
-    if method == "prox_sgm":
-        return problem.strong_mu
-    return problem.restricted_mu if problem.restricted_mu > 0 else problem.strong_mu
-
-
-def predicted_rho(problem, method: str, gamma: float) -> float:
-    """Per-step contraction implied by the constant-step analysis, or NaN
-    when the constants do not certify one at this γ."""
-    M = problem.analytic_M
-    mu = _effective_mu(problem, method)
-    L = problem.lipschitz_L
-    if M is None or mu <= 0 or L <= 0:
-        return math.nan
-    if method == "prox_sgm":
-        rho = gamma * mu * (1.0 - 2.0 * gamma * L * M)
-    else:
-        rho = gamma * mu * (1.0 - gamma * L * M)
-    return rho if 0 < rho < 1 else math.nan
-
-
 def resolve_step(cfg: ExperimentConfig, problem):
     """Turn the configured step policy into a concrete one.
 
     Returns (policy, rho_pred); rho_pred is NaN when no contraction is
-    certified (decaying steps, or constants unavailable).
+    certified (decaying steps, or a γ the constants do not certify).
     """
     kind = cfg.step_spec[0]
     if kind == "recommend":
-        if problem.analytic_M is None:
-            raise ValueError("step 'recommend' needs a closed-form weak-growth "
-                             "constant; this problem has none — give an "
-                             "explicit step")
-        mu = _effective_mu(problem, cfg.method)
+        mu = checks._effective_mu(problem, cfg.method)
         if mu <= 0:
             raise ValueError("step 'recommend' needs a positive convexity "
                              "constant")
@@ -445,11 +417,11 @@ def resolve_step(cfg: ExperimentConfig, problem):
         return solvers.ConstantStep(gamma), rho
     if kind == "constant":
         gamma = cfg.step_spec[1]
-        return solvers.ConstantStep(gamma), predicted_rho(problem, cfg.method,
-                                                          gamma)
+        return solvers.ConstantStep(gamma), checks.predicted_rho(
+            problem, cfg.method, gamma)
     c = cfg.step_spec[1]
     if c is None:
-        mu = _effective_mu(problem, cfg.method)
+        mu = checks._effective_mu(problem, cfg.method)
         if mu <= 0:
             raise ValueError("inverse_t without a coefficient needs a positive "
                              "convexity constant (defaults to 2/mu)")
@@ -457,27 +429,8 @@ def resolve_step(cfg: ExperimentConfig, problem):
     return solvers.InverseTStep(c), math.nan
 
 
-def floor_prediction(problem, method: str, gamma: float):
-    """(rho, sigma1_sq, floor) for the constant-step noise-floor bound, or
-    None with a reason when the prediction is not defined for this setup."""
-    M, s2 = problem.analytic_M, problem.analytic_sigma_sq
-    if M is None or s2 is None:
-        return None, "no closed-form growth constants for this problem"
-    rho = predicted_rho(problem, method, gamma)
-    if math.isnan(rho):
-        return None, "no contraction certified at this step size"
-    if method == "prox_sgm":
-        gstar = problem.full_grad(problem.x_star)
-        sigma1_sq = 2.0 * (1.0 + 2.0 * M) * float(gstar @ gstar) + 2.0 * s2
-    elif method in ("sgm", "psgm"):
-        sigma1_sq = s2  # unconstrained: min_C f equals the global infimum
-    else:
-        return None, "no floor prediction for resolvent iterations"
-    return (rho, sigma1_sq, analysis.predict_floor(gamma, rho, sigma1_sq)), None
-
-
 # ---------------------------------------------------------------------------
-# Checks
+# Output files
 # ---------------------------------------------------------------------------
 
 def _num(x):
@@ -487,152 +440,6 @@ def _num(x):
     x = float(x)
     return None if math.isnan(x) else x
 
-
-def _run_checks(cfg, spec, rho_pred, ens):
-    """Execute the requested checks; returns (manifest_checks, extras)."""
-    problem, policy = spec.problem, spec.step
-    results = {}
-    extras = {}
-    # one successor enumeration serves every per-iterate audit of the run
-    audit_moments = functools.cache(lambda: growth.successor_moments(
-        problem, spec.geometry, policy.gamma, ens.audit.points))
-
-    growth_report = None
-    if "wgc" in cfg.checks or "sgc" in cfg.checks:
-        probes = growth.probe_grid(problem, cfg.seed,
-                                   scales=growth.PROBE_SCALES)
-        growth_report = growth.fit_wgc(problem, probes, probe_seed=cfg.seed,
-                                       probe_scales=growth.PROBE_SCALES)
-        extras["growth_report"] = growth_report
-
-    if "wgc" in cfg.checks:
-        results["wgc"] = {
-            "status": "pass",
-            "M": growth_report.M_wgc,
-            "sigma_sq": growth_report.sigma_sq,
-            "classification": growth_report.classification,
-        }
-
-    if "sgc" in cfg.checks:
-        B = growth_report.B_sgc
-        chain_ok = (not math.isfinite(B)) or growth_report.sigma_sq <= 1e-12
-        results["sgc"] = {
-            "status": "pass" if chain_ok else "fail",
-            "B": "inf" if math.isinf(B) else B,
-            "chain_holds": chain_ok,
-        }
-
-    if "necessary" in cfg.checks:
-        results["necessary"] = _check_necessary(problem, policy, ens,
-                                                audit_moments)
-
-    if "rate" in cfg.checks:
-        results["rate"] = _check_rate(cfg, problem, policy, rho_pred, ens,
-                                      extras, audit_moments)
-
-    if "floor" in cfg.checks:
-        results["floor"] = _check_floor(cfg, problem, policy, ens, extras)
-
-    if "inverse_t" in cfg.checks:
-        if policy.kind != "inverse_t":
-            results["inverse_t"] = {"status": "skipped",
-                                    "reason": "step policy is not inverse_t"}
-        else:
-            passed, slope = analysis.check_inverse_t_rate(ens.mean_dist_sq)
-            extras["loglog_slope"] = slope
-            results["inverse_t"] = {"status": "pass" if passed else "fail",
-                                    "slope": slope, "band": [-1.3, -0.7]}
-    return results, extras
-
-
-def _check_necessary(problem, policy, ens, audit_moments):
-    audit = ens.audit
-    if len(audit.point_steps) != audit.iters + 1:
-        return {"status": "skipped",
-                "reason": "trajectory was thinned; rerun with T <= 10000"}
-    if policy.kind != "constant":
-        return {"status": "skipped",
-                "reason": "the bound is stated for constant steps"}
-    sigma_sq = problem.analytic_sigma_sq
-    moments = audit_moments()
-    omega = growth.measured_worst_omega(moments, sigma_sq)
-    if not 0 < omega < 1:
-        return {"status": "fail", "omega": omega,
-                "reason": "no strict one-step contraction measured along the "
-                          "trajectory"}
-    report = growth.verify_necessary_condition(moments, omega, sigma_sq)
-    return {
-        "status": "pass" if report.ok else "fail",
-        "omega": omega,
-        "sigma_sq": sigma_sq,
-        "violations": len(report.flagged),
-        "hypothesis_failures": len(report.hypothesis_failures),
-        "min_margin": float(report.margins.min()),
-    }
-
-
-def _check_rate(cfg, problem, policy, rho_pred, ens, extras, audit_moments):
-    if policy.kind != "constant":
-        return {"status": "skipped",
-                "reason": "rate fitting applies to constant-step runs"}
-    try:
-        fit = analysis.fit_linear_rate(ens.mean_dist_sq)
-    except analysis.RateFitError as exc:
-        return {"status": "fail", "reason": str(exc)}
-    extras["rate_fit"] = fit
-    out = {"rate_fit": fit.rate_per_iter, "rate_stderr": fit.rate_stderr,
-           "r_squared": fit.r_squared, "floor_estimate": fit.floor_estimate}
-    ok = True
-    if not math.isnan(rho_pred):
-        bound = 1.0 - rho_pred + 3.0 * fit.rate_stderr + 0.01
-        out["rho_pred"] = rho_pred
-        out["rate_bound"] = bound
-        ok &= fit.rate_per_iter <= bound
-        # exact per-step contraction audit on the recorded replication
-        if cfg.method in ("sgm", "psgm") and problem.analytic_sigma_sq == 0.0:
-            _, flagged = growth.contraction_margins(audit_moments(), rho_pred,
-                                                    0.0)
-            out["contraction_violations"] = len(flagged)
-            ok &= not flagged
-    else:
-        ok &= fit.rate_per_iter < 1.0
-    if problem.analytic_sigma_sq == 0.0:
-        out["floor_limit"] = 1e-12
-        ok &= fit.floor_estimate <= 1e-12
-    out["status"] = "pass" if ok else "fail"
-    return out
-
-
-def _check_floor(cfg, problem, policy, ens, extras):
-    if policy.kind != "constant":
-        return {"status": "skipped",
-                "reason": "the floor prediction applies to constant steps"}
-    pred, reason = floor_prediction(problem, cfg.method, policy.gamma)
-    if pred is None:
-        return {"status": "skipped", "reason": reason}
-    rho, sigma1_sq, floor_pred = pred
-    floor_fit, se = analysis.estimate_floor(ens.mean_dist_sq, ens.stderr)
-    extras["floor_fit"] = floor_fit
-    extras["floor_pred"] = floor_pred
-    out = {"floor_fit": floor_fit, "floor_pred": floor_pred,
-           "floor_stderr": se, "rho": rho, "sigma1_sq": sigma1_sq}
-    if floor_pred == 0.0:
-        ok = floor_fit <= 1e-12
-        out["floor_limit"] = 1e-12
-    else:
-        # the prediction is an upper-bound fixed point: the measured floor
-        # may sit below it (up to 4x) but must not exceed it
-        lo = floor_pred / 4.0 - 3.0 * se
-        hi = floor_pred + 3.0 * se
-        out["band"] = [lo, hi]
-        ok = lo <= floor_fit <= hi
-    out["status"] = "pass" if ok else "fail"
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Output files
-# ---------------------------------------------------------------------------
 
 def _write_audit_csv(path, traj):
     T, chunk = traj.iters, analysis._CSV_ROWS
@@ -648,9 +455,9 @@ def _write_audit_csv(path, traj):
         fh.write(f"{T},{traj.dist_sq[T].item()!r},,\n")  # no step from T
 
 
-def _summary_row(cfg, step, rho_pred, results, extras):
-    fit = extras.get("rate_fit")
+def _summary_row(cfg, step, rho_pred, results):
     fmt = lambda v: "" if v is None else analysis.format_float(v)
+    rate, floor = results.get("rate", {}), results.get("floor", {})
     row = {
         "experiment": cfg.name,
         "problem": cfg.problem_kind,
@@ -659,11 +466,11 @@ def _summary_row(cfg, step, rho_pred, results, extras):
         "gamma": analysis.format_float(step.value(0)),
         "rho_pred": "" if math.isnan(rho_pred)
                     else analysis.format_float(rho_pred),
-        "rate_fit": fmt(fit.rate_per_iter if fit else None),
-        "rate_stderr": fmt(fit.rate_stderr if fit else None),
-        "floor_pred": fmt(extras.get("floor_pred")),
-        "floor_fit": fmt(extras.get("floor_fit")),
-        "loglog_slope": fmt(extras.get("loglog_slope")),
+        "rate_fit": fmt(rate.get("rate_fit")),
+        "rate_stderr": fmt(rate.get("rate_stderr")),
+        "floor_pred": fmt(floor.get("floor_pred")),
+        "floor_fit": fmt(floor.get("floor_fit")),
+        "loglog_slope": fmt(results.get("inverse_t", {}).get("slope")),
     }
     for check in CHECKS:
         row[f"check_{check}"] = results.get(check, {}).get("status",
@@ -754,17 +561,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_manifest(out_dir, manifest)
         return EXIT_CONSTRUCTION
 
-    results, extras = _run_checks(cfg, spec, rho_pred, ens)
+    run = checks.RunContext(spec, cfg.method, rho_pred, ens)
+    results = {name: check(run) for name, check in CHECKS.items()
+               if name in cfg.checks}
 
     analysis.write_stats_csv(out_dir / "trajectory_stats.csv",
                              ens.mean_dist_sq, ens.stderr)
     _write_audit_csv(out_dir / "audit_trajectory.csv", ens.audit)
-    if "growth_report" in extras:
-        growth.write_growth_json(out_dir / "growth.json",
-                                 extras["growth_report"])
+    if "wgc" in cfg.checks or "sgc" in cfg.checks:
+        growth.write_growth_json(out_dir / "growth.json", run.growth_report)
     analysis.write_summary_csv(out_dir / "summary.csv",
-                               _summary_row(cfg, spec.step, rho_pred, results,
-                                            extras))
+                               _summary_row(cfg, spec.step, rho_pred, results))
 
     all_pass = all(r.get("status") == "pass" for r in results.values())
     manifest.update(gamma=_num(spec.step.value(0)), rho_pred=_num(rho_pred),

@@ -217,8 +217,6 @@ class NecessaryConditionReport:
     margins: np.ndarray
     flagged: list = field(default_factory=list)
     hypothesis_failures: list = field(default_factory=list)
-    omega: float = math.nan
-    sigma_sq: float = math.nan
 
     @property
     def ok(self) -> bool:
@@ -246,8 +244,7 @@ def verify_necessary_condition(moments: SuccessorMoments, omega: float,
     flagged = ~hyp_failed & (margins < -_MARGIN_RTOL * (1.0 + rhs))
     return NecessaryConditionReport(
         margins=margins, flagged=np.flatnonzero(flagged).tolist(),
-        hypothesis_failures=np.flatnonzero(hyp_failed).tolist(),
-        omega=omega, sigma_sq=sigma_sq)
+        hypothesis_failures=np.flatnonzero(hyp_failed).tolist())
 
 
 def measured_worst_omega(moments: SuccessorMoments, sigma_sq: float) -> float:

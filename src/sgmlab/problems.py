@@ -1,17 +1,17 @@
 """Finite-sum problems f = (1/n) Σ fᵢ with exact component-gradient oracles.
 
 Every instance knows its smoothness and convexity constants, its unique
-solution ``x_star``, and any closed-form growth constants, so conditional
+solution ``x_star``, and its closed-form growth constants, so conditional
 expectations over the uniform component index are exact finite sums rather
 than Monte Carlo estimates.
 
 Each problem has one gradient oracle, the batch kernel
 ``batch_component_grad``, plus ``all_component_grads`` for enumerating every
-component at a stack of points; single-component gradients come from the
-batch kernel.  Batched kernels operate on column batches X of shape (d, R),
-and ``all_component_grads`` on row stacks of shape (P, d); both are written
-with elementwise ops and fixed-order axis reductions only, so column r (or
-row p) of a batched evaluation is bitwise identical to evaluating it alone.
+component at a stack of points.  Batched kernels operate on column batches
+X of shape (d, R), and ``all_component_grads`` on row stacks of shape
+(P, d); both are written with elementwise ops and fixed-order axis
+reductions only, so column r (or row p) of a batched evaluation is bitwise
+identical to evaluating it alone.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "make_kaczmarz_problem",
     "make_random_kaczmarz_system",
     "load_kaczmarz_text",
-    "make_shared_minimizer_quadratics",
     "make_quadratic_l1",
     "exact_conditional_moment",
 ]
@@ -52,7 +51,10 @@ class FiniteSumProblem:
 
     ``x_star`` is the read-only (dim,) solution of the full problem being
     solved — for composite instances that is the regularized solution, not
-    argmin f.  ``full_grad`` is the analytic ∇f.
+    argmin f.  ``full_grad`` is the analytic ∇f.  (``analytic_M``,
+    ``analytic_sigma_sq``) is a closed-form weak-growth pair,
+    E‖∇fᵢ(x)‖² ≤ M‖∇f(x)‖² + σ² for every x; ``math.inf`` where no finite
+    constant exists.
     ``batch_component_grad(X, idx)`` returns the
     (d, R) matrix of ∇f_{idx[r]}(X[:, r]); ``all_component_grads(Xp)``
     takes a (P, d) stack of points and returns the C-ordered (P, n, d) array
@@ -66,15 +68,13 @@ class FiniteSumProblem:
     per_component_L0: float
     strong_mu: float
     restricted_mu: float
-    f_star: float
     x_star: np.ndarray
     full_grad: Callable
     batch_component_grad: Callable
     all_component_grads: Callable
+    analytic_M: float
+    analytic_sigma_sq: float
     grad_zero_points: list = field(default_factory=list)
-    analytic_M: float | None = None
-    analytic_sigma_sq: float | None = None
-    analytic_B: float | None = None
     regularizer: Regularizer | None = None
 
     def __post_init__(self):
@@ -88,11 +88,6 @@ class FiniteSumProblem:
         ``src/`` calls it; only the perfbench tracer reads it, by name."""
         xs = self.x_star if np.ndim(x) == 1 else self.x_star[:, None]
         return np.broadcast_to(xs, np.shape(x)).copy()
-
-    def component_grad(self, i: int, x) -> np.ndarray:
-        """∇fᵢ(x), as the batch kernel on a one-column batch."""
-        x = np.asarray(x, dtype=float)
-        return self.batch_component_grad(x[:, None], np.array([i]))[:, 0]
 
 
 def _finite_component_grads(problem: FiniteSumProblem, Xp) -> np.ndarray:
@@ -148,7 +143,6 @@ def make_two_point_quadratic() -> FiniteSumProblem:
         per_component_L0=1.0,
         strong_mu=1.0,
         restricted_mu=1.0,
-        f_star=0.5,
         x_star=np.zeros(1),
         full_grad=lambda x: np.asarray(x, dtype=float).copy(),
         batch_component_grad=batch_grad,
@@ -304,7 +298,6 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
         per_component_L0=1.0,
         strong_mu=lam_min / m,
         restricted_mu=lam_min / m,
-        f_star=0.5 * sigma_sq,
         x_star=sys.x_ls,
         full_grad=full_grad,
         batch_component_grad=batch_grad,
@@ -312,52 +305,6 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
         grad_zero_points=[sys.x_ls.copy()],
         analytic_M=m * lam_max / lam_min ** 2,
         analytic_sigma_sq=sigma_sq,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadratics sharing one minimizer: every component gradient vanishes there.
-# ---------------------------------------------------------------------------
-
-def make_shared_minimizer_quadratics(dim: int = 3, n_components: int = 4,
-                                     construction_seed: int = 7) -> FiniteSumProblem:
-    """fᵢ(x) = sᵢ · 0.5‖x − c‖² — scaled copies of one quadratic.
-
-    Interpolation holds exactly (all ∇fᵢ(c) = 0), so the strong growth
-    ratio maxᵢ‖∇fᵢ‖²/‖∇f‖² equals max sᵢ²/s̄² everywhere and stays finite.
-    """
-    g = rng.substream(construction_seed, 0)
-    scales = 0.5 + g.random(n_components)  # in [0.5, 1.5)
-    center = g.standard_normal(dim)
-    s_bar = float(scales.mean())
-    B = float(np.max(scales ** 2) / s_bar ** 2)
-
-    def full_grad(x):
-        return s_bar * (x - center)
-
-    def batch_grad(X, idx):
-        return scales[idx][None, :] * (X - center[:, None])
-
-    def all_grads(Xp):
-        return scales[None, :, None] * (Xp - center)[:, None, :]
-
-    return FiniteSumProblem(
-        name="shared_minimizer",
-        dim=dim,
-        n_components=n_components,
-        lipschitz_L=s_bar,
-        per_component_L0=float(scales.max()),
-        strong_mu=s_bar,
-        restricted_mu=s_bar,
-        f_star=0.0,
-        x_star=center,
-        full_grad=full_grad,
-        batch_component_grad=batch_grad,
-        all_component_grads=all_grads,
-        grad_zero_points=[center.copy()],
-        analytic_M=B,
-        analytic_sigma_sq=0.0,
-        analytic_B=B,
     )
 
 
@@ -423,7 +370,6 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
         per_component_L0=L,
         strong_mu=mu,
         restricted_mu=0.0,
-        f_star=0.0,
         x_star=xstar,
         full_grad=full_grad,
         batch_component_grad=batch_grad,

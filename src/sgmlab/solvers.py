@@ -35,7 +35,6 @@ __all__ = [
     "Trajectory",
     "EnsembleRun",
     "DivergenceError",
-    "run",
     "run_ensemble",
     "recommend_step",
     "METHODS",
@@ -257,11 +256,6 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     )
     return EnsembleRun(mean_dist_sq=stats.mean, stderr=stats.stderr,
                        audit=audit)
-
-
-def run(spec: SolverRun) -> Trajectory:
-    """Run a single replication and return its full trajectory."""
-    return run_ensemble(spec, 1).audit
 
 
 def recommend_step(L: float, M: float, mu: float, method: str = "psgm"):

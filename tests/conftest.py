@@ -1,7 +1,46 @@
 import numpy as np
 import pytest
 
-from sgmlab import problems
+from sgmlab import problems, rng as sgm_rng, solvers
+
+
+def component_grad(p, i, x):
+    """∇fᵢ(x), as the problem's batch kernel on a one-column batch."""
+    x = np.asarray(x, dtype=float)
+    return p.batch_component_grad(x[:, None], np.array([i]))[:, 0]
+
+
+def run_one(spec):
+    """The full trajectory of a one-replication run of ``spec``."""
+    return solvers.run_ensemble(spec, 1).audit
+
+
+def make_shared_minimizer_quadratics(dim=3, n_components=4,
+                                     construction_seed=7):
+    """(problem, B) for fᵢ(x) = sᵢ · 0.5‖x − c‖², scaled copies of one
+    quadratic.
+
+    Interpolation holds exactly (all ∇fᵢ(c) = 0), so the strong growth
+    ratio maxᵢ‖∇fᵢ‖²/‖∇f‖² equals B = max sᵢ²/s̄² everywhere and stays
+    finite; B also bounds the weak-growth ratio, with σ² = 0.
+    """
+    g = sgm_rng.substream(construction_seed, 0)
+    scales = 0.5 + g.random(n_components)  # in [0.5, 1.5)
+    center = g.standard_normal(dim)
+    s_bar = float(scales.mean())
+    B = float(np.max(scales ** 2) / s_bar ** 2)
+    problem = problems.FiniteSumProblem(
+        name="shared_minimizer", dim=dim, n_components=n_components,
+        lipschitz_L=s_bar, per_component_L0=float(scales.max()),
+        strong_mu=s_bar, restricted_mu=s_bar, x_star=center,
+        full_grad=lambda x: s_bar * (x - center),
+        batch_component_grad=lambda X, idx: (scales[idx][None, :]
+                                             * (X - center[:, None])),
+        all_component_grads=lambda Xp: (scales[None, :, None]
+                                        * (Xp - center)[:, None, :]),
+        analytic_M=B, analytic_sigma_sq=0.0,
+        grad_zero_points=[center.copy()])
+    return problem, B
 
 
 @pytest.fixture
@@ -23,8 +62,12 @@ def quadratic_l1():
 
 @pytest.fixture(scope="module")
 def shared_minimizer():
-    return problems.make_shared_minimizer_quadratics(dim=3, n_components=4,
-                                                     construction_seed=7)
+    return make_shared_minimizer_quadratics()[0]
+
+
+@pytest.fixture(scope="module")
+def shared_minimizer_B():
+    return make_shared_minimizer_quadratics()[1]
 
 
 @pytest.fixture

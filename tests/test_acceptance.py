@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import make_shared_minimizer_quadratics, run_one
 
 from sgmlab import analysis, cli, geometry, growth, problems, solvers
 from sgmlab.analysis import estimate_floor, fit_linear_rate, predict_floor
@@ -25,11 +26,10 @@ from sgmlab.problems import (
     make_kaczmarz_problem,
     make_quadratic_l1,
     make_random_kaczmarz_system,
-    make_shared_minimizer_quadratics,
     make_two_point_quadratic,
 )
 from sgmlab.solvers import ConstantStep, InverseTStep, SolverRun, \
-    recommend_step, run, run_ensemble
+    recommend_step, run_ensemble
 
 
 def _criterion(number, description, ok, elapsed, budget):
@@ -55,8 +55,8 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     kp = _kaczmarz_instance()
     gamma_a, _ = recommend_step(kp.lipschitz_L, kp.analytic_M,
                                 kp.restricted_mu, "sgm")
-    traj_a = run(SolverRun(problem=kp,
-                           step=ConstantStep(gamma_a), iters=500, seed=101))
+    traj_a = run_one(SolverRun(problem=kp, step=ConstantStep(gamma_a),
+                               iters=500, seed=101))
     moments_a = successor_moments(kp, None, gamma_a, traj_a.points)
     omega_a = measured_worst_omega(moments_a, sigma_sq=0.0)
     ok &= 0.0 < omega_a < 1.0
@@ -68,9 +68,8 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     tp = make_two_point_quadratic()
     gamma_b, _ = recommend_step(tp.lipschitz_L, tp.analytic_M, tp.strong_mu,
                                 "sgm")
-    traj_b = run(SolverRun(problem=tp,
-                           step=ConstantStep(gamma_b), iters=500, seed=102,
-                           x0=np.array([2.0])))
+    traj_b = run_one(SolverRun(problem=tp, step=ConstantStep(gamma_b),
+                               iters=500, seed=102, x0=np.array([2.0])))
     moments_b = successor_moments(tp, None, gamma_b, traj_b.points)
     omega_b = measured_worst_omega(moments_b, sigma_sq=1.0)
     ok &= 0.0 < omega_b < 1.0
@@ -203,8 +202,8 @@ def test_criterion_6_decaying_step_gives_one_over_t():
 def test_criterion_7_growth_classification():
     t0 = time.perf_counter()
     tp = make_two_point_quadratic()
-    shared = make_shared_minimizer_quadratics(dim=3, n_components=4,
-                                              construction_seed=7)
+    shared, _ = make_shared_minimizer_quadratics(dim=3, n_components=4,
+                                                 construction_seed=7)
 
     rep = fit_wgc(tp, probe_grid(tp, 7))
     B_tp = rep.B_sgc
@@ -227,9 +226,9 @@ def test_criterion_8_method_reductions_are_bitwise():
     ok = True
     for seed in range(10):
         def traj(geom):
-            return run(SolverRun(problem=kp, geometry=geom,
-                                 step=ConstantStep(gamma), iters=100,
-                                 seed=seed))
+            return run_one(SolverRun(problem=kp, geometry=geom,
+                                     step=ConstantStep(gamma), iters=100,
+                                     seed=seed))
 
         base = traj(None)
         variants = [

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,23 @@ def test_skipped_check_fails_the_run(tmp_path):
     assert "inverse_t" in entry["reason"]
 
 
+@pytest.mark.parametrize("step", ["constant 0.5", "inverse_t"])
+def test_necessary_skips_a_thinned_trajectory_before_the_step_kind(tmp_path,
+                                                                  step):
+    # T > 10 000 thins the audit trajectory; that skip comes first, also
+    # for a decaying step, which the check would skip for its own reason
+    text = TWO_POINT_SMALL.replace("iterations = 300", "iterations = 10001")
+    text = text.replace("replications = 50", "replications = 2")
+    text = text.replace("checks = wgc, necessary, floor", "checks = necessary")
+    text = text.replace("step = constant 0.5", f"step = {step}")
+    out = tmp_path / "out"
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out", out]) == 1
+    entry = json.loads((out / "manifest.json").read_text())["checks"][
+        "necessary"]
+    assert entry == {"status": "skipped",
+                     "reason": "trajectory was thinned; rerun with T <= 10000"}
+
+
 def test_inverse_t_check_on_a_short_inverse_t_run_exits_2_with_line(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
@@ -632,6 +650,27 @@ def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
     # every point once, in order: the blocks tile the audited trajectory
     assert len(audited) == 1
     assert np.array_equal(np.concatenate(blocks), audited[0])
+
+
+def test_growth_checks_share_one_probe_fit(tmp_path, monkeypatch):
+    # 'wgc', 'sgc' and growth.json all read one fit of the probe set
+    fits = []
+    inner = growth.fit_wgc
+
+    def counted(*args, **kwargs):
+        fits.append(inner(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(growth, "fit_wgc", counted)
+    text = TWO_POINT_SMALL.replace("checks = wgc, necessary, floor",
+                                   "checks = wgc, sgc")
+    out = tmp_path / "out"
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out", out]) == 0
+    assert len(fits) == 1
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks["wgc"]["M"] == fits[0].M_wgc
+    assert checks["sgc"]["B"] == "inf" and math.isinf(fits[0].B_sgc)
+    assert json.loads((out / "growth.json").read_text())["M"] == fits[0].M_wgc
 
 
 def test_resolvent_run_solves_once_per_step_and_equals_sgm(tmp_path,

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import component_grad, run_one
 
 from sgmlab import geometry as geo
 from sgmlab import growth, problems, solvers
@@ -31,11 +32,13 @@ def constant_problem():
     return problems.FiniteSumProblem(
         name="cancel", dim=2, n_components=2,
         lipschitz_L=1.0, per_component_L0=1.0, strong_mu=0.0,
-        restricted_mu=0.0, f_star=0.0,
+        restricted_mu=0.0,
         x_star=np.zeros(2),  # one point of the solution set, the whole plane
         full_grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         batch_component_grad=batch,
         all_component_grads=lambda Xp: np.stack([Xp, -Xp], axis=1),
+        # E‖∇fᵢ(x)‖² = ‖x‖² while ∇f = 0: no finite weak-growth pair
+        analytic_M=math.inf, analytic_sigma_sq=math.inf,
     )
 
 
@@ -71,10 +74,11 @@ def test_sgc_is_infinite_when_noise_persists(two_point):
     assert math.isinf(B)
 
 
-def test_sgc_is_finite_under_interpolation(shared_minimizer):
+def test_sgc_is_finite_under_interpolation(shared_minimizer,
+                                           shared_minimizer_B):
     B = fit_wgc(shared_minimizer, probe_grid(shared_minimizer, 1)).B_sgc
     assert math.isfinite(B)
-    assert np.isclose(B, shared_minimizer.analytic_B, rtol=1e-9)
+    assert np.isclose(B, shared_minimizer_B, rtol=1e-9)
 
 
 def test_wgc_two_point_constants(two_point):
@@ -110,7 +114,7 @@ def sgc_oracle(p, probes):
     B = 1.0
     for x in probes:
         full = p.full_grad(x)
-        comp = max(float(g @ g) for g in (p.component_grad(i, x)
+        comp = max(float(g @ g) for g in (component_grad(p, i, x)
                                           for i in range(p.n_components)))
         if math.sqrt(full @ full) > growth.ZERO_GRAD_TOL:
             B = max(B, comp / float(full @ full))
@@ -217,7 +221,7 @@ def test_example1_requires_positive_curvature():
 def test_enumerate_successors_plain(two_point):
     x = np.array([0.8])
     succ = enumerate_successors(two_point, None, 0.5, x[None])
-    manual = np.stack([x - 0.5 * two_point.component_grad(i, x)
+    manual = np.stack([x - 0.5 * component_grad(two_point, i, x)
                        for i in range(2)], axis=1)
     assert succ.shape == (1, 1, 2)
     assert np.array_equal(succ[:, 0], manual)
@@ -226,7 +230,7 @@ def test_enumerate_successors_plain(two_point):
 def _l1_steps(p, gamma, x):
     """Each component's proximal step from x, one prox call per component."""
     return np.stack([geo.prox(p.regularizer, gamma,
-                              x - gamma * p.component_grad(i, x))
+                              x - gamma * component_grad(p, i, x))
                      for i in range(p.n_components)], axis=1)
 
 
@@ -366,7 +370,7 @@ def test_audits_equal_per_point_loop_reference(two_point, omega, rho):
     spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=60,
                              seed=24, x0=np.array([4.0]))
-    points = solvers.run(spec).points
+    points = run_one(spec).points
     moments = successor_moments(two_point, None, gamma, points)
     margins, flagged, hyp, worst, c_margins, c_flagged = _reference_audits(
         two_point, gamma, points, omega, sigma_sq, rho)
@@ -386,7 +390,7 @@ def test_necessary_condition_two_point_margins_are_exact(two_point):
     spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=21, x0=np.array([2.0]))
-    traj = solvers.run(spec)
+    traj = run_one(spec)
     rep = verify_necessary_condition(
         successor_moments(two_point, None, gamma, traj.points),
         omega=omega, sigma_sq=1.0)
@@ -402,7 +406,7 @@ def test_necessary_condition_flags_understated_omega(two_point):
     spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=50,
                              seed=22, x0=np.array([5.0]))
-    traj = solvers.run(spec)
+    traj = run_one(spec)
     # omega far below the true one-step contraction: the hypothesis
     # E||x+ - xbar||^2 <= omega ||x - xbar||^2 + gamma^2 sigma^2 fails
     rep = verify_necessary_condition(
@@ -414,7 +418,7 @@ def test_necessary_condition_flags_understated_omega(two_point):
 def test_necessary_condition_validates_inputs(two_point):
     spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(0.5), iters=60, seed=2)
-    moments = successor_moments(two_point, None, 0.5, solvers.run(spec).points)
+    moments = successor_moments(two_point, None, 0.5, run_one(spec).points)
     with pytest.raises(ValueError):
         verify_necessary_condition(moments, omega=1.0, sigma_sq=1.0)
     with pytest.raises(ValueError):
@@ -426,7 +430,7 @@ def test_measured_omega_matches_closed_form(two_point):
     spec = solvers.SolverRun(problem=two_point,
                              step=solvers.ConstantStep(gamma), iters=80,
                              seed=23, x0=np.array([3.0]))
-    traj = solvers.run(spec)
+    traj = run_one(spec)
     omega = measured_worst_omega(
         successor_moments(two_point, None, gamma, traj.points), sigma_sq=1.0)
     assert np.isclose(omega, (1 - gamma) ** 2, atol=1e-12)
@@ -439,7 +443,7 @@ def test_contraction_margins_clean_on_kaczmarz(kaczmarz_20x5):
     spec = solvers.SolverRun(problem=p,
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=31)
-    traj = solvers.run(spec)
+    traj = run_one(spec)
     margins, flagged = contraction_margins(
         successor_moments(p, None, gamma, traj.points), rho, 0.0)
     assert not flagged

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import component_grad, make_shared_minimizer_quadratics
 
 from sgmlab import geometry as geo
 from sgmlab import problems
@@ -11,7 +12,6 @@ from sgmlab.problems import (
     make_kaczmarz_problem,
     make_quadratic_l1,
     make_random_kaczmarz_system,
-    make_shared_minimizer_quadratics,
     make_two_point_quadratic,
 )
 
@@ -64,7 +64,7 @@ _KZ_SYSTEM = make_random_kaczmarz_system(8, 3, 5)
 PROBLEMS_WITH_VALUES = [
     (make_two_point_quadratic, two_point_value),
     (lambda: make_kaczmarz_problem(_KZ_SYSTEM), kaczmarz_value(_KZ_SYSTEM)),
-    (lambda: make_shared_minimizer_quadratics(3, 4, 7),
+    (lambda: make_shared_minimizer_quadratics(3, 4, 7)[0],
      shared_minimizer_value(3, 4, 7)),
     (lambda: make_quadratic_l1(construction_seed=3, dim=4, n_components=6),
      quadratic_l1_value(3, 4, 6)),
@@ -80,7 +80,7 @@ def test_component_gradients_match_finite_differences(factory, rng):
         x = rng.normal(size=p.dim)
         for i in (0, p.n_components - 1):
             num = fd_grad(lambda z: value(i, z), x)
-            assert np.allclose(p.component_grad(i, x), num, rtol=1e-5,
+            assert np.allclose(component_grad(p, i, x), num, rtol=1e-5,
                                atol=1e-7)
         num_full = fd_grad(lambda z: mean_value(value, p, z), x)
         assert np.allclose(p.full_grad(x), num_full, rtol=1e-5, atol=1e-7)
@@ -92,7 +92,8 @@ def test_full_gradient_is_component_mean(factory, rng):
     x = rng.normal(size=p.dim) * 2
     grads = p.all_component_grads(x[None])[0]
     assert grads.shape == (p.n_components, p.dim)
-    stacked = np.stack([p.component_grad(i, x) for i in range(p.n_components)])
+    stacked = np.stack([component_grad(p, i, x)
+                        for i in range(p.n_components)])
     assert np.allclose(grads, stacked, atol=1e-14)
     assert np.allclose(grads.mean(axis=0), p.full_grad(x), atol=1e-12)
 
@@ -133,7 +134,7 @@ def test_batch_gradients_bitwise_match_single(factory, rng):
     for j in range(6):
         alone = p.batch_component_grad(X[:, j:j + 1].copy(), idx[j:j + 1])
         assert np.array_equal(G[:, j], alone[:, 0])
-        assert np.array_equal(G[:, j], p.component_grad(int(idx[j]), X[:, j]))
+        assert np.array_equal(G[:, j], component_grad(p, int(idx[j]), X[:, j]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +145,11 @@ def test_two_point_values_and_constants(two_point):
     p = two_point
     assert p.dim == 1 and p.n_components == 2
     assert p.lipschitz_L == 1.0 and p.strong_mu == 1.0
-    assert p.f_star == 0.5
     x = np.array([0.7])
     # mean objective is 0.5 x^2 + 0.5
     assert np.isclose(mean_value(two_point_value, p, x), 0.5 * 0.49 + 0.5)
     assert np.allclose(p.x_star, [0.0])
-    assert mean_value(two_point_value, p, p.x_star) == p.f_star
+    assert mean_value(two_point_value, p, p.x_star) == 0.5  # f(x*) = inf f
     mean_grad, second = exact_conditional_moment(p, x)
     assert np.allclose(mean_grad, x)
     assert np.isclose(second, 0.49 + 1.0)  # x^2 + sigma^2 with sigma^2 = 1
@@ -202,7 +202,7 @@ def test_kaczmarz_unit_step_projects_onto_row(rng):
     A, b = sys_.A, sys_.b
     x = rng.normal(size=3)
     for i in range(8):
-        x_next = x - p.component_grad(i, x)  # gamma = 1
+        x_next = x - component_grad(p, i, x)  # gamma = 1
         assert abs(A[i] @ x_next - b[i]) < 1e-12
 
 
@@ -213,9 +213,8 @@ def test_kaczmarz_objective_identity(rng):
     r = sys_.A @ x - sys_.b
     value = kaczmarz_value(sys_)
     assert np.isclose(mean_value(value, p, x), (r @ r) / (2 * 10), rtol=1e-12)
-    assert np.isclose(p.f_star, sys_.residual_norm ** 2 / (2 * 10), rtol=1e-10)
-    assert np.isclose(mean_value(value, p, p.x_star), p.f_star,
-                      rtol=1e-10)
+    assert np.isclose(mean_value(value, p, p.x_star),
+                      sys_.residual_norm ** 2 / (2 * 10), rtol=1e-10)
     # f's gradient is the problem's full gradient
     assert np.allclose(fd_grad(lambda z: mean_value(value, p, z), x),
                        p.full_grad(x), rtol=1e-5, atol=1e-7)
@@ -285,14 +284,15 @@ def test_shared_minimizer_gradients_vanish_together(shared_minimizer):
     assert np.allclose(p.full_grad(center), 0.0, atol=1e-12)
 
 
-def test_shared_minimizer_component_ratio_is_constant(shared_minimizer, rng):
+def test_shared_minimizer_component_ratio_is_constant(shared_minimizer,
+                                                      shared_minimizer_B, rng):
     p = shared_minimizer
     for _ in range(5):
         x = rng.normal(size=p.dim) * 3
         full = p.full_grad(x)
         grads = p.all_component_grads(x[None])[0]
         ratio = (grads * grads).sum(axis=1).max() / (full @ full)
-        assert np.isclose(ratio, p.analytic_B, rtol=1e-10)
+        assert np.isclose(ratio, shared_minimizer_B, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def problem_and_solution(kind, sys_):
     if kind == "shared_minimizer":
         g = sgm_rng.substream(7, 0)
         g.random(4)  # the scales come first
-        return (make_shared_minimizer_quadratics(3, 4, construction_seed=7),
+        return (make_shared_minimizer_quadratics(3, 4, construction_seed=7)[0],
                 g.standard_normal(3))
     p = make_quadratic_l1(dim=5)
     return p, problems._prox_gradient_solve(p.full_grad, p.regularizer,
@@ -357,7 +357,6 @@ def test_quadratic_l1_spectrum(quadratic_l1):
     assert 0 < p.strong_mu <= p.lipschitz_L
     assert np.isclose(p.lipschitz_L / p.strong_mu, 2.0, rtol=1e-10)
     assert p.restricted_mu == 0.0  # composite: no restricted constant claimed
-    assert p.f_star == 0.0
 
 
 def test_evaluation_error_on_nonfinite_point(two_point):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import component_grad, run_one
 
 from sgmlab import geometry as geo
 from sgmlab import analysis, problems, solvers
@@ -14,7 +15,6 @@ from sgmlab.solvers import (
     InverseTStep,
     SolverRun,
     recommend_step,
-    run,
     run_ensemble,
 )
 
@@ -103,16 +103,16 @@ def test_explicit_x0_is_validated(two_point):
 
 def test_one_step_matches_manual_update(two_point):
     spec = two_point_spec(iters=1, x0=np.array([2.0]))
-    traj = run(spec)
+    traj = run_one(spec)
     i = int(traj.sampled_indices[0])
-    manual = spec.x0 - 0.5 * two_point.component_grad(i, spec.x0)
+    manual = spec.x0 - 0.5 * component_grad(two_point, i, spec.x0)
     assert np.array_equal(traj.points[1], manual)
     assert traj.dist_sq[1] == float(manual @ manual)
 
 
 def test_trajectory_shapes_and_steps(two_point):
     spec = two_point_spec(iters=30)
-    traj = run(spec)
+    traj = run_one(spec)
     assert traj.iters == 30
     assert np.array_equal(traj.point_steps, np.arange(31))
     assert traj.points.shape == (31, 1)
@@ -123,7 +123,7 @@ def test_trajectory_shapes_and_steps(two_point):
 
 def test_long_runs_thin_points_but_not_distances(two_point):
     spec = two_point_spec(iters=10_001)
-    traj = run(spec)
+    traj = run_one(spec)
     assert traj.dist_sq.shape == (10_002,)
     assert traj.point_steps[1] - traj.point_steps[0] == 2
     assert traj.points.shape == (len(traj.point_steps), 1)
@@ -132,7 +132,7 @@ def test_long_runs_thin_points_but_not_distances(two_point):
 
 def test_sampled_indices_follow_the_declared_substream(two_point):
     spec = two_point_spec(iters=40, seed=123, replication=5)
-    traj = run(spec)
+    traj = run_one(spec)
     expected = IndexStream(123, 5, 2).next_block(40)
     assert np.array_equal(traj.sampled_indices, expected)
 
@@ -142,8 +142,8 @@ def test_sampled_indices_follow_the_declared_substream(two_point):
 # ---------------------------------------------------------------------------
 
 def test_rerun_is_bitwise_identical(two_point):
-    a = run(two_point_spec(iters=200))
-    b = run(two_point_spec(iters=200))
+    a = run_one(two_point_spec(iters=200))
+    b = run_one(two_point_spec(iters=200))
     assert np.array_equal(a.dist_sq, b.dist_sq)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.sampled_indices, b.sampled_indices)
@@ -169,7 +169,7 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1,
                      geometry=geo.l1_regularizer(0.005))
     D = matrix_of(run_ensemble(spec, 300))
     for r in (0, 7, 299):
-        single = run(replace(spec, replication=r))
+        single = run_one(replace(spec, replication=r))
         assert np.array_equal(D[r], single.dist_sq), r
 
 
@@ -201,7 +201,7 @@ def test_ensemble_rows_match_individual_runs(two_point, matrix_of):
     ens = run_ensemble(two_point_spec(iters=60), 10)
     D = matrix_of(ens)
     for r in range(10):
-        single = run(two_point_spec(iters=60, replication=r))
+        single = run_one(two_point_spec(iters=60, replication=r))
         assert np.array_equal(D[r], single.dist_sq)
     # the audit trajectory is the first replication
     assert np.array_equal(ens.audit.dist_sq, D[0])
@@ -250,7 +250,7 @@ def test_divergence_raises_with_location(two_point):
     spec = two_point_spec(step=ConstantStep(1e10), iters=50,
                           x0=np.array([1.0]))
     with pytest.raises(DivergenceError) as err:
-        run(spec)
+        run_one(spec)
     assert err.value.t >= 1
     assert err.value.replication == 0
     assert "diverged" in str(err.value)
@@ -265,7 +265,7 @@ def test_divergence_names_earliest_step_then_lowest_replication(two_point):
     escapes = []
     for r in range(R):
         try:
-            run(replace(spec, replication=r))
+            run_one(replace(spec, replication=r))
         except DivergenceError as exc:
             escapes.append((exc.t, exc.replication))
     expected = min(escapes)
@@ -330,8 +330,8 @@ def test_block_guard_names_what_a_per_step_guard_names(two_point, monkeypatch,
 def test_start_point_is_not_guarded(two_point):
     # x0 lies 1e13 from x* = 0, outside the trust region; a full step
     # (gamma = 1) lands on a component's target, so nothing diverges
-    traj = run(two_point_spec(step=ConstantStep(1.0), iters=5,
-                              x0=np.array([1e13])))
+    traj = run_one(two_point_spec(step=ConstantStep(1.0), iters=5,
+                                  x0=np.array([1e13])))
     assert traj.dist_sq.tolist() == [1e26] + [1.0] * 5
 
 
@@ -341,11 +341,12 @@ def test_trust_region_is_centred_on_the_solution_set(matrix_of):
     c = 3e12
     p = problems.FiniteSumProblem(
         name="shifted", dim=1, n_components=1, lipschitz_L=1.0,
-        per_component_L0=1.0, strong_mu=1.0, restricted_mu=1.0, f_star=0.0,
+        per_component_L0=1.0, strong_mu=1.0, restricted_mu=1.0,
         x_star=np.array([c]),
         full_grad=lambda x: x - c,
         batch_component_grad=lambda X, idx: X - c,
-        all_component_grads=lambda Xp: (Xp - c)[:, None, :])
+        all_component_grads=lambda Xp: (Xp - c)[:, None, :],
+        analytic_M=1.0, analytic_sigma_sq=0.0)  # n = 1: ∇f₁ = ∇f
     spec = SolverRun(problem=p, step=ConstantStep(0.5),
                      iters=20, seed=0, x0=np.array([c + 1.0]))
     D = matrix_of(run_ensemble(spec, 3))
