@@ -408,12 +408,9 @@ def resolve_step(cfg: ExperimentConfig, problem):
     """
     kind = cfg.step_spec[0]
     if kind == "recommend":
-        mu = checks._effective_mu(problem, cfg.method)
-        if mu <= 0:
-            raise ValueError("step 'recommend' needs a positive convexity "
-                             "constant")
-        gamma, rho = solvers.recommend_step(problem.lipschitz_L,
-                                            problem.analytic_M, mu, cfg.method)
+        gamma, rho = solvers.recommend_step(
+            problem.lipschitz_L, problem.analytic_M,
+            checks._effective_mu(problem, cfg.method), cfg.method)
         return solvers.ConstantStep(gamma), rho
     if kind == "constant":
         gamma = cfg.step_spec[1]

@@ -42,7 +42,7 @@ __all__ = [
 
 METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 
-_INDEX_WORDS = 2**20  # indices drawn per block across all replications (8 MB)
+_INDEX_WORDS = 2**20  # indices per draw, all replications (1 MB when n ≤ 256)
 _HISTORY_WORDS = 2**16  # iterates held per history block, all replications
 _DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x*‖ > 1e12
 _THIN_LIMIT = 10_000
@@ -182,7 +182,11 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     """Run ``replications`` independent copies of ``spec`` as one batch.
 
     Replication r uses substream (seed, spec.replication + r) and is column
-    r of one (d, R) batch; column 0 is the audit trajectory.  A step takes
+    r of one (d, R) batch; column 0 is the audit trajectory.  Indices are
+    drawn ``_INDEX_WORDS`` at a time (min(T, max(1, 2²⁰ // R)) steps of
+    every replication) into a C-ordered (steps, R) block of the narrowest
+    unsigned type that holds n − 1, so step k reads one contiguous row; the
+    T step sizes are one float64 array, which the audit keeps.  A step takes
     the gradient, applies the step map and copies the batch into a history
     block of ``_HISTORY_WORDS`` values (max(1, 2¹⁶ // (d·R)) points); nothing
     else.  Once per full or final block, the block's audit points are kept
@@ -208,8 +212,9 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
                for r in range(replications)]
     # blocks partition each stream, so the block length never moves a bit
     block_len = min(T, max(1, _INDEX_WORDS // replications))
-    idx = np.empty((replications, block_len), dtype=np.int64)
-    step_values = [step.value(t) for t in range(T)]
+    idx = np.empty((block_len, replications),
+                   dtype=np.min_scalar_type(problem.n_components - 1))
+    gammas = np.fromiter(map(step.value, range(T)), dtype=float, count=T)
     step_map = _step_map(spec.geometry)
     grad = problem.batch_component_grad
 
@@ -226,10 +231,12 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
                 if k == 0:
                     block = min(block_len, T - t + 1)
                     for r, stream in enumerate(streams):
-                        idx[r, :block] = stream.next_block(block)
-                    indices[t - 1:t - 1 + block] = idx[0, :block]
-                gamma_t = step_values[t - 1]
-                X = step_map(gamma_t, X - gamma_t * grad(X, idx[:, k]))
+                        idx[:block, r] = stream.next_block(block)
+                    indices[t - 1:t - 1 + block] = idx[:block, 0]
+                gamma_t = gammas[t - 1]
+                # one conversion per step: an oracle may gather more than once
+                X = step_map(gamma_t,
+                             X - gamma_t * grad(X, idx[k].astype(np.intp)))
                 hist[t - t0] = X
         H = hist[:n]
         first = -(-t0 // stride) * stride  # first audited point of the block
@@ -252,7 +259,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         points=points,
         dist_sq=audit_dist,
         sampled_indices=indices,
-        step_values=np.array(step_values),
+        step_values=gammas,
     )
     return EnsembleRun(mean_dist_sq=stats.mean, stderr=stats.stderr,
                        audit=audit)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,23 @@ def test_construction_errors_exit_3(tmp_path, capsys):
     text = TWO_POINT_SMALL.replace(
         "kind = two_point", "kind = custom_matrix_file\npath = nowhere.txt")
     assert run_cli(["validate", write_cfg(tmp_path, text, "m.cfg")]) == 3
+
+
+@pytest.mark.parametrize("step,message", [
+    ("recommend", "L, M and mu must all be positive"),
+    ("inverse_t", "inverse_t without a coefficient needs a positive"),
+])
+def test_step_from_a_zero_mu_exits_3(tmp_path, capsys, monkeypatch, step,
+                                     message):
+    # no problem a config builds has mu = 0, but a step derived from mu must
+    # still end in a construction error, never in a division by zero
+    flat = replace(problems.make_two_point_quadratic(), strong_mu=0.0,
+                   restricted_mu=0.0)
+    monkeypatch.setattr(problems, "make_two_point_quadratic", lambda: flat)
+    text = TWO_POINT_SMALL.replace("checks = wgc, necessary, floor\n", "")
+    text = text.replace("step = constant 0.5", f"step = {step}")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_memory_error_during_construction_exits_3(tmp_path, capsys,

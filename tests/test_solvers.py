@@ -243,6 +243,68 @@ def test_run_ensemble_holds_no_distance_matrix(two_point):
 
 
 # ---------------------------------------------------------------------------
+# index blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [256, 300, 2**17])
+def test_indices_past_a_narrow_type_keep_their_value(n, matrix_of):
+    # the block holds indices in the narrowest type that fits n − 1: uint8
+    # at n = 256, uint16 at 300, uint32 at 2**17; 2 400 draws make indices
+    # above 255 (n = 300) and 65 535 (n = 2**17) all but certain to occur
+    p = problems.make_kaczmarz_problem(
+        problems.make_random_kaczmarz_system(n, 2, 3, mix=0.5))
+    spec = SolverRun(problem=p, step=ConstantStep(1.0), iters=600, seed=9,
+                     geometry=geo.whole_space())
+    ens = run_ensemble(spec, 4)
+    D = matrix_of(ens)
+    drawn = []
+    for r in range(4):
+        expected = IndexStream(9, r, n).next_block(600)
+        single = run_one(replace(spec, replication=r))
+        assert np.array_equal(single.sampled_indices, expected), r
+        assert np.array_equal(D[r], single.dist_sq), r
+        drawn.append(expected)
+    assert np.array_equal(ens.audit.sampled_indices, drawn[0])
+    assert ens.audit.sampled_indices.dtype == np.int64
+    # the largest index that int8, uint8 and uint16 respectively cannot hold
+    assert np.max(drawn) >= {256: 255, 300: 256, 2**17: 65_536}[n]
+
+
+@pytest.mark.parametrize("R", [1, 5])
+@pytest.mark.parametrize("block_steps", [1, 3])
+@pytest.mark.parametrize("hist_points", [None, 4])
+def test_index_block_length_does_not_change_results(kaczmarz_20x5,
+                                                    monkeypatch, R,
+                                                    block_steps, hist_points):
+    # T = 50 ends in a partial index block of 2 steps when a block holds 3;
+    # history blocks of 4 points straddle the index blocks
+    spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(1.0), iters=50,
+                     seed=4, geometry=geo.whole_space())
+    base = run_ensemble(spec, R)
+    monkeypatch.setattr(solvers, "_INDEX_WORDS", block_steps * R)
+    if hist_points is not None:
+        monkeypatch.setattr(solvers, "_HISTORY_WORDS", hist_points * 5 * R)
+    ens = run_ensemble(spec, R)
+    assert ens.mean_dist_sq.tobytes() == base.mean_dist_sq.tobytes()
+    assert ens.stderr.tobytes() == base.stderr.tobytes()
+    assert ens.audit.dist_sq.tobytes() == base.audit.dist_sq.tobytes()
+    assert np.array_equal(ens.audit.sampled_indices,
+                          base.audit.sampled_indices)
+
+
+def test_index_block_is_held_in_a_narrow_type(two_point):
+    # R = 1 000 and T = 2 000 fill a whole block of 2**20 indices; held as
+    # int64 that block alone is 8 MB, as uint8 (n = 2) it is 1 MB
+    tracemalloc.start()
+    try:
+        run_ensemble(two_point_spec(iters=2000), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 * 8
+
+
+# ---------------------------------------------------------------------------
 # divergence guard
 # ---------------------------------------------------------------------------
 
