@@ -19,6 +19,7 @@ import configparser
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,8 +109,9 @@ def _line_map(text: str) -> dict:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             mapping.setdefault((section, None), lineno)
-        elif "=" in line and section is not None:
-            key = line.split("=", 1)[0].strip().lower()
+        elif section is not None and ("=" in line or ":" in line):
+            # configparser ends the key at the first "=" or ":"
+            key = re.split("[=:]", line, maxsplit=1)[0].strip().lower()
             mapping.setdefault((section, key), lineno)
     return mapping
 
@@ -196,6 +198,9 @@ def parse_config(path) -> ExperimentConfig:
     replications = as_int("experiment", "replications",
                           need(exp, "experiment", "replications"), 1)
     name = exp.get("name", path.stem).strip()
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"{where('experiment', 'name')}: 'name' must be a "
+                          f"single path component, got {name!r}")
 
     checks = []
     raw_checks = exp.get("checks", "").replace(",", " ").split()

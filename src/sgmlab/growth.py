@@ -55,7 +55,7 @@ ZERO_GRAD_TOL = 1e-12
 PROBE_SCALES = (0.1, 1.0, 10.0)  # scales of the seeded probe points
 _PROBE_STREAM = 0x70726F6265  # reserved substream index for probe draws
 _MARGIN_RTOL = 1e-9
-_BLOCK_ENTRIES = 2**15  # successor entries (points × n × d) per audit block
+_BLOCK_ENTRIES = 2**13  # successor entries (points × n × d) per audit block
 
 
 @dataclass
@@ -185,8 +185,9 @@ def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
     moments that the per-iterate audits below are computed from.
 
     ``points`` is a sequence of P points of shape (d,) or a (P, d) array.
-    They are enumerated ``max(1, 2**15 // (n·d))`` at a time, which bounds
-    the memory of one block; no point's moments depend on the block size.
+    They are enumerated ``max(1, 2**13 // (n·d))`` at a time, so each
+    successor-sized temporary of a block holds at most 2**13 values (64 KB)
+    when n·d ≤ 2**13; no point's moments depend on the block size.
     """
     x_star, d = problem.x_star, problem.dim
     points = np.ascontiguousarray(points, dtype=float).reshape(len(points), d)

@@ -43,6 +43,7 @@ __all__ = [
 METHODS = ("sgm", "psgm", "prox_sgm", "resolvent_sgm")
 
 _INDEX_WORDS = 2**20  # indices per draw, all replications (1 MB when n ≤ 256)
+_INDEX_STEPS = 2**12  # steps per draw: caps each stream's uint64 draw buffers
 _HISTORY_WORDS = 2**16  # iterates held per history block, all replications
 _DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x*‖ > 1e12
 _THIN_LIMIT = 10_000
@@ -183,10 +184,12 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
 
     Replication r uses substream (seed, spec.replication + r) and is column
     r of one (d, R) batch; column 0 is the audit trajectory.  Indices are
-    drawn ``_INDEX_WORDS`` at a time (min(T, max(1, 2²⁰ // R)) steps of
-    every replication) into a C-ordered (steps, R) block of the narrowest
-    unsigned type that holds n − 1, so step k reads one contiguous row; the
-    T step sizes are one float64 array, which the audit keeps.  A step takes
+    drawn min(T, max(1, 2²⁰ // R), 2¹²) steps of every replication at a
+    time (``_INDEX_WORDS`` indices, ``_INDEX_STEPS`` steps) into a C-ordered
+    (steps, R) block of the narrowest unsigned type that holds n − 1, so
+    step k reads one contiguous row; each stream's draw costs at most two
+    uint64 buffers of 2¹² words (``rng.IndexStream``).  The T step sizes
+    are one float64 array, which the audit keeps.  A step takes
     the gradient, applies the step map and copies the batch into a history
     block of ``_HISTORY_WORDS`` values (max(1, 2¹⁶ // (d·R)) points); nothing
     else.  Once per full or final block, the block's audit points are kept
@@ -211,7 +214,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
                                problem.n_components)
                for r in range(replications)]
     # blocks partition each stream, so the block length never moves a bit
-    block_len = min(T, max(1, _INDEX_WORDS // replications))
+    block_len = min(T, max(1, _INDEX_WORDS // replications), _INDEX_STEPS)
     idx = np.empty((block_len, replications),
                    dtype=np.min_scalar_type(problem.n_components - 1))
     gammas = np.fromiter(map(step.value, range(T)), dtype=float, count=T)

@@ -108,6 +108,25 @@ def test_error_messages_cite_line_numbers(tmp_path, capsys):
     assert f":{lineno}:" in err
 
 
+@pytest.mark.parametrize("old,new,bad,fragment", [
+    ("iterations = 300", "iterations: 0", "iterations: 0",
+     "'iterations' must be >= 1"),
+    # configparser ends a key at its first "=" or ":", so "a=b: c" is the
+    # value of 'name' under either delimiter
+    ("name = tp_small", "name = a=b: c\nbogus: 1", "bogus: 1",
+     "unknown key 'bogus'"),
+    ("name = tp_small", "name: a=b: c\nbogus: 1", "bogus: 1",
+     "unknown key 'bogus'"),
+])
+def test_colon_delimited_keys_cite_their_line(tmp_path, capsys, old, new,
+                                              bad, fragment):
+    text = TWO_POINT_SMALL.replace(old, new)
+    cfg = write_cfg(tmp_path, text, name="colon.cfg")
+    assert run_cli(["validate", cfg]) == 2
+    lineno = text.splitlines().index(bad) + 1
+    assert f"colon.cfg:{lineno}: {fragment}" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run_cli(["validate", tmp_path / "absent.cfg"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -752,6 +771,37 @@ def test_output_root_env_is_honored(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, TWO_POINT_SMALL)
     assert run_cli(["run", cfg]) == 0
     assert (tmp_path / "root" / "tp_small" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["", ".", "..", "../escaped",
+                                   "sub/dir", "/abs"])
+def test_name_that_is_not_one_path_component_exits_2(tmp_path, capsys,
+                                                     monkeypatch, value):
+    # the name becomes a directory under the output root, so an empty name,
+    # "." or ".." or one with a separator would write beside or above it
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "manifest.json").write_text("{}")
+    monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(root))
+    text = TWO_POINT_SMALL.replace("name = tp_small", f"name = {value}")
+    cfg = write_cfg(tmp_path, text)
+    for command in (["validate", cfg], ["run", cfg]):
+        assert run_cli(command) == 2
+        err = capsys.readouterr().err
+        assert f"exp.cfg:2: 'name' must be a single path component" in err
+    assert sorted(f.relative_to(tmp_path).as_posix()
+                  for f in tmp_path.rglob("*")) == [
+        "exp.cfg", "root", "root/manifest.json"]
+    assert (root / "manifest.json").read_text() == "{}"
+
+
+def test_output_paths_stay_free_form(tmp_path):
+    cfg = write_cfg(tmp_path, TWO_POINT_SMALL.replace(
+        "name = tp_small", f"name = tp_small\noutput = {tmp_path}/a/b"))
+    assert run_cli(["run", cfg]) == 0
+    assert (tmp_path / "a" / "b" / "manifest.json").exists()
+    assert run_cli(["run", cfg, "--out", tmp_path / "a" / ".." / "c"]) == 0
+    assert (tmp_path / "c" / "manifest.json").exists()
 
 
 def test_inverse_t_run_passes_check(tmp_path):

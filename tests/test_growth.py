@@ -318,17 +318,19 @@ def test_successor_moments_equal_the_per_point_loop(problem, geometry,
 
 
 def test_successor_moments_memory_is_bounded_by_a_block(kaczmarz_20x5):
-    # one (d, P·n) array of every successor at once would be 4 MB here
+    # one (d, P·n) array of every successor at once would be 4 MB here; a
+    # block of 2**13 successor entries makes each of its temporaries 64 KB,
+    # and fewer than ten of them are alive at once
     p = kaczmarz_20x5
     points = np.random.default_rng(3).normal(size=(5001, p.dim))
-    whole = p.dim * len(points) * p.n_components * points.itemsize
     tracemalloc.start()
     try:
-        successor_moments(p, None, 0.5, points)
-        _, peak = tracemalloc.get_traced_memory()
+        moments = successor_moments(p, None, 0.5, points)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < whole
+    assert moments.dist_sq.shape == (5001,)
+    assert peak - retained < 10 * 2**13 * points.itemsize
 
 
 def _reference_audits(p, gamma, points, omega, sigma_sq, rho):

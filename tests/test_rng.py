@@ -73,3 +73,20 @@ def test_index_stream_distinct_replications():
 def test_index_stream_parametrized_range(n):
     idx = IndexStream(17, 4, n).next_block(256)
     assert idx.min() >= 0 and idx.max() < n
+
+
+def test_bounded_indices_leaves_its_input_unchanged():
+    raw = substream(3, 1).integers(0, 2**64, size=64, dtype=np.uint64)
+    before = raw.copy()
+    idx = bounded_indices(raw, 1000)
+    assert np.array_equal(raw, before)
+    assert idx.dtype == np.int64 and not np.shares_memory(idx, raw)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2**32 - 1])
+def test_index_stream_maps_its_words_as_bounded_indices_does(n):
+    raw = np.random.Philox(key=np.array([21, 6], dtype=np.uint64)).random_raw(
+        300)
+    s = IndexStream(21, 6, n)
+    got = np.concatenate([s.next_block(100), s.next_block(200)])
+    assert np.array_equal(got, bounded_indices(raw, n))

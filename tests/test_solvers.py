@@ -270,17 +270,24 @@ def test_indices_past_a_narrow_type_keep_their_value(n, matrix_of):
     assert np.max(drawn) >= {256: 255, 300: 256, 2**17: 65_536}[n]
 
 
-@pytest.mark.parametrize("R", [1, 5])
+@pytest.mark.parametrize("R,T", [
+    pytest.param(1, 50, id="1"), pytest.param(5, 50, id="5"),
+    *(pytest.param(R, T, id=f"{R}-T{T}")
+      for T in (4095, 4096, 4097) for R in (1, 3))])
 @pytest.mark.parametrize("block_steps", [1, 3])
 @pytest.mark.parametrize("hist_points", [None, 4])
 def test_index_block_length_does_not_change_results(kaczmarz_20x5,
-                                                    monkeypatch, R,
+                                                    monkeypatch, R, T,
                                                     block_steps, hist_points):
     # T = 50 ends in a partial index block of 2 steps when a block holds 3;
-    # history blocks of 4 points straddle the index blocks
-    spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(1.0), iters=50,
+    # history blocks of 4 points straddle the index blocks.  The default
+    # run draws at most 4 096 steps at a time, so at T = 4 097 a draw ends
+    # inside the run, at T = 4 096 exactly at its end
+    spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(1.0), iters=T,
                      seed=4, geometry=geo.whole_space())
     base = run_ensemble(spec, R)
+    assert np.array_equal(base.audit.sampled_indices,
+                          IndexStream(4, 0, 20).next_block(T))
     monkeypatch.setattr(solvers, "_INDEX_WORDS", block_steps * R)
     if hist_points is not None:
         monkeypatch.setattr(solvers, "_HISTORY_WORDS", hist_points * 5 * R)
@@ -302,6 +309,21 @@ def test_index_block_is_held_in_a_narrow_type(two_point):
     finally:
         tracemalloc.stop()
     assert peak < 2**20 * 8
+
+
+def test_index_draws_hold_no_buffer_that_grows_with_T():
+    # R = 1 and T = 2**16: drawing all T indices at once held about 2.2 MB
+    # of uint64 temporaries (11 MB at T = 2**18); draws of at most 4 096
+    # steps, mapped in place, hold 64 KB.  What is left is the 512 KB
+    # history block and the arrays that reduce it
+    tracemalloc.start()
+    try:
+        ens = run_ensemble(two_point_spec(iters=2**16), 1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ens.audit.sampled_indices) == 2**16
+    assert peak - retained <= 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
