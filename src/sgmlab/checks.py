@@ -3,7 +3,8 @@ predictions they compare against.
 
 Every check is a function ``check_<name>(run) -> dict`` of one finished
 run, a ``RunContext``, whose exact audit moments and probe growth fit are
-computed lazily, at most once each.  An entry holds its ``status`` (pass,
+computed lazily, at most once each; its geometry alone names the method,
+by type as in ``solvers.SolverRun``.  An entry holds its ``status`` (pass,
 fail or skipped), the numbers behind it, and a ``reason`` when it stopped
 short of a comparison.  ``CHECKS`` maps names to checks in column order.
 """
@@ -15,59 +16,59 @@ import math
 from dataclasses import dataclass
 
 from . import analysis, growth, solvers
+from .geometry import ConvexSet, LinearMonotoneOperator, Regularizer
 
 __all__ = ["RunContext", "CHECKS", "check_wgc", "check_sgc", "check_necessary",
            "check_rate", "check_floor", "check_inverse_t", "predicted_rho",
            "floor_prediction"]
 
 
-def _effective_mu(problem, method: str) -> float:
+def _effective_mu(problem, geometry) -> float:
     """μ for rate predictions: restricted toward the solution set when
     available, the plain strong-convexity constant for the proximal path."""
-    if method == "prox_sgm":
+    if isinstance(geometry, Regularizer):
         return problem.strong_mu
     return problem.restricted_mu if problem.restricted_mu > 0 else problem.strong_mu
 
 
-def predicted_rho(problem, method: str, gamma: float) -> float:
+def predicted_rho(problem, geometry, gamma: float) -> float:
     """Per-step contraction implied by the constant-step analysis, or NaN
     when the constants do not certify one at this γ."""
     M = problem.analytic_M
-    mu = _effective_mu(problem, method)
+    mu = _effective_mu(problem, geometry)
     L = problem.lipschitz_L
     if mu <= 0 or L <= 0:
         return math.nan
-    if method == "prox_sgm":
+    if isinstance(geometry, Regularizer):
         rho = gamma * mu * (1.0 - 2.0 * gamma * L * M)
     else:
         rho = gamma * mu * (1.0 - gamma * L * M)
     return rho if 0 < rho < 1 else math.nan
 
 
-def floor_prediction(problem, method: str, gamma: float):
+def floor_prediction(problem, geometry, gamma: float):
     """(rho, sigma1_sq, floor) for the constant-step noise-floor bound, or
     None with a reason when the prediction is not defined for this setup."""
     M, s2 = problem.analytic_M, problem.analytic_sigma_sq
-    rho = predicted_rho(problem, method, gamma)
+    rho = predicted_rho(problem, geometry, gamma)
     if math.isnan(rho):
         return None, "no contraction certified at this step size"
-    if method == "prox_sgm":
+    if isinstance(geometry, Regularizer):
         gstar = problem.full_grad(problem.x_star)
         sigma1_sq = 2.0 * (1.0 + 2.0 * M) * float(gstar @ gstar) + 2.0 * s2
-    elif method in ("sgm", "psgm"):
-        sigma1_sq = s2  # unconstrained: min_C f equals the global infimum
-    else:
+    elif isinstance(geometry, LinearMonotoneOperator):
         return None, "no floor prediction for resolvent iterations"
+    else:
+        sigma1_sq = s2  # unconstrained: min_C f equals the global infimum
     return (rho, sigma1_sq, analysis.predict_floor(gamma, rho, sigma1_sq)), None
 
 
 @dataclass(eq=False)
 class RunContext:
-    """One finished run: its spec, method name, predicted per-step
-    contraction (NaN when none is certified) and ensemble."""
+    """One finished run: its spec (whose geometry names the method), its
+    predicted per-step contraction (NaN if none is certified), its ensemble."""
 
     spec: solvers.SolverRun
-    method: str
     rho_pred: float
     ens: solvers.EnsembleRun
 
@@ -150,7 +151,9 @@ def check_rate(run: RunContext) -> dict:
         out["rate_bound"] = bound
         ok &= fit.rate_per_iter <= bound
         # exact per-step contraction audit on the recorded replication
-        if run.method in ("sgm", "psgm") and problem.analytic_sigma_sq == 0.0:
+        geometry = run.spec.geometry
+        if ((geometry is None or isinstance(geometry, ConvexSet))
+                and problem.analytic_sigma_sq == 0.0):
             _, flagged = growth.contraction_margins(run.audit_moments,
                                                     rho_pred, 0.0)
             out["contraction_violations"] = len(flagged)
@@ -169,7 +172,8 @@ def check_floor(run: RunContext) -> dict:
     if step.kind != "constant":
         return {"status": "skipped",
                 "reason": "the floor prediction applies to constant steps"}
-    pred, reason = floor_prediction(run.spec.problem, run.method, step.gamma)
+    pred, reason = floor_prediction(run.spec.problem, run.spec.geometry,
+                                    step.gamma)
     if pred is None:
         return {"status": "skipped", "reason": reason}
     rho, sigma1_sq, floor_pred = pred

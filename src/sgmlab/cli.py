@@ -30,7 +30,7 @@ from . import analysis, checks, geometry, growth, problems, solvers
 from .checks import CHECKS
 
 __all__ = ["main", "parse_config", "run_experiment", "ConfigError",
-           "ExperimentConfig", "CHECKS"]
+           "ExperimentConfig"]
 
 OUTPUT_ROOT_ENV = "SGMLAB_OUTPUT_ROOT"
 
@@ -63,18 +63,17 @@ environment:
   SGMLAB_OUTPUT_ROOT  default root for output directories (default: ./results)
 """
 
-_SECTION_KEYS = {
-    "experiment": {"name", "seed", "iterations", "replications", "checks",
-                   "output"},
-    "problem": {"kind", "m", "d", "n", "mix", "construction_seed",
-                "consistent", "noise", "l1_weight", "path"},
-    "method": {"kind", "step", "x0", "set", "regularizer"},
-}
 _PROBLEM_KEYS = {
     "two_point": set(),
     "kaczmarz": {"m", "d", "mix", "construction_seed", "consistent", "noise"},
     "quadratic_l1": {"d", "n", "l1_weight", "construction_seed"},
     "custom_matrix_file": {"path"},
+}
+_SECTION_KEYS = {
+    "experiment": {"name", "seed", "iterations", "replications", "checks",
+                   "output"},
+    "problem": {"kind"}.union(*_PROBLEM_KEYS.values()),
+    "method": {"kind", "step", "x0", "set", "regularizer"},
 }
 
 
@@ -405,8 +404,9 @@ def build_geometry(cfg: ExperimentConfig, problem):
                                                           problem.dim)))
 
 
-def resolve_step(cfg: ExperimentConfig, problem):
-    """Turn the configured step policy into a concrete one.
+def resolve_step(cfg: ExperimentConfig, problem, geometry_obj):
+    """Turn the configured step policy into a concrete one for the method
+    ``geometry_obj`` names.
 
     Returns (policy, rho_pred); rho_pred is NaN when no contraction is
     certified (decaying steps, or a γ the constants do not certify).
@@ -415,15 +415,15 @@ def resolve_step(cfg: ExperimentConfig, problem):
     if kind == "recommend":
         gamma, rho = solvers.recommend_step(
             problem.lipschitz_L, problem.analytic_M,
-            checks._effective_mu(problem, cfg.method), cfg.method)
+            checks._effective_mu(problem, geometry_obj), geometry_obj)
         return solvers.ConstantStep(gamma), rho
     if kind == "constant":
         gamma = cfg.step_spec[1]
         return solvers.ConstantStep(gamma), checks.predicted_rho(
-            problem, cfg.method, gamma)
+            problem, geometry_obj, gamma)
     c = cfg.step_spec[1]
     if c is None:
-        mu = checks._effective_mu(problem, cfg.method)
+        mu = checks._effective_mu(problem, geometry_obj)
         if mu <= 0:
             raise ValueError("inverse_t without a coefficient needs a positive "
                              "convexity constant (defaults to 2/mu)")
@@ -508,7 +508,7 @@ def _construct(cfg: ExperimentConfig):
                   file=sys.stderr)
             return EXIT_CONFIG
         geometry_obj = build_geometry(cfg, problem)
-        policy, rho_pred = resolve_step(cfg, problem)
+        policy, rho_pred = resolve_step(cfg, problem, geometry_obj)
         spec = solvers.SolverRun(problem=problem, geometry=geometry_obj,
                                  step=policy, iters=cfg.iterations,
                                  seed=cfg.seed, x0=cfg.x0)
@@ -563,7 +563,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_manifest(out_dir, manifest)
         return EXIT_CONSTRUCTION
 
-    run = checks.RunContext(spec, cfg.method, rho_pred, ens)
+    run = checks.RunContext(spec, rho_pred, ens)
     results = {name: check(run) for name, check in CHECKS.items()
                if name in cfg.checks}
 

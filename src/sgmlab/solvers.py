@@ -50,6 +50,13 @@ _THIN_LIMIT = 10_000
 _GEOMETRY_TYPES = (type(None), ConvexSet, Regularizer, LinearMonotoneOperator)
 
 
+def _require_geometry(geometry) -> None:
+    if not isinstance(geometry, _GEOMETRY_TYPES):
+        raise ValueError("geometry must be None, a ConvexSet, a Regularizer "
+                         "or a LinearMonotoneOperator, got "
+                         f"{type(geometry).__name__}")
+
+
 class DivergenceError(RuntimeError):
     """An iterate overflowed or left the trust region ‖x − x*‖ ≤ 1e12
     around the problem's solution x*.
@@ -114,10 +121,7 @@ class SolverRun:
     replication: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.geometry, _GEOMETRY_TYPES):
-            raise ValueError("geometry must be None, a ConvexSet, a "
-                             "Regularizer or a LinearMonotoneOperator, got "
-                             f"{type(self.geometry).__name__}")
+        _require_geometry(self.geometry)
         if self.iters < 1:
             raise ValueError("iteration count must be >= 1")
         if self.seed < 0 or self.replication < 0:
@@ -199,17 +203,20 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     replication left the trust region, and the lowest replication at t,
     whatever the block.  They are then reduced to the per-t mean and
     standard error (``analysis.StreamedStats``), so no (R, T+1) matrix is
-    held.
+    held.  A T or R too large for numpy to allocate is a ``MemoryError``.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     problem, step, T = spec.problem, spec.step, spec.iters
     x_star = problem.x_star[:, None]
     stride = _thin_stride(T)
-    stats = analysis.StreamedStats(replications, T + 1)
-    audit_dist = np.empty(T + 1)
-    points = np.empty((T // stride + 1, problem.dim))
-    indices = np.empty(T, dtype=np.int64)
+    try:
+        stats = analysis.StreamedStats(replications, T + 1)
+        audit_dist = np.empty(T + 1)
+        points = np.empty((T // stride + 1, problem.dim))
+        indices = np.empty(T, dtype=np.int64)
+    except ValueError as exc:  # a size numpy cannot even describe
+        raise MemoryError(str(exc)) from None
     streams = [rng.IndexStream(spec.seed, spec.replication + r,
                                problem.n_components)
                for r in range(replications)]
@@ -268,28 +275,28 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
                        audit=audit)
 
 
-def recommend_step(L: float, M: float, mu: float, method: str = "psgm"):
+def recommend_step(L: float, M: float, mu: float, geometry=None):
     """Step size and contraction rate for the constant-step linear regime.
 
-    Projected/plain methods get the optimal γ = 1/(2LM) with per-step
-    contraction ρ = μ/(4LM) (valid only under the strict hypothesis
-    μ < 4LM); the proximal method maximizes γμ(1−2γLM), giving γ = 1/(4LM)
-    and ρ = μ/(8LM).
+    The geometry names the method by type, as in ``SolverRun``; any other
+    value is a ``ValueError``.  Plain, projected and resolvent steps get the
+    optimal γ = 1/(2LM) with per-step contraction ρ = μ/(4LM) (valid only
+    under the strict hypothesis μ < 4LM); the proximal step (a Regularizer)
+    maximizes γμ(1−2γLM), giving γ = 1/(4LM) and ρ = μ/(8LM).
     """
+    _require_geometry(geometry)
     if not (L > 0 and M > 0 and mu > 0):
         raise ValueError("L, M and mu must all be positive")
-    if method in ("sgm", "psgm", "resolvent_sgm"):
+    if isinstance(geometry, Regularizer):
+        gamma = 1.0 / (4 * L * M)
+        rho = mu / (8 * L * M)
+    else:
         if not mu < 4 * L * M:
             raise ValueError(
                 "the constant-step linear-rate guarantee requires the strict "
                 f"hypothesis mu < 4*L*M (got mu={mu:g}, 4LM={4 * L * M:g})")
         gamma = 1.0 / (2 * L * M)
         rho = mu / (4 * L * M)
-    elif method == "prox_sgm":
-        gamma = 1.0 / (4 * L * M)
-        rho = mu / (8 * L * M)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if not 0 < rho < 1:
         raise ValueError(f"derived contraction rho={rho:g} is outside (0, 1)")
     return gamma, rho

@@ -54,7 +54,7 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     # (a) consistent Kaczmarz: zero gradient noise at the solution
     kp = _kaczmarz_instance()
     gamma_a, _ = recommend_step(kp.lipschitz_L, kp.analytic_M,
-                                kp.restricted_mu, "sgm")
+                                kp.restricted_mu, None)
     traj_a = run_one(SolverRun(problem=kp, step=ConstantStep(gamma_a),
                                iters=500, seed=101))
     moments_a = successor_moments(kp, None, gamma_a, traj_a.points)
@@ -67,7 +67,7 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     # (b) two-point quadratic: unit gradient variance at the solution
     tp = make_two_point_quadratic()
     gamma_b, _ = recommend_step(tp.lipschitz_L, tp.analytic_M, tp.strong_mu,
-                                "sgm")
+                                None)
     traj_b = run_one(SolverRun(problem=tp, step=ConstantStep(gamma_b),
                                iters=500, seed=102, x0=np.array([2.0])))
     moments_b = successor_moments(tp, None, gamma_b, traj_b.points)
@@ -85,7 +85,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     t0 = time.perf_counter()
     kp = _kaczmarz_instance()
     gamma, rho = recommend_step(kp.lipschitz_L, kp.analytic_M,
-                                kp.restricted_mu, "psgm")
+                                kp.restricted_mu, geometry.whole_space())
     spec = SolverRun(problem=kp, geometry=geometry.whole_space(),
                      step=ConstantStep(gamma), iters=5000, seed=2025)
     ens = run_ensemble(spec, 200)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,6 +50,14 @@ def run_cli(args):
                          ids=lambda p: p.stem)
 def test_shipped_configs_validate(cfg):
     assert run_cli(["validate", cfg]) == 0
+
+
+def test_readme_config_example_validates(tmp_path):
+    readme = (CONFIGS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config format"):]
+    block = section[section.index("```ini\n") + 7:]
+    block = block[:block.index("```")]
+    assert run_cli(["validate", write_cfg(tmp_path, block)]) == 0
 
 
 EXPERIMENT_OK = "name = x\nseed = 1\niterations = 60\nreplications = 2"
@@ -204,6 +216,29 @@ def test_memory_error_during_simulation_exits_3_with_a_record(
     assert run_cli(["report", out]) == 3
     assert ("failed: out of memory: Unable to allocate 6.94 EiB"
             in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("key", ["iterations", "replications"])
+def test_a_size_numpy_cannot_allocate_exits_3_with_a_record(tmp_path, key):
+    # validate only constructs, so it accepts the size; the run's first
+    # allocation is refused before any memory is taken
+    text = re.sub(rf"^{key} = .*$", f"{key} = 99999999999999999999",
+                  TWO_POINT_SMALL, flags=re.M)
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+    assert run_cli(["validate", cfg]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgmlab", "run", cfg, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(CONFIGS_DIR.parent / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("simulation error: out of memory: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest[key] == 99999999999999999999
+    assert manifest["reason"] == proc.stderr.removeprefix(
+        "simulation error: ").rstrip("\n")
 
 
 SHIPPED_TEXT = {p.stem: p.read_text() for p in CONFIGS_DIR.glob("*.cfg")}

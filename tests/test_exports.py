@@ -19,12 +19,25 @@ def test_every_module_defines_all_it_lists():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_package_exports_only_module_all_names():
-    listed = {name for m in MODULES for name in getattr(m, "__all__", ())}
-    exported = {name for name, obj in vars(sgmlab).items()
-                if not name.startswith("_")
-                and not isinstance(obj, type(sgmlab))}
-    assert exported - listed == set()
+def test_package_namespace_holds_only_submodules_and_dunders():
+    # each public name is imported from its own module; the package binds
+    # none, so there is no second home to fall out of step with it
+    assert "__version__" in vars(sgmlab)
+    extra = {name for name, obj in vars(sgmlab).items()
+             if not (name.startswith("__") and name.endswith("__"))
+             and not (isinstance(obj, type(sgmlab))
+                      and obj.__name__ == f"sgmlab.{name}")}
+    assert extra == set()
+
+
+def test_no_object_is_listed_by_two_modules():
+    owners = {}
+    for module in MODULES:
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            owners.setdefault(id(obj), (obj, []))[1].append(
+                f"{module.__name__}.{name}")
+    assert [names for _, names in owners.values() if len(names) > 1] == []
 
 
 def test_runtime_imports_no_scipy():

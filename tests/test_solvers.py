@@ -472,19 +472,20 @@ def test_two_point_mean_follows_exact_recursion(two_point):
 # ---------------------------------------------------------------------------
 
 def test_recommend_step_reference_values():
-    assert recommend_step(1.0, 1.0, 1.0, "psgm") == (0.5, 0.25)
-    assert recommend_step(1.0, 2.0, 1.0, "psgm") == (0.25, 0.125)
-    assert recommend_step(1.0, 1.0, 1.0, "sgm") == (0.5, 0.25)
-    gamma, rho = recommend_step(1.0, 1.0, 1.0, "prox_sgm")
+    whole = geo.whole_space()
+    assert recommend_step(1.0, 1.0, 1.0, whole) == (0.5, 0.25)
+    assert recommend_step(1.0, 2.0, 1.0, whole) == (0.25, 0.125)
+    assert recommend_step(1.0, 1.0, 1.0, None) == (0.5, 0.25)
+    gamma, rho = recommend_step(1.0, 1.0, 1.0, geo.zero_regularizer())
     assert gamma == 0.25 and rho == 0.125
 
 
 def test_recommend_step_requires_strict_curvature_hypothesis():
     with pytest.raises(ValueError, match="mu < 4"):
-        recommend_step(1.0, 1.0, 4.0, "psgm")  # mu == 4LM exactly
+        recommend_step(1.0, 1.0, 4.0, geo.whole_space())  # mu == 4LM
     with pytest.raises(ValueError):
         recommend_step(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         recommend_step(1.0, 1.0, -2.0)
-    with pytest.raises(ValueError):
-        recommend_step(1.0, 1.0, 1.0, "newton")
+    with pytest.raises(ValueError, match="geometry must be"):
+        recommend_step(1.0, 1.0, 1.0, "psgm")  # a method name names nothing
