@@ -19,9 +19,9 @@ import configparser
 import json
 import math
 import os
-import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,20 +63,6 @@ environment:
   SGMLAB_OUTPUT_ROOT  default root for output directories (default: ./results)
 """
 
-_PROBLEM_KEYS = {
-    "two_point": set(),
-    "kaczmarz": {"m", "d", "mix", "construction_seed", "consistent", "noise"},
-    "quadratic_l1": {"d", "n", "l1_weight", "construction_seed"},
-    "custom_matrix_file": {"path"},
-}
-_SECTION_KEYS = {
-    "experiment": {"name", "seed", "iterations", "replications", "checks",
-                   "output"},
-    "problem": {"kind"}.union(*_PROBLEM_KEYS.values()),
-    "method": {"kind", "step", "x0", "set", "regularizer"},
-}
-
-
 class ConfigError(Exception):
     """A config file failed strict parsing or validation."""
 
@@ -99,257 +85,278 @@ class ExperimentConfig:
 
 
 def _line_map(text: str) -> dict:
-    """Map (section, key) -> 1-based line number for error messages."""
-    section, mapping = None, {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";")):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+    """Map (section, key) -> 1-based line number for error messages, matched
+    with configparser's own patterns for headers and keys."""
+    ini, section, mapping = configparser.ConfigParser, None, {}
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if header := ini.SECTCRE.match(line):
+            section = header["header"].lower()
             mapping.setdefault((section, None), lineno)
-        elif section is not None and ("=" in line or ":" in line):
-            # configparser ends the key at the first "=" or ":"
-            key = re.split("[=:]", line, maxsplit=1)[0].strip().lower()
-            mapping.setdefault((section, key), lineno)
+        elif section is not None and (option := ini.OPTCRE.match(line)):
+            mapping.setdefault((section, option["option"].lower()), lineno)
     return mapping
+
+
+# ---------------------------------------------------------------------------
+# The config grammar: one table per section, then the rules across keys
+# ---------------------------------------------------------------------------
+
+def _fold(word: str) -> str:  # the one case fold of every keyword token
+    return word.strip().lower()
+
+
+def _integer(minimum, maximum=math.inf):
+    def parse(key, text, source):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"'{key}' must be an integer, got {text!r}") \
+                from None
+        if not minimum <= value <= maximum:
+            bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+            raise ConfigError(f"'{key}' must be {bound}, got {value}")
+        return value
+    return parse
+
+
+def _number(key, text, source=None):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"'{key}' must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be a finite number, got {text!r}")
+    return value
+
+
+def _positive(key, text, source):
+    if (value := _number(key, text)) > 0:
+        return value
+    raise ConfigError(f"'{key}' must be positive, got {value}")
+
+
+def _words(options, message):
+    """A case-folded keyword of ``options``, mapped to its value."""
+    def parse(key, text, source):
+        if _fold(text) in options:
+            return options[_fold(text)]
+        raise ConfigError(message.format(key=key, text=text, word=_fold(text),
+                                          allowed=", ".join(options)))
+    return parse
+
+
+def _name(key, text, source):
+    if (name := text.strip()) in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"'name' must be a single path component, got "
+                          f"{name!r}")
+    return name
+
+
+def _checks(key, text, source):
+    check = _words(dict(zip(CHECKS, CHECKS)), "unknown check {text!r} "
+                   "(allowed: {allowed})")
+    return tuple(dict.fromkeys(check(key, token, source)
+                               for token in text.replace(",", " ").split()))
+
+
+def _matrix_path(key, text, source):  # relative to the config's directory
+    text = text.strip()
+    return text if os.path.isabs(text) else str((source.parent / text)
+                                                .resolve())
+
+
+def _step(key, text, source):
+    words = text.split()
+    if not words:
+        raise ConfigError("empty step policy")
+    kind, args = _fold(words[0]), words[1:]
+    if kind == "recommend" and not args:
+        return ("recommend",)
+    if kind == "constant" and len(args) == 1:
+        if (gamma := _number(key, args[0])) > 0:
+            return ("constant", gamma)
+        raise ConfigError("step size must be positive")
+    if kind == "inverse_t" and len(args) <= 1:
+        c = _number(key, args[0]) if args else None
+        if c is not None and not c > 0:
+            raise ConfigError("inverse_t coefficient must be positive")
+        return ("inverse_t", c)
+    raise ConfigError({"recommend": "'recommend' takes no arguments",
+                       "constant": "expected 'constant <gamma>'",
+                       "inverse_t": "expected 'inverse_t [c]'"}.get(
+        kind, f"unknown step policy {words[0]!r}"))
+
+
+def _x0(key, text, source):
+    if _fold(text) == "zero":
+        return None
+    entries = text.replace(",", " ").split()
+    try:
+        [float(v) for v in entries]
+    except ValueError:
+        raise ConfigError("x0 must be 'zero' or a list of numbers") from None
+    return np.array([_number(key, v) for v in entries])
+
+
+def _regularizer(key, text, source):
+    kind, *args = text.split() or [""]
+    kind = _fold(kind)
+    if (kind, len(args)) in (("zero", 0), ("constant", 1), ("l1", 1)):
+        value = tuple(_number(key, a) for a in args)
+        if kind == "l1" and not value[0] > 0:
+            raise ConfigError(f"the l1 weight must be positive, got {value[0]}")
+        return (kind, *value)
+    raise ConfigError(f"unsupported regularizer {text!r} (use 'zero', "
+                      "'constant <c>' or 'l1 <weight>')")
+
+
+_REQUIRED = object()
+# A key: parse(key, text, config_path) gives its value or raises ConfigError;
+# default is the text an absent key stands for (None: no value; a callable
+# of the parser and config path derives it).  It applies to its methods only
+# and while when = (wording, test of the section's values) holds.  param is
+# its problem_params name, a keyword of the problem's constructor.
+_Key = namedtuple("_Key", "parse default methods when param",
+                  defaults=(_REQUIRED, solvers.METHODS, None, None))
+
+_BOOLEANS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
+             **dict.fromkeys(("false", "no", "0", "off"), False)}
+_EXPERIMENT = {
+    "seed": _Key(_integer(0, SEED_MAX)),
+    "iterations": _Key(_integer(1)),
+    "replications": _Key(_integer(1)),
+    "name": _Key(_name, lambda raw, path: path.stem),
+    "checks": _Key(_checks, ""),
+    "output": _Key(lambda key, text, source: text, None),
+}
+_FILE_SEED = _Key(_EXPERIMENT["seed"].parse,
+                  lambda parser, path: parser["experiment"]["seed"])
+_PROBLEMS = {  # problem kind -> its keys besides 'kind'
+    "two_point": {},
+    "kaczmarz": {
+        "m": _Key(_integer(1), "20"),
+        "d": _Key(_integer(1), "5"),
+        "mix": _Key(_number, "0.5"),
+        "construction_seed": _FILE_SEED,
+        "consistent": _Key(_words(_BOOLEANS, "'{key}' must be a boolean, got "
+                                  "{text!r}"), "true"),
+        "noise": _Key(_number, "0.1", when=("consistent = false",
+                                            lambda p: not p["consistent"])),
+    },
+    "quadratic_l1": {
+        "d": _Key(_integer(1), "10", param="dim"),
+        "n": _Key(_integer(2), "20", param="n_components"),
+        "l1_weight": _Key(_positive, "0.005", methods=("prox_sgm",)),
+        "construction_seed": _FILE_SEED,
+    },
+    "custom_matrix_file": {"path": _Key(_matrix_path)},
+}
+_METHOD = {  # the keys of [method] besides 'kind'
+    "step": _Key(_step),
+    "x0": _Key(_x0, "zero"),
+    "set": _Key(_words({"whole_space": "whole_space"}, "only 'whole_space' "
+                       "is supported as a config-level constraint set"),
+                "whole_space", methods=("psgm",)),
+    "regularizer": _Key(_regularizer, None, methods=("prox_sgm",)),
+}
+_KINDS = {"problem": _Key(_words(dict(zip(_PROBLEMS, _PROBLEMS)), "unknown "
+                                 "problem kind {word!r} (allowed: {allowed})")),
+          "method": _Key(_words(dict(zip(solvers.METHODS, solvers.METHODS)),
+                                "unknown method {word!r} (allowed: {allowed})"))}
+_SECTIONS = {"experiment": set(_EXPERIMENT),
+             "problem": {"kind"}.union(*_PROBLEMS.values()),
+             "method": {"kind", *_METHOD}}
+
+
+def _broken_rules(cfg: ExperimentConfig):
+    """(section, keys, message) for each rule across keys that ``cfg``
+    breaks; its error cites the first of ``keys`` that the file sets."""
+    p, reg = cfg.problem_params, cfg.regularizer_spec or ("",)
+    if cfg.problem_kind == "kaczmarz" and p["m"] < p["d"]:
+        yield ("problem", ("m", "d"), f"the system needs m >= d rows, got "
+               f"m = {p['m']} < d = {p['d']}")
+    if cfg.problem_kind == "quadratic_l1" and p["n_components"] % 2:
+        yield ("problem", ("n",), "'n' must be even (the linear terms come "
+               f"in ± pairs), got {p['n_components']}")
+    if ("inverse_t" in cfg.checks and cfg.step_spec[0] == "inverse_t"
+            and cfg.iterations < analysis.INVERSE_T_MIN_ITERS):
+        yield ("experiment", ("checks",), "the inverse_t check needs "
+               f"iterations >= {analysis.INVERSE_T_MIN_ITERS}, got "
+               f"{cfg.iterations}")
+    if reg[0] == "l1" and cfg.problem_kind != "quadratic_l1":
+        yield ("method", ("regularizer",), "'l1' moves the solution set, "
+               "which only problem kind 'quadratic_l1' solves for; use "
+               "'zero' or 'constant <c>'")
 
 
 def parse_config(path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    lines = _line_map(text)
-
     parser = configparser.ConfigParser(interpolation=None)
     try:
+        text = path.read_text(encoding="utf-8")
         parser.read_string(text, source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    lines = _line_map(text)
 
     def where(section, key=None):
+        section = section.lower()
         lineno = lines.get((section, key)) or lines.get((section, None))
         return f"{path}:{lineno}" if lineno else str(path)
 
+    def fail(section, key, message):
+        raise ConfigError(f"{where(section, key)}: {message}")
+
+    for section in _SECTIONS:
+        if not parser.has_section(section):
+            raise ConfigError(f"{path}: missing required section [{section}]")
+
+    def value(section, key, spec):
+        text = parser[section].get(key, spec.default)
+        text = text(parser, path) if callable(text) else text
+        if text is _REQUIRED:
+            fail(section, None, f"missing required key '{key}' in [{section}]")
+        try:
+            return None if text is None else spec.parse(key, text, path)
+        except ConfigError as exc:
+            fail(section, key, str(exc))
+
+    kind, method = (value(s, "kind", spec) for s, spec in _KINDS.items())
     for section in parser.sections():
-        low = section.lower()
-        if low not in _SECTION_KEYS:
-            raise ConfigError(f"{where(low)}: unknown section [{section}]")
+        if section.lower() not in _SECTIONS:
+            fail(section, None, f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SECTION_KEYS[low]:
-                raise ConfigError(
-                    f"{where(low, key)}: unknown key '{key}' in [{section}]")
-    for required in ("experiment", "problem", "method"):
-        if not parser.has_section(required):
-            raise ConfigError(f"{path}: missing required section [{required}]")
-
-    exp = parser["experiment"]
-    prb = parser["problem"]
-    mth = parser["method"]
-
-    def need(section_proxy, section_name, key):
-        if key not in section_proxy:
-            raise ConfigError(
-                f"{where(section_name)}: missing required key '{key}' "
-                f"in [{section_name}]")
-        return section_proxy[key]
-
-    def as_int(section_name, key, raw, minimum=None, maximum=None):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
-                              f"an integer, got {raw!r}") from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
-                              f">= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
-                              f"<= {maximum}, got {value}")
-        return value
-
-    def as_float(section_name, key, raw):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
-                              f"a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{where(section_name, key)}: '{key}' must be "
-                              f"a finite number, got {raw!r}")
-        return value
-
-    def as_bool(section_name, key, raw):
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{where(section_name, key)}: '{key}' must be a "
-                          f"boolean, got {raw!r}")
-
-    seed = as_int("experiment", "seed", need(exp, "experiment", "seed"), 0,
-                  SEED_MAX)
-    iterations = as_int("experiment", "iterations",
-                        need(exp, "experiment", "iterations"), 1)
-    replications = as_int("experiment", "replications",
-                          need(exp, "experiment", "replications"), 1)
-    name = exp.get("name", path.stem).strip()
-    if name in ("", ".", "..") or Path(name).name != name:
-        raise ConfigError(f"{where('experiment', 'name')}: 'name' must be a "
-                          f"single path component, got {name!r}")
-
-    checks = []
-    raw_checks = exp.get("checks", "").replace(",", " ").split()
-    for token in raw_checks:
-        if token not in CHECKS:
-            raise ConfigError(f"{where('experiment', 'checks')}: unknown check "
-                              f"{token!r} (allowed: {', '.join(CHECKS)})")
-        if token not in checks:
-            checks.append(token)
-
-    kind = need(prb, "problem", "kind").strip().lower()
-    if kind not in _PROBLEM_KEYS:
-        raise ConfigError(f"{where('problem', 'kind')}: unknown problem kind "
-                          f"{kind!r} (allowed: {', '.join(_PROBLEM_KEYS)})")
-    for key in prb:
-        if key != "kind" and key not in _PROBLEM_KEYS[kind]:
-            raise ConfigError(f"{where('problem', key)}: key '{key}' does not "
-                              f"apply to problem kind '{kind}'")
-    params = {}
-    if kind == "kaczmarz":
-        params["m"] = as_int("problem", "m", prb.get("m", "20"), 1)
-        params["d"] = as_int("problem", "d", prb.get("d", "5"), 1)
-        params["mix"] = as_float("problem", "mix", prb.get("mix", "0.5"))
-        params["construction_seed"] = as_int(
-            "problem", "construction_seed",
-            prb.get("construction_seed", str(seed)), 0, SEED_MAX)
-        params["consistent"] = as_bool("problem", "consistent",
-                                       prb.get("consistent", "true"))
-        params["noise"] = as_float("problem", "noise", prb.get("noise", "0.1"))
-        if params["m"] < params["d"]:
-            key = "m" if "m" in prb else "d"
-            raise ConfigError(f"{where('problem', key)}: the system needs "
-                              f"m >= d rows, got m = {params['m']} < d = "
-                              f"{params['d']}")
-    elif kind == "quadratic_l1":
-        params["dim"] = as_int("problem", "d", prb.get("d", "10"), 1)
-        params["n_components"] = as_int("problem", "n", prb.get("n", "20"), 2)
-        if params["n_components"] % 2:
-            raise ConfigError(f"{where('problem', 'n')}: 'n' must be even "
-                              "(the linear terms come in ± pairs), got "
-                              f"{params['n_components']}")
-        params["l1_weight"] = as_float("problem", "l1_weight",
-                                       prb.get("l1_weight", "0.005"))
-        if not params["l1_weight"] > 0:
-            raise ConfigError(f"{where('problem', 'l1_weight')}: 'l1_weight' "
-                              f"must be positive, got {params['l1_weight']}")
-        params["construction_seed"] = as_int(
-            "problem", "construction_seed",
-            prb.get("construction_seed", str(seed)), 0, SEED_MAX)
-    elif kind == "custom_matrix_file":
-        raw_path = need(prb, "problem", "path").strip()
-        params["path"] = str((path.parent / raw_path).resolve()
-                             if not os.path.isabs(raw_path) else raw_path)
-
-    method = need(mth, "method", "kind").strip().lower()
-    if method not in solvers.METHODS:
-        raise ConfigError(f"{where('method', 'kind')}: unknown method "
-                          f"{method!r} (allowed: {', '.join(solvers.METHODS)})")
-    if "l1_weight" in prb and method != "prox_sgm":
-        raise ConfigError(f"{where('problem', 'l1_weight')}: 'l1_weight' "
-                          "applies to prox_sgm only")
-
-    step_raw = need(mth, "method", "step").split()
-    if not step_raw:
-        raise ConfigError(f"{where('method', 'step')}: empty step policy")
-    step_kind = step_raw[0].lower()
-    if step_kind == "recommend":
-        if len(step_raw) != 1:
-            raise ConfigError(f"{where('method', 'step')}: 'recommend' takes "
-                              "no arguments")
-        step_spec = ("recommend",)
-    elif step_kind == "constant":
-        if len(step_raw) != 2:
-            raise ConfigError(f"{where('method', 'step')}: expected "
-                              "'constant <gamma>'")
-        gamma = as_float("method", "step", step_raw[1])
-        if not gamma > 0:
-            raise ConfigError(f"{where('method', 'step')}: step size must be "
-                              "positive")
-        step_spec = ("constant", gamma)
-    elif step_kind == "inverse_t":
-        if len(step_raw) == 1:
-            step_spec = ("inverse_t", None)
-        elif len(step_raw) == 2:
-            c = as_float("method", "step", step_raw[1])
-            if not c > 0:
-                raise ConfigError(f"{where('method', 'step')}: inverse_t "
-                                  "coefficient must be positive")
-            step_spec = ("inverse_t", c)
-        else:
-            raise ConfigError(f"{where('method', 'step')}: expected "
-                              "'inverse_t [c]'")
-    else:
-        raise ConfigError(f"{where('method', 'step')}: unknown step policy "
-                          f"{step_raw[0]!r}")
-
-    if ("inverse_t" in checks and step_spec[0] == "inverse_t"
-            and iterations < analysis.INVERSE_T_MIN_ITERS):
-        raise ConfigError(f"{where('experiment', 'checks')}: the inverse_t "
-                          f"check needs iterations >= "
-                          f"{analysis.INVERSE_T_MIN_ITERS}, got {iterations}")
-
-    x0 = None
-    if "x0" in mth and mth["x0"].strip().lower() != "zero":
-        entries = mth["x0"].replace(",", " ").split()
-        try:
-            for v in entries:
-                float(v)
-        except ValueError:
-            raise ConfigError(f"{where('method', 'x0')}: x0 must be 'zero' or "
-                              "a list of numbers") from None
-        x0 = np.array([as_float("method", "x0", v) for v in entries])
-
-    if "set" in mth and method != "psgm":
-        raise ConfigError(f"{where('method', 'set')}: 'set' applies to psgm "
-                          "only")
-    if mth.get("set", "whole_space").strip().lower() != "whole_space":
-        raise ConfigError(f"{where('method', 'set')}: only 'whole_space' is "
-                          "supported as a config-level constraint set")
-    regularizer_spec = None
-    if "regularizer" in mth:
-        where_reg = where("method", "regularizer")
-        if method != "prox_sgm":
-            raise ConfigError(f"{where_reg}: 'regularizer' applies to "
-                              "prox_sgm only")
-        reg = mth["regularizer"].split()
-        if reg == ["zero"]:
-            regularizer_spec = ("zero",)
-        elif len(reg) == 2 and reg[0] in ("constant", "l1"):
-            value = as_float("method", "regularizer", reg[1])
-            if reg[0] == "l1" and not value > 0:
-                raise ConfigError(f"{where_reg}: the l1 weight must be "
-                                  f"positive, got {value}")
-            if reg[0] == "l1" and kind != "quadratic_l1":
-                raise ConfigError(f"{where_reg}: 'l1' moves the solution set, "
-                                  "which only problem kind 'quadratic_l1' "
-                                  "solves for; use 'zero' or 'constant <c>'")
-            regularizer_spec = (reg[0], value)
-        else:
-            raise ConfigError(f"{where_reg}: unsupported regularizer "
-                              f"{mth['regularizer']!r} (use 'zero', "
-                              "'constant <c>' or 'l1 <weight>')")
-
-    return ExperimentConfig(
-        name=name, seed=seed, iterations=iterations,
-        replications=replications, checks=tuple(checks), problem_kind=kind,
-        problem_params=params, method=method, step_spec=step_spec, x0=x0,
-        regularizer_spec=regularizer_spec, output=exp.get("output"),
-        x0_where=where("method", "x0"),
-    )
+            if key not in _SECTIONS[section.lower()]:
+                fail(section, key, f"unknown key '{key}' in [{section}]")
+            if section == "problem" and key not in {"kind", *_PROBLEMS[kind]}:
+                fail(section, key, f"key '{key}' does not apply to problem "
+                                   f"kind '{kind}'")
+    # a key its method does not take is refused before its value is read,
+    # one whose condition is on another key's value after
+    values = {}
+    for section, table in (("experiment", _EXPERIMENT),
+                           ("problem", _PROBLEMS[kind]), ("method", _METHOD)):
+        got = values[section] = {}
+        for key, spec in table.items():
+            if key in parser[section] and method not in spec.methods:
+                fail(section, key, f"'{key}' applies to "
+                                   f"{' and '.join(spec.methods)} only")
+            got[key] = value(section, key, spec)
+            if spec.when and key in parser[section] and not spec.when[1](got):
+                fail(section, key, f"'{key}' applies to {spec.when[0]} only")
+    mth = values["method"]
+    cfg = ExperimentConfig(
+        **values["experiment"], problem_kind=kind, method=method,
+        problem_params={spec.param or key: values["problem"][key]
+                        for key, spec in _PROBLEMS[kind].items()},
+        step_spec=mth["step"], x0=mth["x0"],
+        regularizer_spec=mth["regularizer"], x0_where=where("method", "x0"))
+    for section, keys, message in _broken_rules(cfg):
+        fail(section, next((k for k in keys if k in parser[section]), None),
+             message)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +364,27 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
-    kind, p = cfg.problem_kind, cfg.problem_params
+    kind, p = cfg.problem_kind, cfg.problem_params  # the constructor's kwargs
     if kind == "two_point":
         return problems.make_two_point_quadratic()
-    if kind == "kaczmarz":
-        sys_ = problems.make_random_kaczmarz_system(
-            p["m"], p["d"], p["construction_seed"], mix=p["mix"],
-            consistent=p["consistent"], noise=p["noise"])
-        return problems.make_kaczmarz_problem(sys_)
     if kind == "quadratic_l1":
         # solve for the regularizer the run uses: prox_sgm's, which may
         # override l1_weight, and none for the methods that iterate on f alone
         reg_spec = (cfg.regularizer_spec if cfg.method == "prox_sgm"
                     else ("zero",))
         return problems.make_quadratic_l1(
-            construction_seed=p["construction_seed"], dim=p["dim"],
-            n_components=p["n_components"], l1_weight=p["l1_weight"],
-            regularizer=None if reg_spec is None
+            **p, regularizer=None if reg_spec is None
             else build_regularizer(reg_spec))
-    sys_ = problems.load_kaczmarz_text(p["path"])
-    return problems.make_kaczmarz_problem(sys_)
+    return problems.make_kaczmarz_problem(
+        problems.make_random_kaczmarz_system(**p) if kind == "kaczmarz"
+        else problems.load_kaczmarz_text(p["path"]))
 
 
 def build_regularizer(spec: tuple) -> geometry.Regularizer:
     kind, *args = spec
-    if kind == "zero":
-        return geometry.zero_regularizer()
-    if kind == "constant":
-        return geometry.constant_regularizer(*args)
-    return geometry.l1_regularizer(*args)
+    return {"zero": geometry.zero_regularizer,
+            "constant": geometry.constant_regularizer,
+            "l1": geometry.l1_regularizer}[kind](*args)
 
 
 def build_geometry(cfg: ExperimentConfig, problem):
@@ -592,15 +591,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> ExperimentConfig | None:
-    """Parse the config and apply a ``--seed`` override; None (after
-    reporting) on a config error."""
+    """Parse the config and apply a ``--seed`` override, which the grammar's
+    seed entry checks; None (after reporting) on a config error."""
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed <= SEED_MAX:
-                raise ConfigError(f"--seed must lie in [0, {SEED_MAX}], "
-                                  f"got {args.seed}")
-            cfg.seed = args.seed
+            cfg.seed = _EXPERIMENT["seed"].parse("--seed", args.seed, None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -611,8 +607,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if cfg is None:
         return EXIT_CONFIG
-    out_dir = _resolve_output(cfg, args.out)
-    return run_experiment(cfg, out_dir)
+    return run_experiment(cfg, _resolve_output(cfg, args.out))
 
 
 def _cmd_validate(args) -> int:
@@ -678,17 +673,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config", help="path to the experiment config file")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
+    p_run.set_defaults(func=_cmd_run)
+    p_val = sub.add_parser("validate", help="parse and construct, but do not run")
+    p_val.set_defaults(func=_cmd_validate)
+    for p in (p_run, p_val):
+        p.add_argument("config", help="path to the experiment config file")
+        p.add_argument("--seed", default=None, help="override the master seed")
     p_run.add_argument("--out", default=None,
                        help="output directory (default from config/env)")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_val = sub.add_parser("validate", help="parse and construct, but do not run")
-    p_val.add_argument("config")
-    p_val.add_argument("--seed", type=int, default=None)
-    p_val.set_defaults(func=_cmd_validate)
 
     p_rep = sub.add_parser("report", help="pretty-print a results directory")
     p_rep.add_argument("dir")

@@ -209,12 +209,16 @@ def make_random_kaczmarz_system(m: int, d: int, construction_seed: int,
     g = rng.substream(construction_seed, 0)
     G = g.standard_normal((m, d))
     Q, _ = np.linalg.qr(G)
-    raw = Q + mix * g.standard_normal((m, d)) / math.sqrt(d)
-    x_nat = g.standard_normal(d)
-    b_raw = raw @ x_nat
-    if not consistent:
-        b_raw = b_raw + noise * g.standard_normal(m)
-    norms = np.sqrt((raw * raw).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        raw = Q + mix * g.standard_normal((m, d)) / math.sqrt(d)
+        x_nat = g.standard_normal(d)
+        b_raw = raw @ x_nat
+        if not consistent:
+            b_raw = b_raw + noise * g.standard_normal(m)
+        norms = np.sqrt((raw * raw).sum(axis=1))
+    if not (np.isfinite(norms).all() and np.isfinite(b_raw).all()):
+        raise ValueError(f"the generated system is not finite at mix = {mix!r}"
+                         + ("" if consistent else f", noise = {noise!r}"))
     return KaczmarzSystem(A=raw / norms[:, None], b=b_raw / norms)
 
 

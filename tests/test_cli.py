@@ -363,6 +363,73 @@ def test_l1_weight_off_prox_sgm_exits_2_with_line(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("consistent", [None, "true", "YES"])
+def test_noise_on_a_consistent_system_exits_2_with_line(tmp_path, capsys,
+                                                        monkeypatch,
+                                                        consistent):
+    # a consistent system never reads noise, so the run would claim a
+    # perturbation sigma it does not have
+    monkeypatch.setattr(solvers, "run_ensemble", None)  # must not simulate
+    text = SHIPPED_TEXT["kaczmarz_recommend"].replace(
+        "consistent = true\n",
+        "" if consistent is None else f"consistent = {consistent}\n")
+    text = text.replace("mix = 0.5", "mix = 0.5\nnoise = 5")
+    cfg = write_cfg(tmp_path, text)
+    lineno = text.splitlines().index("noise = 5") + 1
+    for command in (["validate", cfg], ["run", cfg, "--out", tmp_path / "o"]):
+        assert run_cli(command) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{lineno}: 'noise' applies to consistent = "
+            "false only\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_noise_on_an_inconsistent_system_is_read(tmp_path):
+    text = SHIPPED_TEXT["kaczmarz_recommend"].replace(
+        "consistent = true", "consistent = Off\nnoise = 5")
+    params = cli.parse_config(write_cfg(tmp_path, text)).problem_params
+    assert (params["consistent"], params["noise"]) == (False, 5.0)
+
+
+def test_an_overflowing_generated_system_exits_3_naming_mix(tmp_path,
+                                                            capsys):
+    # numpy's overflow warning is an error under this suite's filter, so
+    # it must not escape construction, nor reach stderr from the CLI
+    text = SHIPPED_TEXT["kaczmarz_classical"].replace("mix = 0.5",
+                                                      "mix = 1e300")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
+    assert capsys.readouterr().err == ("construction error: the generated "
+                                       "system is not finite at mix = "
+                                       "1e+300\n")
+
+
+@pytest.mark.parametrize("spec,parsed", [
+    ("L1 0.5", ("l1", 0.5)),
+    ("Zero", ("zero",)),
+    ("CONSTANT 2", ("constant", 2.0)),
+])
+def test_regularizer_and_check_names_fold_case_like_every_keyword(
+        tmp_path, spec, parsed):
+    # kinds, step policies, x0 = zero, set and booleans always folded case
+    text = (QUADRATIC_L1_FLOOR
+            .replace("x0 = zero", f"x0 = ZERO\nregularizer = {spec}")
+            .replace("checks = wgc, rate, floor", "checks = WGC, Rate, floor")
+            .replace("step = constant", "step = Constant"))
+    cfg = write_cfg(tmp_path, text)
+    parsed_cfg = cli.parse_config(cfg)
+    assert parsed_cfg.regularizer_spec == parsed
+    assert parsed_cfg.checks == ("wgc", "rate", "floor")
+    assert run_cli(["validate", cfg]) == 0
+
+
+def test_readme_config_format_names_every_key():
+    readme = (CONFIGS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config format"):]
+    section = section[:section.index("\n### ")]
+    keys = set().union(*cli._SECTIONS.values())
+    assert sorted(k for k in keys if f"| `{k}` |" not in section) == []
+
+
 @pytest.mark.parametrize("method", ["sgm", "psgm", "resolvent_sgm"])
 def test_quadratic_l1_off_prox_sgm_measures_distance_to_argmin_f(tmp_path,
                                                                  method):
@@ -619,8 +686,10 @@ def test_seed_override_out_of_range_exits_2(tmp_path, capsys, command, seed):
     if command == "run":
         args += ["--out", tmp_path / "o"]
     assert run_cli(args) == 2
-    assert "--seed must lie in [0, 18446744073709551615]" in \
-        capsys.readouterr().err
+    # --seed goes through the same grammar entry as the config's seed
+    bound = ">= 0" if seed < 0 else "<= 18446744073709551615"
+    assert capsys.readouterr().err == (f"config error: '--seed' must "
+                                       f"be {bound}, got {seed}\n")
     assert not (tmp_path / "o").exists()
 
 

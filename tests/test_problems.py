@@ -393,3 +393,17 @@ def test_quadratic_l1_spectrum(quadratic_l1):
 def test_evaluation_error_on_nonfinite_point(two_point):
     with pytest.raises(problems.EvaluationError):
         exact_conditional_moment(two_point, np.array([np.inf]))
+
+
+@pytest.mark.parametrize("kwargs,named", [
+    ({"mix": 1e300}, "mix = 1e+300"),
+    ({"mix": 1e308}, "mix = 1e+308"),
+    ({"consistent": False, "noise": 1e308}, "noise = 1e+308"),
+])
+def test_an_overflowing_random_kaczmarz_system_raises_value_error(kwargs,
+                                                                   named):
+    # under this suite's error::RuntimeWarning filter an overflow warning
+    # would escape instead
+    with pytest.raises(ValueError, match="is not finite at") as exc:
+        problems.make_random_kaczmarz_system(20, 5, 1, **kwargs)
+    assert named in str(exc.value)
