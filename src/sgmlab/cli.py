@@ -221,11 +221,11 @@ _Key = namedtuple("_Key", "parse default methods when param",
 
 _BOOLEANS = {**dict.fromkeys(("true", "yes", "1", "on"), True),
              **dict.fromkeys(("false", "no", "0", "off"), False)}
-_EXPERIMENT = {
+_EXPERIMENT = {  # each key names an ExperimentConfig field
     "seed": _Key(_integer(0, SEED_MAX)),
     "iterations": _Key(_integer(1)),
     "replications": _Key(_integer(1)),
-    "name": _Key(_name, lambda raw, path: path.stem),
+    "name": _Key(_name, lambda parser, path: path.stem),
     "checks": _Key(_checks, ""),
     "output": _Key(lambda key, text, source: text, None),
 }

@@ -8,7 +8,7 @@ end of its section where the config lacks it: 81 keys × 35 values = 2 835
 cases.  ``tests/config_corpus.json`` holds, per case, the exit code of
 ``validate`` and the ``config error:`` or ``construction error:`` line of
 its stderr (empty when there is none), with the config's path replaced by
-``<cfg>``.  The cases run in this process, about 4 s in all.
+``<cfg>``.  The cases run in this process, about 3 s in all.
 
 A changed entry is a change of the config grammar and must be listed, with
 its reason, in CHANGES.md when the corpus is re-recorded:
