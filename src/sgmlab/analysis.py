@@ -39,7 +39,7 @@ _LOG_GUARD = 1e-300
 INVERSE_T_MIN_ITERS = 1000  # shortest horizon the O(1/t) check accepts
 _FLOORLESS = 1e-14
 _STATS_WORDS = 2**15  # distances held per block across all replications
-_CSV_ROWS = 2**12  # rows formatted per write by the CSV writers
+_CSV_ROWS = 2**9  # rows formatted per write by the CSV writers
 
 
 @dataclass
@@ -62,10 +62,11 @@ class RateFitError(RuntimeError):
     """The decay curve has too few usable points for a rate fit."""
 
 
-def reduce_block(block: np.ndarray, mean: np.ndarray, stderr: np.ndarray,
-                 dev: np.ndarray) -> None:
+def reduce_block(block: np.ndarray, mean: np.ndarray,
+                 stderr: np.ndarray) -> None:
     """Write the column means and standard errors of a C-ordered (R, w) block
-    into ``mean`` and ``stderr`` (length w); ``dev`` is (R, w) scratch.
+    into ``mean`` and ``stderr`` (length w).  The block is its own scratch:
+    it holds the squared deviations from the mean on return.
 
     The results equal ``block.mean(axis=0)`` and
     ``block.std(axis=0, ddof=1) / sqrt(R)`` on the whole matrix bit for bit,
@@ -80,9 +81,9 @@ def reduce_block(block: np.ndarray, mean: np.ndarray, stderr: np.ndarray,
     if R == 1:
         stderr[:] = 0.0
         return
-    np.subtract(block, mean, out=dev)
-    np.multiply(dev, dev, out=dev)
-    np.divide(_accum._sum_rows(dev), R - 1, out=stderr)
+    np.subtract(block, mean, out=block)
+    np.multiply(block, block, out=block)
+    np.divide(_accum._sum_rows(block), R - 1, out=stderr)
     np.sqrt(stderr, out=stderr)
     np.divide(stderr, math.sqrt(R), out=stderr)
 
@@ -92,16 +93,16 @@ class StreamedStats:
     blocks of its columns, each block given as the rows of an (m, R) array.
 
     Columns fill a C-ordered block of ``_STATS_WORDS`` values (at least two
-    columns); ``reduce_block`` reduces each block once it is full, and the
-    last one when its final column is in.  A block of rows may straddle
-    them.  ``mean`` and ``stderr`` are complete after n columns.
+    columns), the only buffer; ``reduce_block`` reduces each block in place
+    once it is full, and the last one when its final column is in.  A block
+    of rows may straddle them.  ``mean`` and ``stderr`` are complete after
+    n columns.
     """
 
     def __init__(self, R: int, n: int):
         self.mean, self.stderr = np.empty(n), np.empty(n)
         self._R, self._width = R, max(2, _STATS_WORDS // R)
         self._buf = np.empty(R * self._width)
-        self._dev = np.empty_like(self._buf)
         self._block = None
         self._t = 0
 
@@ -121,8 +122,7 @@ class StreamedStats:
             if c + m == block.shape[1]:
                 lo = t - c
                 reduce_block(block, self.mean[lo:lo + c + m],
-                             self.stderr[lo:lo + c + m],
-                             self._dev[:block.size].reshape(block.shape))
+                             self.stderr[lo:lo + c + m])
             self._t, done = t + m, done + m
 
 

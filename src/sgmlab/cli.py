@@ -44,6 +44,7 @@ EXIT_DIVERGED = 4
 _ARTIFACTS = ("trajectory_stats.csv", "audit_trajectory.csv", "growth.json",
               "summary.csv", "manifest.json")
 
+_MAX_DIMENSION = int(np.iinfo(np.intp).max)  # numpy's limit on one axis
 SEED_MAX = 2 ** 64 - 1  # seeds key the Philox streams as unsigned 64-bit words
 
 _EPILOG = """exit codes:
@@ -365,6 +366,12 @@ def parse_config(path) -> ExperimentConfig:
 
 def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
     kind, p = cfg.problem_kind, cfg.problem_params  # the constructor's kwargs
+    for key in ("m", "d", "n"):  # the keys that size an array
+        spec = _PROBLEMS[kind].get(key)
+        if spec and p[spec.param or key] > _MAX_DIMENSION:
+            raise ValueError(f"{key} = {p[spec.param or key]} exceeds the "
+                             "largest array dimension numpy allows "
+                             f"({_MAX_DIMENSION})")
     if kind == "two_point":
         return problems.make_two_point_quadratic()
     if kind == "quadratic_l1":

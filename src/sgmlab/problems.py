@@ -157,6 +157,10 @@ def make_two_point_quadratic() -> FiniteSumProblem:
 # Randomized Kaczmarz: mean squared hyperplane distance of a linear system.
 # ---------------------------------------------------------------------------
 
+class _ResidualOverflow(ValueError):
+    """The residual norm ‖A x_ls − b‖ of a system is not a finite float."""
+
+
 @dataclass(eq=False)
 class KaczmarzSystem:
     """A linear system with unit-norm rows, m ≥ d, and full column rank."""
@@ -182,7 +186,12 @@ class KaczmarzSystem:
         if sv[-1] <= 1e-10 * sv[0]:
             raise ValueError("A must have full column rank")
         self.x_ls, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
-        self.residual_norm = float(np.linalg.norm(self.A @ self.x_ls - self.b))
+        with np.errstate(over="ignore"):  # an overflow is inf, caught below
+            self.residual_norm = float(
+                np.linalg.norm(self.A @ self.x_ls - self.b))
+        if not math.isfinite(self.residual_norm):
+            raise _ResidualOverflow(
+                "the least-squares residual norm of the system overflows")
         self.consistent = self.residual_norm <= _CONSISTENT_RESIDUAL
 
     @property
@@ -219,7 +228,11 @@ def make_random_kaczmarz_system(m: int, d: int, construction_seed: int,
     if not (np.isfinite(norms).all() and np.isfinite(b_raw).all()):
         raise ValueError(f"the generated system is not finite at mix = {mix!r}"
                          + ("" if consistent else f", noise = {noise!r}"))
-    return KaczmarzSystem(A=raw / norms[:, None], b=b_raw / norms)
+    try:
+        return KaczmarzSystem(A=raw / norms[:, None], b=b_raw / norms)
+    except _ResidualOverflow:  # only the noise makes b that large
+        raise ValueError("the residual of the generated system overflows "
+                         f"at noise = {noise!r}") from None
 
 
 def load_kaczmarz_text(path) -> KaczmarzSystem:

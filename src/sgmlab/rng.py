@@ -4,7 +4,10 @@ Every replication of an experiment draws from an independent Philox stream
 keyed by ``(master_seed, replication_index)``.  Component indices come from
 raw 64-bit draws mapped into ``range(n)`` without rejection, so the number
 of raw words consumed per step is fixed and the stream for replication ``r``
-is identical whether it runs alone or inside an ensemble.
+is identical whether it runs alone or inside an ensemble.  A Philox word is
+a pure function of its key and position, so the streams of an ensemble can
+share one generator: each stream re-keys it to its own key and word
+position before it draws.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 __all__ = ["substream", "bounded_indices", "IndexStream"]
 
 _MAX_COMPONENTS = 2**32 - 1
+_EXHAUSTED = np.zeros(4, dtype=np.uint64)  # a Philox buffer with nothing left
 
 
 def substream(master_seed: int, replication: int) -> np.random.Generator:
@@ -63,13 +67,28 @@ class IndexStream:
     block of 1000.  A block of k indices is mapped in place over its k raw
     words, so it costs two uint64 buffers of k words: the words and one
     temporary.
+
+    The stream keeps only its key and how many words it has drawn.  Before
+    each draw it sets ``bitgen``, a ``np.random.Philox``, through its
+    documented ``state`` to the key (master_seed, replication), the counter
+    words // 4 and an exhausted buffer, then drops the first words % 4
+    words of that counter's block: Philox yields word w as entry w % 4 of
+    the block at counter w // 4 + 1.  The words are therefore those of a
+    fresh ``np.random.Philox(key=[master_seed, replication])`` whatever
+    else draws from ``bitgen`` between blocks, so one generator serves
+    every stream of an ensemble.  Without ``bitgen`` the stream builds its
+    own.
     """
 
-    def __init__(self, master_seed: int, replication: int, n_components: int):
+    __slots__ = ("_bitgen", "_seed", "_replication", "_words", "n_components")
+
+    def __init__(self, master_seed: int, replication: int, n_components: int,
+                 bitgen: np.random.Philox | None = None):
         if not 0 < n_components <= _MAX_COMPONENTS:
             raise ValueError("component count must be in [1, 2**32 - 1]")
-        self._bitgen = np.random.Philox(
-            key=np.array([master_seed, replication], dtype=np.uint64))
+        self._seed, self._replication = master_seed, replication
+        self._bitgen = np.random.Philox() if bitgen is None else bitgen
+        self._words = 0
         self.n_components = int(n_components)
 
     def next_block(self, k: int) -> np.ndarray:
@@ -77,4 +96,16 @@ class IndexStream:
             raise ValueError("block size must be nonnegative")
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        return _map_in_place(self._bitgen.random_raw(k), self.n_components)
+        words, bitgen = self._words, self._bitgen
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array([words // 4, 0, 0, 0], dtype=np.uint64),
+                "key": np.array([self._seed, self._replication],
+                                dtype=np.uint64)},
+            "buffer": _EXHAUSTED, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        if words % 4:
+            bitgen.random_raw(words % 4)
+        self._words = words + k
+        return _map_in_place(bitgen.random_raw(k), self.n_components)

@@ -10,8 +10,9 @@ distances to the solution, the divergence guard, the statistics and the
 audit record are computed once per block of steps.  Every kernel in the hot
 path uses elementwise arithmetic and the fixed-order accumulations from
 ``_accum`` only, so each replication's trajectory is bitwise identical
-whether it runs alone or inside a batch of any width.  Randomness comes from counter-based per-replication substreams
-keyed by (master_seed, replication_index).
+whether it runs alone or inside a batch of any width.  Randomness comes
+from counter-based per-replication substreams keyed by (master_seed,
+replication_index), all drawn through one generator per run.
 """
 
 from __future__ import annotations
@@ -191,12 +192,13 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     drawn min(T, max(1, 2²⁰ // R), 2¹²) steps of every replication at a
     time (``_INDEX_WORDS`` indices, ``_INDEX_STEPS`` steps) into a C-ordered
     (steps, R) block of the narrowest unsigned type that holds n − 1, so
-    step k reads one contiguous row; each stream's draw costs at most two
-    uint64 buffers of 2¹² words (``rng.IndexStream``).  The T step sizes
-    are one float64 array, which the audit keeps.  A step takes
-    the gradient, applies the step map and copies the batch into a history
-    block of ``_HISTORY_WORDS`` values (max(1, 2¹⁶ // (d·R)) points); nothing
-    else.  Once per full or final block, the block's audit points are kept
+    step k reads one contiguous row; every stream draws through one shared
+    ``np.random.Philox``, which it re-keys to its own key and position, and
+    each draw costs at most two uint64 buffers of 2¹² words
+    (``rng.IndexStream``).  The T step sizes are one float64 array, which
+    the audit keeps.  A step takes the gradient, applies the step map and
+    copies the batch into a history block of ``_HISTORY_WORDS`` values
+    (max(1, 2¹⁶ // (d·R)) points); nothing else.  Once per full or final block, the block's audit points are kept
     and one stacked ``_accum.sumsq_cols`` gives every point's row of squared
     distances to the solution x*.  The rows guard divergence: the
     ``DivergenceError`` names the earliest step t ≥ 1 at which any
@@ -217,8 +219,9 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
         indices = np.empty(T, dtype=np.int64)
     except ValueError as exc:  # a size numpy cannot even describe
         raise MemoryError(str(exc)) from None
+    bitgen = np.random.Philox()  # re-keyed by each stream before it draws
     streams = [rng.IndexStream(spec.seed, spec.replication + r,
-                               problem.n_components)
+                               problem.n_components, bitgen)
                for r in range(replications)]
     # blocks partition each stream, so the block length never moves a bit
     block_len = min(T, max(1, _INDEX_WORDS // replications), _INDEX_STEPS)

@@ -26,7 +26,7 @@ from sgmlab.analysis import (
 def whole(D):
     """(mean, stderr) of D reduced as one block."""
     mean, stderr = np.empty(D.shape[1]), np.empty(D.shape[1])
-    reduce_block(D, mean, stderr, np.empty_like(D))
+    reduce_block(D.copy(), mean, stderr)
     return mean, stderr
 
 

@@ -403,6 +403,17 @@ def test_an_overflowing_generated_system_exits_3_naming_mix(tmp_path,
                                        "1e+300\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_residual_exits_3_naming_noise(tmp_path, capsys):
+    # b is finite, but the norm of its least-squares residual overflows
+    text = SHIPPED_TEXT["kaczmarz_classical"].replace(
+        "consistent = true", "consistent = false\nnoise = 1e300")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
+    assert capsys.readouterr().err == ("construction error: the residual of "
+                                       "the generated system overflows at "
+                                       "noise = 1e+300\n")
+
+
 @pytest.mark.parametrize("spec,parsed", [
     ("L1 0.5", ("l1", 0.5)),
     ("Zero", ("zero",)),

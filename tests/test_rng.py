@@ -90,3 +90,22 @@ def test_index_stream_maps_its_words_as_bounded_indices_does(n):
     s = IndexStream(21, 6, n)
     got = np.concatenate([s.next_block(100), s.next_block(200)])
     assert np.array_equal(got, bounded_indices(raw, n))
+
+
+@pytest.mark.parametrize("n", [2, 256, 257, 65_537])
+def test_streams_sharing_one_generator_draw_their_own_words(n):
+    # streams re-key one generator before every draw; stream j draws blocks
+    # of k + j, so word positions such as 1, 3, 6 and 10 fall inside a
+    # Philox block of four words and differ from stream to stream
+    reps = (0, 1, 6, 2**40)
+    bitgen = np.random.Philox()
+    streams = [IndexStream(31, r, n, bitgen) for r in reps]
+    got = [[] for _ in reps]
+    for k in (1, 2, 3, 4, 5, 1, 7):
+        for j, s in enumerate(streams):
+            got[j].append(s.next_block(k + j))
+    for j, r in enumerate(reps):
+        drawn = np.concatenate(got[j])
+        raw = np.random.Philox(key=np.array([31, r], dtype=np.uint64)
+                               ).random_raw(len(drawn))
+        assert np.array_equal(drawn, bounded_indices(raw, n))

@@ -30,11 +30,11 @@ def matrix_of(monkeypatch):
     blocks = {}
     reduce_block = analysis.reduce_block
 
-    def recording(block, mean, stderr, dev):
+    def recording(block, mean, stderr):
         if mean.ctypes.data == mean.base.ctypes.data:  # a run's first block
             blocks[id(mean.base)] = []
         blocks[id(mean.base)].append(block.copy())
-        reduce_block(block, mean, stderr, dev)
+        reduce_block(block, mean, stderr)
 
     monkeypatch.setattr(analysis, "reduce_block", recording)
     return lambda ens: np.concatenate(blocks[id(ens.mean_dist_sq)], axis=1)
@@ -324,6 +324,37 @@ def test_index_draws_hold_no_buffer_that_grows_with_T():
         tracemalloc.stop()
     assert len(ens.audit.sampled_indices) == 2**16
     assert peak - retained <= 2 * 2**20
+
+
+@pytest.mark.parametrize("R", [1, 7, 300])
+def test_run_ensemble_builds_one_generator_for_any_R(monkeypatch, R):
+    spec = two_point_spec(iters=20)
+    built, philox = [], np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    run_ensemble(spec, R)
+    assert len(built) == 1
+
+
+def test_wide_short_run_holds_no_per_replication_generators():
+    # R = 4 096, T = 4 on two_point: one Philox per replication and a second
+    # (R, B) statistics buffer peaked at 2.9 MB; one shared generator, R
+    # (seed, replication) keys and one 256 KB statistics buffer peak at
+    # 1.2 MB.  The first run is untraced, so one-time allocations of a
+    # cold process do not count
+    spec = two_point_spec(iters=4)
+    run_ensemble(spec, 4096)
+    tracemalloc.start()
+    try:
+        run_ensemble(spec, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
