@@ -44,7 +44,10 @@ EXIT_DIVERGED = 4
 _ARTIFACTS = ("trajectory_stats.csv", "audit_trajectory.csv", "growth.json",
               "summary.csv", "manifest.json")
 
-_MAX_DIMENSION = int(np.iinfo(np.intp).max)  # numpy's limit on one axis
+_MAX_DIMENSION = int(np.iinfo(np.intp).max)  # numpy's axis and byte limit
+# the (rows, cols) size keys of each float64 array a problem kind builds
+_FLOAT_ARRAYS = {"kaczmarz": (("m", "d"),),
+                 "quadratic_l1": (("d", "d"), ("n", "d"))}
 SEED_MAX = 2 ** 64 - 1  # seeds key the Philox streams as unsigned 64-bit words
 
 _EPILOG = """exit codes:
@@ -366,25 +369,40 @@ def parse_config(path) -> ExperimentConfig:
 
 def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
     kind, p = cfg.problem_kind, cfg.problem_params  # the constructor's kwargs
-    for key in ("m", "d", "n"):  # the keys that size an array
-        spec = _PROBLEMS[kind].get(key)
-        if spec and p[spec.param or key] > _MAX_DIMENSION:
-            raise ValueError(f"{key} = {p[spec.param or key]} exceeds the "
-                             "largest array dimension numpy allows "
-                             f"({_MAX_DIMENSION})")
-    if kind == "two_point":
-        return problems.make_two_point_quadratic()
-    if kind == "quadratic_l1":
-        # solve for the regularizer the run uses: prox_sgm's, which may
-        # override l1_weight, and none for the methods that iterate on f alone
-        reg_spec = (cfg.regularizer_spec if cfg.method == "prox_sgm"
-                    else ("zero",))
-        return problems.make_quadratic_l1(
-            **p, regularizer=None if reg_spec is None
-            else build_regularizer(reg_spec))
-    return problems.make_kaczmarz_problem(
-        problems.make_random_kaczmarz_system(**p) if kind == "kaczmarz"
-        else problems.load_kaczmarz_text(p["path"]))
+    size = {key: p[spec.param or key] for key, spec in _PROBLEMS[kind].items()
+            if key in ("m", "d", "n")}  # the keys that size an array
+    for key, value in size.items():
+        if value > _MAX_DIMENSION:
+            raise ValueError(f"{key} = {value} exceeds the largest array "
+                             f"dimension numpy allows ({_MAX_DIMENSION})")
+    for rows, cols in _FLOAT_ARRAYS.get(kind, ()):
+        nbytes = size[rows] * size[cols] * 8
+        if nbytes > _MAX_DIMENSION:
+            named = " and ".join(dict.fromkeys(f"{key} = {size[key]}"
+                                               for key in (rows, cols)))
+            raise ValueError(f"{named}: a {size[rows]} x {size[cols]} float "
+                             f"array takes {nbytes} bytes, more than numpy "
+                             f"can address ({_MAX_DIMENSION})")
+    try:
+        if kind == "two_point":
+            return problems.make_two_point_quadratic()
+        if kind == "quadratic_l1":
+            # solve for the run's regularizer: prox_sgm's, which may override
+            # l1_weight, and none for the methods that iterate on f alone
+            reg_spec = (cfg.regularizer_spec if cfg.method == "prox_sgm"
+                        else ("zero",))
+            return problems.make_quadratic_l1(
+                **p, regularizer=None if reg_spec is None
+                else build_regularizer(reg_spec))
+        return problems.make_kaczmarz_problem(
+            problems.make_random_kaczmarz_system(**p) if kind == "kaczmarz"
+            else problems.load_kaczmarz_text(p["path"]))
+    except MemoryError as exc:
+        if not size:
+            raise
+        named = ", ".join(f"{key} = {value}" for key, value in size.items())
+        raise MemoryError(f"{str(exc) or 'out of memory'} (size keys: "
+                          f"{named})") from None
 
 
 def build_regularizer(spec: tuple) -> geometry.Regularizer:
@@ -406,8 +424,7 @@ def build_geometry(cfg: ExperimentConfig, problem):
             raise ValueError("prox_sgm needs a regularizer: this problem has "
                              "no built-in one, set 'regularizer' in [method]")
         return problem.regularizer
-    return geometry.LinearMonotoneOperator(M_op=np.zeros((problem.dim,
-                                                          problem.dim)))
+    return geometry.LinearMonotoneOperator(dim=problem.dim)
 
 
 def resolve_step(cfg: ExperimentConfig, problem, geometry_obj):

@@ -198,9 +198,10 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     (``rng.IndexStream``).  The T step sizes are one float64 array, which
     the audit keeps.  A step takes the gradient, applies the step map and
     copies the batch into a history block of ``_HISTORY_WORDS`` values
-    (max(1, 2¹⁶ // (d·R)) points); nothing else.  Once per full or final block, the block's audit points are kept
-    and one stacked ``_accum.sumsq_cols`` gives every point's row of squared
-    distances to the solution x*.  The rows guard divergence: the
+    (max(1, 2¹⁶ // (d·R)) points); nothing else.  Once per full or final
+    block, the block's audit points are kept and one stacked
+    ``_accum.sumsq_cols`` gives every point's row of squared distances to
+    the solution x*.  The rows guard divergence: the
     ``DivergenceError`` names the earliest step t ≥ 1 at which any
     replication left the trust region, and the lowest replication at t,
     whatever the block.  They are then reduced to the per-t mean and

@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from sgmlab import checks
@@ -27,7 +26,7 @@ METHOD_CASES = {
                  ((0.0008813230299082406, 1.272859017183811e-29,
                    1.2998334056749904e-29), None)),
     "resolvent_sgm": (
-        lambda p: geo.LinearMonotoneOperator(M_op=np.zeros((p.dim, p.dim))),
+        lambda p: geo.LinearMonotoneOperator(dim=p.dim),
         (0.04341372933741744, 0.00271335808358859),
         0.002454326929326497,
         (None, "no floor prediction for resolvent iterations")),

@@ -197,6 +197,51 @@ def test_memory_error_during_construction_exits_3(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config,key,value,message", [
+    ("kaczmarz_recommend", "m", 4611686018427387904,
+     "m = 4611686018427387904 and d = 5: a 4611686018427387904 x 5 float "
+     "array takes 184467440737095516160 bytes"),
+    ("quadratic_l1_floor", "d", 3037000500,
+     "d = 3037000500: a 3037000500 x 3037000500 float array takes "
+     "73786976296002000000 bytes"),
+    ("quadratic_l1_floor", "n", 461168601842738790,
+     "n = 461168601842738790 and d = 10: a 461168601842738790 x 10 float "
+     "array takes 36893488147419103200 bytes"),
+], ids=["kaczmarz-m", "quadratic_l1-d", "quadratic_l1-n"])
+def test_an_array_numpy_cannot_address_exits_3_naming_its_keys(
+        tmp_path, capsys, monkeypatch, config, key, value, message):
+    # each key is below numpy's axis limit, but the array they shape is not;
+    # the check runs before any constructor, which must not be reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the constructor ran")
+    for name in ("make_random_kaczmarz_system", "make_quadratic_l1"):
+        monkeypatch.setattr(problems, name, unreachable)
+    text = (CONFIGS_DIR / f"{config}.cfg").read_text()
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
+    assert capsys.readouterr().err == (
+        f"construction error: {message}, more than numpy can address "
+        "(9223372036854775807)\n")
+
+
+@pytest.mark.parametrize("config,constructor,sizes", [
+    ("kaczmarz_recommend", "make_random_kaczmarz_system",
+     "m = 1000000000000, d = 5"),
+    ("quadratic_l1_floor", "make_quadratic_l1", "d = 10, n = 20"),
+], ids=["kaczmarz", "quadratic_l1"])
+def test_memory_error_during_construction_names_the_size_keys(
+        tmp_path, capsys, monkeypatch, config, constructor, sizes):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 36.4 TiB")
+    monkeypatch.setattr(problems, constructor, out_of_memory)
+    text = (CONFIGS_DIR / f"{config}.cfg").read_text()
+    text = text.replace("m = 20\n", "m = 1000000000000\n")
+    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
+    assert capsys.readouterr().err == (
+        "construction error: Unable to allocate 36.4 TiB (size keys: "
+        f"{sizes})\n")
+
+
 def test_memory_error_during_simulation_exits_3_with_a_record(
         tmp_path, capsys, monkeypatch):
     def out_of_memory(spec, replications):

@@ -290,7 +290,7 @@ AUDIT_GEOMETRIES = {
     "none": lambda d: None,
     "whole_space": lambda d: geo.whole_space(),
     "l1": lambda d: geo.l1_regularizer(0.05),
-    "zero_resolvent": lambda d: geo.LinearMonotoneOperator(np.zeros((d, d))),
+    "zero_resolvent": lambda d: geo.LinearMonotoneOperator(dim=d),
 }
 
 

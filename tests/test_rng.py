@@ -109,3 +109,46 @@ def test_streams_sharing_one_generator_draw_their_own_words(n):
         raw = np.random.Philox(key=np.array([31, r], dtype=np.uint64)
                                ).random_raw(len(drawn))
         assert np.array_equal(drawn, bounded_indices(raw, n))
+
+
+# Philox4x64-10 as published (Salmon, Moraes, Dror and Shaw, "Parallel random
+# numbers: as easy as 1, 2, 3", SC 2011): the round multipliers and the
+# Weyl key increments of the 4x64 variant
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = 2**64 - 1
+
+
+def _philox4x64_10(counter, key):
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ k0, p1 & _U64,
+                          (p0 >> 64) ^ c3 ^ k1, p0 & _U64)
+        k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
+    return [c0, c1, c2, c3]
+
+
+def _philox_words(seed, replication, count):
+    """The first ``count`` words of the stream keyed (seed, replication):
+    the counter starts at 0 and is incremented before each block."""
+    words = []
+    for block in range(1, (count + 3) // 4 + 1):
+        words += _philox4x64_10((block, 0, 0, 0), (seed, replication))
+    return words[:count]
+
+
+@pytest.mark.parametrize("key", [(20250814, 0), (20250814, 199), (0, 0),
+                                 (2**64 - 1, 2**64 - 1)])
+def test_numpy_philox_is_the_published_philox4x64_10(key):
+    raw = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(11)
+    assert [int(w) for w in raw] == _philox_words(*key, 11)
+
+
+@pytest.mark.parametrize("n", [2, 20, 257, 2**32 - 1])
+def test_index_stream_maps_published_philox_words(n):
+    # ragged blocks cross the four-word Philox blocks at every offset
+    s = IndexStream(20250814, 199, n)
+    got = [int(i) for k in (3, 1, 5, 7) for i in s.next_block(k)]
+    assert got == [(w * n) >> 64 for w in _philox_words(20250814, 199, 16)]

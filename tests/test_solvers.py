@@ -83,8 +83,8 @@ def test_default_x0_respects_geometry(two_point, kaczmarz_20x5):
     spec = two_point_spec()
     assert np.array_equal(spec.x0, np.zeros(1))
     # zero is feasible for every geometry, so every method starts there
-    for geometry in (geo.whole_space(), geo.indicator(geo.whole_space()),
-                     geo.l1_regularizer(0.1)):
+    for geometry in (geo.whole_space(), geo.l1_regularizer(0.1),
+                     geo.LinearMonotoneOperator(dim=5)):
         spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(0.1),
                          iters=10, seed=0, geometry=geometry)
         assert np.array_equal(spec.x0, np.zeros(5))
