@@ -23,20 +23,11 @@ __all__ = ["RunContext", "CHECKS", "check_wgc", "check_sgc", "check_necessary",
            "floor_prediction"]
 
 
-def _effective_mu(problem, geometry) -> float:
-    """μ for rate predictions: restricted toward the solution set when
-    available, the plain strong-convexity constant for the proximal path."""
-    if isinstance(geometry, Regularizer):
-        return problem.strong_mu
-    return problem.restricted_mu if problem.restricted_mu > 0 else problem.strong_mu
-
-
 def predicted_rho(problem, geometry, gamma: float) -> float:
-    """Per-step contraction implied by the constant-step analysis, or NaN
-    when the constants do not certify one at this γ."""
-    M = problem.analytic_M
-    mu = _effective_mu(problem, geometry)
-    L = problem.lipschitz_L
+    """Per-step contraction implied by the constant-step analysis from the
+    problem's L, analytic M and ``strong_mu``, or NaN when the constants do
+    not certify one at this γ."""
+    M, mu, L = problem.analytic_M, problem.strong_mu, problem.lipschitz_L
     if mu <= 0 or L <= 0:
         return math.nan
     if isinstance(geometry, Regularizer):

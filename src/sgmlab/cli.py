@@ -406,10 +406,11 @@ def build_problem(cfg: ExperimentConfig) -> problems.FiniteSumProblem:
 
 
 def build_regularizer(spec: tuple) -> geometry.Regularizer:
-    kind, *args = spec
-    return {"zero": geometry.zero_regularizer,
-            "constant": geometry.constant_regularizer,
-            "l1": geometry.l1_regularizer}[kind](*args)
+    """g ≡ c has the identity prox whatever c is, so it is the zero
+    regularizer."""
+    if spec[0] == "l1":
+        return geometry.l1_regularizer(spec[1])
+    return geometry.zero_regularizer()
 
 
 def build_geometry(cfg: ExperimentConfig, problem):
@@ -437,8 +438,8 @@ def resolve_step(cfg: ExperimentConfig, problem, geometry_obj):
     kind = cfg.step_spec[0]
     if kind == "recommend":
         gamma, rho = solvers.recommend_step(
-            problem.lipschitz_L, problem.analytic_M,
-            checks._effective_mu(problem, geometry_obj), geometry_obj)
+            problem.lipschitz_L, problem.analytic_M, problem.strong_mu,
+            geometry_obj)
         return solvers.ConstantStep(gamma), rho
     if kind == "constant":
         gamma = cfg.step_spec[1]
@@ -446,11 +447,10 @@ def resolve_step(cfg: ExperimentConfig, problem, geometry_obj):
             problem, geometry_obj, gamma)
     c = cfg.step_spec[1]
     if c is None:
-        mu = checks._effective_mu(problem, geometry_obj)
-        if mu <= 0:
+        if problem.strong_mu <= 0:
             raise ValueError("inverse_t without a coefficient needs a positive "
                              "convexity constant (defaults to 2/mu)")
-        c = 2.0 / mu
+        c = 2.0 / problem.strong_mu
     return solvers.InverseTStep(c), math.nan
 
 

@@ -1,10 +1,10 @@
 """The step maps: the whole space, simple regularizers and the zero operator.
 
-The projection and the proximal maps of the zero, constant and l1
-regularizers are closed form, and the resolvent of the zero operator is a
-copy.  All operations accept a single point of shape ``(d,)`` or a batch of
-column vectors of shape ``(d, R)`` and preserve the input shape; a batched
-call is bitwise identical, column by column, to single calls.
+The projection and the proximal maps of the zero and l1 regularizers are
+closed form, and the resolvent of the zero operator is a copy.  All
+operations accept a single point of shape ``(d,)`` or a batch of column
+vectors of shape ``(d, R)`` and preserve the input shape; a batched call is
+bitwise identical, column by column, to single calls.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "LinearMonotoneOperator",
     "whole_space",
     "zero_regularizer",
-    "constant_regularizer",
     "l1_regularizer",
     "project",
     "prox",
@@ -46,16 +45,10 @@ class Regularizer:
 
     kind: str
     weight: float = 0.0
-    c: float = 0.0
 
 
 def zero_regularizer() -> Regularizer:
     return Regularizer(kind="zero")
-
-
-def constant_regularizer(c) -> Regularizer:
-    """g == c; the prox is the identity regardless of c."""
-    return Regularizer(kind="constant", c=float(c))
 
 
 def l1_regularizer(weight) -> Regularizer:
@@ -92,7 +85,7 @@ def prox(g: Regularizer, gamma, x):
     if not gamma > 0:
         raise ValueError("prox needs gamma > 0")
     X = _points(x)
-    if g.kind in ("zero", "constant"):
+    if g.kind == "zero":
         return X.copy()
     if g.kind == "l1":
         # soft thresholding as X minus its clip to [-t, t]: bit for bit

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng, solvers
-from .problems import (FiniteSumProblem, _finite_component_grads,
-                       exact_conditional_moment)
+from .problems import FiniteSumProblem, _finite_component_grads
 
 __all__ = [
     "GrowthReport",
@@ -46,7 +45,6 @@ __all__ = [
     "verify_necessary_condition",
     "measured_worst_omega",
     "contraction_margins",
-    "example1_constants",
     "growth_record",
     "write_growth_json",
 ]
@@ -270,33 +268,6 @@ def contraction_margins(moments: SuccessorMoments, rho: float,
     margins = bound - moments.next_dist_sq
     flagged = margins < -_MARGIN_RTOL * (1.0 + bound)
     return margins, np.flatnonzero(flagged).tolist()
-
-
-def example1_constants(problem: FiniteSumProblem, probe_points):
-    """Closed-form weak-growth constants M = 4L₀/μ and σ² = 2β².
-
-    β² is the conditional second moment at the solution x*, the projection
-    of every probe.  Asserts the resulting envelope on every probe, from one
-    block enumeration, before returning.
-    """
-    mu = problem.restricted_mu
-    L0 = problem.per_component_L0
-    if not mu > 0:
-        raise ValueError("these constants require restricted strong convexity "
-                         "(restricted_mu > 0)")
-    if not L0 > 0:
-        raise ValueError("these constants require a positive per-component "
-                         "smoothness bound")
-    _, beta_sq = exact_conditional_moment(problem, problem.x_star)
-    M = 4.0 * L0 / mu
-    sigma_sq = 2.0 * beta_sq
-    for full_sq, moment, _ in _probe_rows(problem, probe_points):
-        envelope = M * full_sq + sigma_sq
-        if moment > envelope + 1e-9:
-            raise RuntimeError(
-                f"analytic envelope M={M:g}, sigma_sq={sigma_sq:g} fails at a "
-                f"probe (moment {moment:g} > {envelope:g})")
-    return M, sigma_sq
 
 
 def growth_record(report: GrowthReport) -> dict:

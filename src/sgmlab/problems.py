@@ -1,9 +1,9 @@
 """Finite-sum problems f = (1/n) Σ fᵢ with exact component-gradient oracles.
 
-Every instance knows its smoothness and convexity constants, its unique
-solution ``x_star``, and its closed-form growth constants, so conditional
-expectations over the uniform component index are exact finite sums rather
-than Monte Carlo estimates.
+Every instance knows its smoothness and strong-convexity constants L and μ,
+its unique solution ``x_star``, and its closed-form growth constants, so
+conditional expectations over the uniform component index are exact finite
+sums rather than Monte Carlo estimates.
 
 Each problem has one gradient oracle, the batch kernel
 ``batch_component_grad``, plus ``all_component_grads`` for enumerating every
@@ -35,7 +35,6 @@ __all__ = [
     "make_random_kaczmarz_system",
     "load_kaczmarz_text",
     "make_quadratic_l1",
-    "exact_conditional_moment",
 ]
 
 _CONSISTENT_RESIDUAL = 1e-10
@@ -49,6 +48,8 @@ class EvaluationError(RuntimeError):
 class FiniteSumProblem:
     """f = (1/n) Σᵢ fᵢ over ℝ^d with known constants and unique solution.
 
+    ``lipschitz_L`` is the smoothness constant L of f and ``strong_mu`` its
+    strong-convexity constant μ, the one μ every rate prediction reads.
     ``x_star`` is the read-only (dim,) solution of the full problem being
     solved — for composite instances that is the regularized solution, not
     argmin f.  ``full_grad`` is the analytic ∇f.  (``analytic_M``,
@@ -65,9 +66,7 @@ class FiniteSumProblem:
     dim: int
     n_components: int
     lipschitz_L: float
-    per_component_L0: float
     strong_mu: float
-    restricted_mu: float
     x_star: np.ndarray
     full_grad: Callable
     batch_component_grad: Callable
@@ -105,18 +104,6 @@ def _finite_component_grads(problem: FiniteSumProblem, Xp) -> np.ndarray:
     return grads
 
 
-def exact_conditional_moment(problem: FiniteSumProblem, x):
-    """Exact (E ∇f_i(x), E ‖∇f_i(x)‖²) over the uniform component index.
-
-    Computed by enumerating all n components; raises ``EvaluationError`` if
-    any component gradient is non-finite.
-    """
-    grads = _finite_component_grads(problem, [x])[0]
-    mean_grad = grads.mean(axis=0)
-    second_moment = float(np.mean((grads * grads).sum(axis=1)))
-    return mean_grad, second_moment
-
-
 # ---------------------------------------------------------------------------
 # Two-point quadratic: the canonical instance where noise never vanishes.
 # ---------------------------------------------------------------------------
@@ -140,9 +127,7 @@ def make_two_point_quadratic() -> FiniteSumProblem:
         dim=1,
         n_components=len(targets),
         lipschitz_L=1.0,
-        per_component_L0=1.0,
         strong_mu=1.0,
-        restricted_mu=1.0,
         x_star=np.zeros(1),
         full_grad=lambda x: np.asarray(x, dtype=float).copy(),
         batch_component_grad=batch_grad,
@@ -312,9 +297,7 @@ def make_kaczmarz_problem(sys: KaczmarzSystem) -> FiniteSumProblem:
         dim=sys.d,
         n_components=m,
         lipschitz_L=lam_max / m,
-        per_component_L0=1.0,
         strong_mu=lam_min / m,
-        restricted_mu=lam_min / m,
         x_star=sys.x_ls,
         full_grad=full_grad,
         batch_component_grad=batch_grad,
@@ -384,9 +367,7 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
         dim=dim,
         n_components=n_components,
         lipschitz_L=L,
-        per_component_L0=L,
         strong_mu=mu,
-        restricted_mu=0.0,
         x_star=xstar,
         full_grad=full_grad,
         batch_component_grad=batch_grad,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "bounded_indices", "IndexStream"]
+__all__ = ["substream", "IndexStream"]
 
 _MAX_COMPONENTS = 2**32 - 1
 _EXHAUSTED = np.zeros(4, dtype=np.uint64)  # a Philox buffer with nothing left
@@ -28,7 +28,8 @@ def substream(master_seed: int, replication: int) -> np.random.Generator:
 
 def _map_in_place(raw: np.ndarray, n: int) -> np.ndarray:
     """Overwrite the uint64 words ``raw`` with ``(raw * n) >> 64`` and return
-    them viewed as int64 (every value is below n < 2**32).
+    them viewed as int64 (every value is below n < 2**32, with a bias below
+    2**-32, and each index consumes exactly one word).
 
     The product is taken in 32-bit halves, hi = (raw >> 32)·n and
     lo = (raw & 0xFFFFFFFF)·n, and (hi + (lo >> 32)) >> 32 cannot wrap, so the
@@ -43,19 +44,6 @@ def _map_in_place(raw: np.ndarray, n: int) -> np.ndarray:
     raw += lo
     raw >>= np.uint64(32)
     return raw.view(np.int64)
-
-
-def bounded_indices(raw: np.ndarray, n: int) -> np.ndarray:
-    """Map raw uint64 words onto {0, ..., n-1} near-uniformly.
-
-    Uses the multiply-high trick ``(raw * n) >> 64`` in 32-bit halves; the
-    bias is below 2**-32 for any n < 2**32 and the mapping consumes exactly
-    one word per index, keeping streams aligned across call patterns.
-    ``raw`` is left unchanged; the int64 result is a new array.
-    """
-    if not 0 < n <= _MAX_COMPONENTS:
-        raise ValueError("component count must be in [1, 2**32 - 1]")
-    return _map_in_place(np.array(raw, dtype=np.uint64), n)
 
 
 class IndexStream:

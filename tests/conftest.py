@@ -10,6 +10,16 @@ def component_grad(p, i, x):
     return p.batch_component_grad(x[:, None], np.array([i]))[:, 0]
 
 
+def exact_conditional_moment(p, x):
+    """(E ∇fᵢ(x), E ‖∇fᵢ(x)‖²) over the uniform component index, by brute
+    force: one batch-oracle call on n copies of x, one column per component."""
+    x = np.asarray(x, dtype=float)
+    n = p.n_components
+    grads = p.batch_component_grad(np.repeat(x[:, None], n, axis=1),
+                                   np.arange(n))
+    return grads.mean(axis=1), float(np.mean((grads * grads).sum(axis=0)))
+
+
 def run_one(spec):
     """The full trajectory of a one-replication run of ``spec``."""
     return solvers.run_ensemble(spec, 1).audit
@@ -31,8 +41,7 @@ def make_shared_minimizer_quadratics(dim=3, n_components=4,
     B = float(np.max(scales ** 2) / s_bar ** 2)
     problem = problems.FiniteSumProblem(
         name="shared_minimizer", dim=dim, n_components=n_components,
-        lipschitz_L=s_bar, per_component_L0=float(scales.max()),
-        strong_mu=s_bar, restricted_mu=s_bar, x_star=center,
+        lipschitz_L=s_bar, strong_mu=s_bar, x_star=center,
         full_grad=lambda x: s_bar * (x - center),
         batch_component_grad=lambda X, idx: (scales[idx][None, :]
                                              * (X - center[:, None])),

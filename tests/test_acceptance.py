@@ -54,7 +54,7 @@ def test_criterion_1_necessary_condition_holds_everywhere():
     # (a) consistent Kaczmarz: zero gradient noise at the solution
     kp = _kaczmarz_instance()
     gamma_a, _ = recommend_step(kp.lipschitz_L, kp.analytic_M,
-                                kp.restricted_mu, None)
+                                kp.strong_mu, None)
     traj_a = run_one(SolverRun(problem=kp, step=ConstantStep(gamma_a),
                                iters=500, seed=101))
     moments_a = successor_moments(kp, None, gamma_a, traj_a.points)
@@ -85,7 +85,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     t0 = time.perf_counter()
     kp = _kaczmarz_instance()
     gamma, rho = recommend_step(kp.lipschitz_L, kp.analytic_M,
-                                kp.restricted_mu, geometry.whole_space())
+                                kp.strong_mu, geometry.whole_space())
     spec = SolverRun(problem=kp, geometry=geometry.whole_space(),
                      step=ConstantStep(gamma), iters=5000, seed=2025)
     ens = run_ensemble(spec, 200)
@@ -234,7 +234,6 @@ def test_criterion_8_method_reductions_are_bitwise():
         variants = [
             traj(geometry.whole_space()),
             traj(geometry.zero_regularizer()),
-            traj(geometry.constant_regularizer(3.7)),
             traj(geometry.LinearMonotoneOperator(dim=5)),
         ]
         for other in variants:

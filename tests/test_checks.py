@@ -7,10 +7,10 @@ from sgmlab import checks
 from sgmlab import geometry as geo
 from sgmlab.solvers import ConstantStep, SolverRun, recommend_step, run_ensemble
 
-# One geometry per method, with the values each prediction took when the
-# method was passed by name, on kaczmarz_20x5 with restricted_mu = 0.125
-# (so the proximal path's strong_mu differs from the others' μ) at γ = 0.03:
-# (geometry, recommend_step, predicted_rho, floor_prediction).
+# One geometry per method, with the values each prediction takes on
+# kaczmarz_20x5 with strong_mu = 0.125 at γ = 0.03: (geometry,
+# recommend_step, predicted_rho, floor_prediction).  The rows of sgm, psgm
+# and resolvent_sgm are those the method took when it was passed by name.
 METHOD_CASES = {
     "sgm": (lambda p: None,
             (0.04341372933741744, 0.00271335808358859),
@@ -20,11 +20,13 @@ METHOD_CASES = {
              (0.04341372933741744, 0.00271335808358859),
              0.002454326929326497,
              ((0.002454326929326497, 0.0, 0.0), None)),
+    # γ = 1/(4LM), ρ = μ/(8LM) (half of sgm's), γμ(1 − 2γLM) at γ = 0.03,
+    # and the floor γ²σ₁²/ρ
     "prox_sgm": (lambda p: geo.zero_regularizer(),
-                 (0.02170686466870872, 0.0010319496843666485),
-                 0.0008813230299082406,
-                 ((0.0008813230299082406, 1.272859017183811e-29,
-                   1.2998334056749904e-29), None)),
+                 (0.02170686466870872, 0.001356679041794295),
+                 0.0011586538586529941,
+                 ((0.0011586538586529941, 1.272859017183811e-29,
+                   9.887103960428947e-30), None)),
     "resolvent_sgm": (
         lambda p: geo.LinearMonotoneOperator(dim=p.dim),
         (0.04341372933741744, 0.00271335808358859),
@@ -37,9 +39,8 @@ METHOD_CASES = {
 def test_the_geometry_alone_names_the_method(kaczmarz_20x5, method):
     make_geometry, recommended, rho, floor = METHOD_CASES[method]
     geometry = make_geometry(kaczmarz_20x5)
-    p = replace(kaczmarz_20x5, restricted_mu=0.125)
-    mu = checks._effective_mu(p, geometry)
-    assert recommend_step(p.lipschitz_L, p.analytic_M, mu,
+    p = replace(kaczmarz_20x5, strong_mu=0.125)
+    assert recommend_step(p.lipschitz_L, p.analytic_M, p.strong_mu,
                           geometry) == recommended
     assert checks.predicted_rho(p, geometry, 0.03) == rho
     assert checks.floor_prediction(p, geometry, 0.03) == floor
@@ -48,8 +49,7 @@ def test_the_geometry_alone_names_the_method(kaczmarz_20x5, method):
     # per-step contraction audit is stated for plain and projected steps
     p = kaczmarz_20x5
     gamma, rho_pred = recommend_step(p.lipschitz_L, p.analytic_M,
-                                     checks._effective_mu(p, geometry),
-                                     geometry)
+                                     p.strong_mu, geometry)
     spec = SolverRun(problem=p, step=ConstantStep(gamma), iters=300, seed=5,
                      geometry=geometry)
     out = checks.check_rate(checks.RunContext(spec, rho_pred,

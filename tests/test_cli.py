@@ -175,8 +175,7 @@ def test_step_from_a_zero_mu_exits_3(tmp_path, capsys, monkeypatch, step,
                                      message):
     # no problem a config builds has mu = 0, but a step derived from mu must
     # still end in a construction error, never in a division by zero
-    flat = replace(problems.make_two_point_quadratic(), strong_mu=0.0,
-                   restricted_mu=0.0)
+    flat = replace(problems.make_two_point_quadratic(), strong_mu=0.0)
     monkeypatch.setattr(problems, "make_two_point_quadratic", lambda: flat)
     text = TWO_POINT_SMALL.replace("checks = wgc, necessary, floor\n", "")
     text = text.replace("step = constant 0.5", f"step = {step}")
@@ -372,7 +371,8 @@ def test_regularizer_spec_is_parsed(tmp_path, spec, parsed):
     cfg = cli.parse_config(write_cfg(tmp_path, text))
     assert cfg.regularizer_spec == parsed
     geom = cli.build_geometry(cfg, None)
-    assert geom.kind == parsed[0]
+    # g ≡ c has the identity prox, so it is built as the zero regularizer
+    assert geom.kind == {"constant": "zero"}.get(parsed[0], parsed[0])
     if parsed[0] == "l1":
         assert geom.weight == 0.25
 

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,34 @@ def test_runtime_imports_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # a name in __all__ that only tests read is surface with no run behind
+    # it; its own def or class line and its __all__ entry do not count
+    root = Path(__file__).resolve().parent.parent
+    texts = {path: path.read_text(encoding="utf-8").splitlines()
+             for top in ("src", "scripts", "perfbench")
+             for path in sorted((root / top).rglob("*"))
+             if path.is_file() and "__pycache__" not in path.parts}
+    unused = []
+    for module in MODULES:
+        own = Path(module.__file__).resolve()
+        tree = ast.parse(own.read_text(encoding="utf-8"))
+        listing = set()
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                listing |= set(range(node.lineno, node.end_lineno + 1))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+        for name in module.__all__:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            skip = listing | {defined.get(name)}
+            if not any(word.search(line)
+                       for path, lines in texts.items()
+                       for lineno, line in enumerate(lines, 1)
+                       if path != own or lineno not in skip):
+                unused.append(f"{module.__name__}.{name}")
+    assert unused == []

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sgmlab import cli
 from sgmlab import geometry as geo
 
 GAMMAS = [0.1, 1.0, 3.0, 10.0]
@@ -59,7 +60,8 @@ def test_projection_firmly_nonexpansive(rng):
 def test_prox_zero_and_constant_are_identity(gamma, rng):
     x = rng.normal(size=4)
     assert np.array_equal(geo.prox(geo.zero_regularizer(), gamma, x), x)
-    assert np.array_equal(geo.prox(geo.constant_regularizer(3.7), gamma, x), x)
+    constant = cli.build_regularizer(("constant", 3.7))
+    assert np.array_equal(geo.prox(constant, gamma, x), x)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)

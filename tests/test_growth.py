@@ -4,14 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import component_grad, run_one
+from conftest import component_grad, exact_conditional_moment, run_one
 
 from sgmlab import geometry as geo
 from sgmlab import growth, problems, solvers
 from sgmlab.growth import (
     contraction_margins,
     enumerate_successors,
-    example1_constants,
     fit_wgc,
     growth_record,
     measured_worst_omega,
@@ -31,8 +30,7 @@ def constant_problem():
 
     return problems.FiniteSumProblem(
         name="cancel", dim=2, n_components=2,
-        lipschitz_L=1.0, per_component_L0=1.0, strong_mu=0.0,
-        restricted_mu=0.0,
+        lipschitz_L=1.0, strong_mu=0.0,
         x_star=np.zeros(2),  # one point of the solution set, the whole plane
         full_grad=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         batch_component_grad=batch,
@@ -101,7 +99,7 @@ def test_wgc_envelope_holds_on_probes(quadratic_l1):
     probes = probe_grid(quadratic_l1, 4)
     rep = fit_wgc(quadratic_l1, probes)
     for x in probes:
-        _, second = problems.exact_conditional_moment(quadratic_l1, x)
+        _, second = exact_conditional_moment(quadratic_l1, x)
         full = quadratic_l1.full_grad(x)
         bound = rep.M_wgc * float(full @ full) + rep.sigma_sq
         assert second <= bound * (1 + 1e-9) + 1e-12
@@ -183,7 +181,7 @@ def test_kaczmarz_M_dominates_measured_ratios(seed):
     g = np.random.default_rng(seed)
     X = g.normal(size=(1000, 4)) * g.choice([0.1, 1, 10], size=(1000, 1))
     for x in X:
-        _, second = problems.exact_conditional_moment(p, x)
+        _, second = exact_conditional_moment(p, x)
         full = p.full_grad(x)
         assert second <= M * float(full @ full) * (1 + 1e-9) + 1e-12
 
@@ -194,24 +192,45 @@ def test_fitted_M_never_exceeds_analytic(kaczmarz_20x5):
 
 
 # ---------------------------------------------------------------------------
-# per-component smoothness constants (cocoercivity route)
+# the paper's Example 1: per-component smoothness (cocoercivity route)
 # ---------------------------------------------------------------------------
 
+def example1_constants(problem, L0):
+    """Example 1's weak-growth pair M = 4L₀/μ and σ² = 2β², where L₀ bounds
+    every component's smoothness and β² is the exact conditional second
+    moment at the solution x*."""
+    if not (problem.strong_mu > 0 and L0 > 0):
+        raise ValueError("Example 1 needs mu > 0 and L0 > 0")
+    _, beta_sq = exact_conditional_moment(problem, problem.x_star)
+    return 4.0 * L0 / problem.strong_mu, 2.0 * beta_sq
+
+
 def test_example1_constants_two_point(two_point):
-    M, sigma_sq = example1_constants(two_point, probe_grid(two_point, 9))
+    M, sigma_sq = example1_constants(two_point, L0=1.0)
     assert np.isclose(M, 4.0, rtol=1e-12)
     assert np.isclose(sigma_sq, 2.0, rtol=1e-12)
     # envelope: E||grad_i||^2 = x^2 + 1 <= 4 x^2 + 2
     for x in probe_grid(two_point, 10):
-        _, second = problems.exact_conditional_moment(two_point, x)
+        _, second = exact_conditional_moment(two_point, x)
         full = two_point.full_grad(x)
         assert second <= M * float(full @ full) + sigma_sq + 1e-12
 
 
+@pytest.mark.parametrize("name", ["two_point", "kaczmarz", "quadratic_l1"])
+def test_example1_envelope_holds_on_every_probe(name, two_point,
+                                                kaczmarz_20x5, quadratic_l1):
+    # L₀ = 1 for two_point and for Kaczmarz's unit rows (∇²fᵢ = aᵢaᵢᵀ), and
+    # L for quadratic_l1, whose components share the Hessian Q
+    p, L0 = {"two_point": (two_point, 1.0), "kaczmarz": (kaczmarz_20x5, 1.0),
+             "quadratic_l1": (quadratic_l1, quadratic_l1.lipschitz_L)}[name]
+    M, sigma_sq = example1_constants(p, L0)
+    for full_sq, moment, _ in growth._probe_rows(p, probe_grid(p, 9)):
+        assert moment <= (M * full_sq + sigma_sq) * (1 + 1e-9) + 1e-12
+
+
 def test_example1_requires_positive_curvature():
-    p = constant_problem()
     with pytest.raises(ValueError):
-        example1_constants(p, probe_grid(p, 0))
+        example1_constants(constant_problem(), L0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +460,7 @@ def test_measured_omega_matches_closed_form(two_point):
 def test_contraction_margins_clean_on_kaczmarz(kaczmarz_20x5):
     p = kaczmarz_20x5
     gamma, rho = solvers.recommend_step(p.lipschitz_L, p.analytic_M,
-                                        p.restricted_mu)
+                                        p.strong_mu)
     spec = solvers.SolverRun(problem=p,
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=31)

@@ -8,12 +8,14 @@ naming its blind spot, so that a check which starts catching it shows up as
 an XPASS.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sgmlab import cli, rng
+from sgmlab import cli, rng, solvers
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,6 +40,46 @@ def step_an_eighth_in_the_loop(monkeypatch):
         problem = build(cfg)
         grad = problem.batch_component_grad
         problem.batch_component_grad = lambda X, idx: grad(X, idx) / 8
+        return problem
+    monkeypatch.setattr(cli, "build_problem", built)
+
+
+def shift_x_star_in_the_distances(monkeypatch):
+    """The ensemble measures its distances to x* + 0.1 in every coordinate;
+    the run context, and so every audit, keeps the true x*."""
+    run = solvers.run_ensemble
+
+    def shifted(spec, replications):
+        problem = spec.problem
+        problem = dataclasses.replace(problem, x_star=problem.x_star + 0.1)
+        return run(dataclasses.replace(spec, problem=problem), replications)
+    monkeypatch.setattr(solvers, "run_ensemble", shifted)
+
+
+def halve_the_prox_weight(monkeypatch):
+    """The step map's ℓ1 weight is half the one the solution was built with."""
+    build = cli.build_geometry
+
+    def built(cfg, problem):
+        geometry = build(cfg, problem)
+        return dataclasses.replace(geometry, weight=geometry.weight / 2)
+    monkeypatch.setattr(cli, "build_geometry", built)
+
+
+def offset_component_0_in_the_loop(monkeypatch):
+    """The batch oracle adds 1 to every coordinate of ∇f₀, the gradient of
+    component 0; ``all_component_grads`` stays correct."""
+    build = cli.build_problem
+
+    def built(cfg):
+        problem = build(cfg)
+        grad = problem.batch_component_grad
+
+        def wrong(X, idx):
+            G = grad(X, idx)
+            G[:, np.asarray(idx) == 0] += 1.0
+            return G
+        problem.batch_component_grad = wrong
         return problem
     monkeypatch.setattr(cli, "build_problem", built)
 
@@ -70,6 +112,35 @@ CASES = [
                  {"rate", "floor"}, id="eighth_step-kaczmarz_recommend"),
     pytest.param(step_an_eighth_in_the_loop, "quadratic_l1_floor", {"floor"},
                  id="eighth_step-quadratic_l1_floor"),
+    pytest.param(
+        shift_x_star_in_the_distances, "two_point", set(),
+        marks=blind_spot(
+            "the shift adds 0.01 to the floor, 1/3 -> 0.342, inside the "
+            "floor band [0.23, 1.02], a factor 4 wide; rate is not "
+            "requested, and wgc and necessary never read the distances"),
+        id="shifted_x_star-two_point"),
+    pytest.param(shift_x_star_in_the_distances, "kaczmarz_recommend",
+                 {"rate", "floor"}, id="shifted_x_star-kaczmarz_recommend"),
+    pytest.param(shift_x_star_in_the_distances, "quadratic_l1_floor",
+                 {"floor"}, id="shifted_x_star-quadratic_l1_floor"),
+    pytest.param(
+        halve_the_prox_weight, "quadratic_l1_floor", set(),
+        marks=blind_spot(
+            "at l1 weight 0.005 halving it moves the regularized solution by "
+            "0.005 (squared 2.5e-5, about 1 % of the floor 0.0021), inside "
+            "the floor band [0.0018, 0.0085]; the rate bound is one-sided"),
+        id="half_prox_weight-quadratic_l1_floor"),
+    pytest.param(
+        offset_component_0_in_the_loop, "two_point", set(),
+        marks=blind_spot(
+            "the offset turns target 1 into target 0, which moves the "
+            "stationary mean to -1/2 but leaves E x^2 at exactly 1/3, the "
+            "correct floor; wgc and necessary audit all_component_grads"),
+        id="offset_component_0-two_point"),
+    pytest.param(offset_component_0_in_the_loop, "kaczmarz_recommend",
+                 {"rate", "floor"}, id="offset_component_0-kaczmarz_recommend"),
+    pytest.param(offset_component_0_in_the_loop, "quadratic_l1_floor",
+                 {"floor"}, id="offset_component_0-quadratic_l1_floor"),
 ]
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from conftest import component_grad, make_shared_minimizer_quadratics
+from conftest import (component_grad, exact_conditional_moment,
+                      make_shared_minimizer_quadratics)
 
 from sgmlab import geometry as geo
 from sgmlab import problems
 from sgmlab import rng as sgm_rng
 from sgmlab.problems import (
     KaczmarzSystem,
-    exact_conditional_moment,
     load_kaczmarz_text,
     make_kaczmarz_problem,
     make_quadratic_l1,
@@ -387,12 +387,11 @@ def test_quadratic_l1_spectrum(quadratic_l1):
     p = quadratic_l1
     assert 0 < p.strong_mu <= p.lipschitz_L
     assert np.isclose(p.lipschitz_L / p.strong_mu, 2.0, rtol=1e-10)
-    assert p.restricted_mu == 0.0  # composite: no restricted constant claimed
 
 
 def test_evaluation_error_on_nonfinite_point(two_point):
     with pytest.raises(problems.EvaluationError):
-        exact_conditional_moment(two_point, np.array([np.inf]))
+        problems._finite_component_grads(two_point, [np.array([np.inf])])
 
 
 @pytest.mark.parametrize("kwargs,named", [

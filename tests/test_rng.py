@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmlab.rng import IndexStream, bounded_indices, substream
+from sgmlab.rng import IndexStream, _map_in_place, substream
+
+
+def bounded_indices(raw, n):
+    """The index mapping of ``IndexStream``, on a uint64 copy of ``raw``."""
+    return _map_in_place(np.array(raw, dtype=np.uint64), n)
 
 
 def test_substream_reproducible():
@@ -75,12 +80,13 @@ def test_index_stream_parametrized_range(n):
     assert idx.min() >= 0 and idx.max() < n
 
 
-def test_bounded_indices_leaves_its_input_unchanged():
+def test_map_in_place_overwrites_its_words():
+    # the stream maps its words in place: the result is a view of them
     raw = substream(3, 1).integers(0, 2**64, size=64, dtype=np.uint64)
-    before = raw.copy()
-    idx = bounded_indices(raw, 1000)
-    assert np.array_equal(raw, before)
-    assert idx.dtype == np.int64 and not np.shares_memory(idx, raw)
+    before = [int(w) for w in raw]
+    idx = _map_in_place(raw, 1000)
+    assert idx.dtype == np.int64 and np.shares_memory(idx, raw)
+    assert [int(i) for i in idx] == [(w * 1000) >> 64 for w in before]
 
 
 @pytest.mark.parametrize("n", [1, 7, 2**32 - 1])
@@ -89,7 +95,7 @@ def test_index_stream_maps_its_words_as_bounded_indices_does(n):
         300)
     s = IndexStream(21, 6, n)
     got = np.concatenate([s.next_block(100), s.next_block(200)])
-    assert np.array_equal(got, bounded_indices(raw, n))
+    assert [int(i) for i in got] == [(int(w) * n) >> 64 for w in raw]
 
 
 @pytest.mark.parametrize("n", [2, 256, 257, 65_537])

@@ -155,7 +155,7 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1,
     # steps), and rows on both sides of 256 cover the old chunk boundary
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
                               kaczmarz_20x5.analytic_M,
-                              kaczmarz_20x5.restricted_mu)
+                              kaczmarz_20x5.strong_mu)
     spec = SolverRun(problem=kaczmarz_20x5,
                      step=ConstantStep(gamma), iters=2000, seed=11,
                      geometry=geo.whole_space())
@@ -180,7 +180,7 @@ def test_thread_count_does_not_change_results(kaczmarz_20x5, threads,
     # on several threads at once each get the calling thread's result
     gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
                               kaczmarz_20x5.analytic_M,
-                              kaczmarz_20x5.restricted_mu)
+                              kaczmarz_20x5.strong_mu)
     spec = SolverRun(problem=kaczmarz_20x5,
                      step=ConstantStep(gamma), iters=150, seed=11,
                      geometry=geo.whole_space())
@@ -456,7 +456,7 @@ def test_trust_region_is_centred_on_the_solution_set(matrix_of):
     c = 3e12
     p = problems.FiniteSumProblem(
         name="shifted", dim=1, n_components=1, lipschitz_L=1.0,
-        per_component_L0=1.0, strong_mu=1.0, restricted_mu=1.0,
+        strong_mu=1.0,
         x_star=np.array([c]),
         full_grad=lambda x: x - c,
         batch_component_grad=lambda X, idx: X - c,
@@ -475,7 +475,7 @@ def test_trust_region_is_centred_on_the_solution_set(matrix_of):
 
 def test_recommended_step_contracts_on_kaczmarz(kaczmarz_20x5):
     p = kaczmarz_20x5
-    gamma, rho = recommend_step(p.lipschitz_L, p.analytic_M, p.restricted_mu)
+    gamma, rho = recommend_step(p.lipschitz_L, p.analytic_M, p.strong_mu)
     spec = SolverRun(problem=p, step=ConstantStep(gamma),
                      iters=200, seed=3, geometry=geo.whole_space())
     mean = run_ensemble(spec, 64).mean_dist_sq
