@@ -2,15 +2,17 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgmlab import analysis, cli, growth, problems, solvers
+from sgmlab import analysis, cli, geometry, growth, problems, solvers
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 QUADRATIC_L1_FLOOR = (CONFIGS_DIR / "quadratic_l1_floor.cfg").read_text()
@@ -1074,3 +1076,93 @@ def test_repeat_runs_are_byte_identical(tmp_path):
                   "summary.csv", "manifest.json", "growth.json"):
         blobs = [(d / fname).read_bytes() for d in dirs]
         assert blobs[0] == blobs[1] == blobs[2], fname
+
+
+def test_memory_error_in_the_replication_worker_exits_3_with_a_record(
+        tmp_path, capsys, monkeypatch):
+    # R = 1 000 at d = 10 steps in two processes; only the forked worker
+    # runs out of memory, and the CLI still exits 3 with a manifest
+    if not hasattr(os, "fork"):
+        pytest.skip("the two-process loop needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    caller, prox = os.getpid(), geometry.prox
+
+    def prox_in_parent_only(g, gamma, x):
+        if os.getpid() != caller:
+            raise MemoryError("Unable to allocate 6.94 EiB")
+        return prox(g, gamma, x)
+
+    monkeypatch.setattr(geometry, "prox", prox_in_parent_only)
+    text = re.sub(r"^iterations = .*$", "iterations = 50", QUADRATIC_L1_FLOOR,
+                  flags=re.M)
+    out = tmp_path / "o"
+    assert run_cli(["run", write_cfg(tmp_path, text), "--out", out]) == 3
+    assert capsys.readouterr().err == ("simulation error: out of memory: "
+                                       "Unable to allocate 6.94 EiB\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["reason"] == "out of memory: Unable to allocate 6.94 EiB"
+
+
+def _live_group_members(pgid):
+    """The pids of process group ``pgid`` that are not zombies, from /proc:
+    a zombie has ended, and it is its new parent's to reap."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # ended meanwhile
+            continue
+        state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state not in "ZX":
+            live.append(int(entry))
+    return live
+
+
+def _wait_for_group(pgid, done, seconds):
+    deadline = time.monotonic() + seconds
+    while not done(_live_group_members(pgid)):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and Path("/proc/self").is_dir()
+                         and len(getattr(os, "sched_getaffinity",
+                                         lambda pid: ())(0)) >= 2),
+                    reason="needs os.fork, /proc and two CPUs")
+@pytest.mark.parametrize("killed", [False, True], ids=["exit", "sigkill"])
+def test_no_process_outlives_the_cli(tmp_path, killed):
+    # a wide run (d·R = 10 000) steps in two processes; whether the CLI
+    # ends on its own or is killed alone mid-run, its process group, which
+    # holds the CLI and its worker, empties within seconds
+    iterations = 100_000 if killed else 100
+    text = re.sub(r"^iterations = .*$", f"iterations = {iterations}",
+                  QUADRATIC_L1_FLOOR, flags=re.M)
+    text = re.sub(r"^checks = .*$", "", text, flags=re.M)
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS_DIR.parent / "src"))
+    with open(tmp_path / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sgmlab", "run",
+             write_cfg(tmp_path, text), "--out", str(tmp_path / "o")],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=err, start_new_session=True)
+    try:
+        if killed:
+            assert _wait_for_group(proc.pid, lambda live: len(live) >= 2, 60)
+            time.sleep(0.3)
+            proc.kill()
+            proc.wait(timeout=10)
+        else:
+            assert proc.wait(timeout=120) == 0, (
+                (tmp_path / "stderr.txt").read_text())
+        assert _wait_for_group(proc.pid, lambda live: not live, 5)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

@@ -1,3 +1,7 @@
+import os
+import re
+import signal
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -46,6 +50,27 @@ def parent_stats(D):
     stderr = (D.std(axis=0, ddof=1) / np.sqrt(R) if R > 1
               else np.zeros(D.shape[1]))
     return D.mean(axis=0), stderr
+
+
+def force_split(monkeypatch):
+    """Make every batch of two or more columns step in two processes, on any
+    host with ``os.fork``; returns the list of worker pids forked from here
+    on."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the two-process loop needs os.fork")
+    monkeypatch.setattr(solvers, "_SPLIT_WORDS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
 
 def two_point_spec(**kw):
@@ -270,24 +295,30 @@ def test_indices_past_a_narrow_type_keep_their_value(n, matrix_of):
     assert np.max(drawn) >= {256: 255, 300: 256, 2**17: 65_536}[n]
 
 
-@pytest.mark.parametrize("R,T", [
-    pytest.param(1, 50, id="1"), pytest.param(5, 50, id="5"),
-    *(pytest.param(R, T, id=f"{R}-T{T}")
-      for T in (4095, 4096, 4097) for R in (1, 3))])
+@pytest.mark.parametrize("R,T,split", [
+    pytest.param(1, 50, False, id="1"), pytest.param(5, 50, False, id="5"),
+    *(pytest.param(R, T, False, id=f"{R}-T{T}")
+      for T in (4095, 4096, 4097) for R in (1, 3)),
+    pytest.param(5, 50, True, id="5-split"),
+    *(pytest.param(3, T, True, id=f"3-T{T}-split")
+      for T in (4095, 4096, 4097))])
 @pytest.mark.parametrize("block_steps", [1, 3])
 @pytest.mark.parametrize("hist_points", [None, 4])
 def test_index_block_length_does_not_change_results(kaczmarz_20x5,
-                                                    monkeypatch, R, T,
+                                                    monkeypatch, R, T, split,
                                                     block_steps, hist_points):
     # T = 50 ends in a partial index block of 2 steps when a block holds 3;
     # history blocks of 4 points straddle the index blocks.  The default
     # run draws at most 4 096 steps at a time, so at T = 4 097 a draw ends
-    # inside the run, at T = 4 096 exactly at its end
+    # inside the run, at T = 4 096 exactly at its end.  Split runs step
+    # columns [R // 2, R) in a worker (widths 2 + 3 and 1 + 2) against the
+    # one-process base
     spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(1.0), iters=T,
                      seed=4, geometry=geo.whole_space())
     base = run_ensemble(spec, R)
     assert np.array_equal(base.audit.sampled_indices,
                           IndexStream(4, 0, 20).next_block(T))
+    forks = force_split(monkeypatch) if split else []
     monkeypatch.setattr(solvers, "_INDEX_WORDS", block_steps * R)
     if hist_points is not None:
         monkeypatch.setattr(solvers, "_HISTORY_WORDS", hist_points * 5 * R)
@@ -297,6 +328,7 @@ def test_index_block_length_does_not_change_results(kaczmarz_20x5,
     assert ens.audit.dist_sq.tobytes() == base.audit.dist_sq.tobytes()
     assert np.array_equal(ens.audit.sampled_indices,
                           base.audit.sampled_indices)
+    assert len(forks) == split
 
 
 def test_index_block_is_held_in_a_narrow_type(two_point):
@@ -355,6 +387,185 @@ def test_wide_short_run_holds_no_per_replication_generators():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# two processes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("R", [2, 7, 600])
+def test_split_batch_is_bitwise_the_one_process_batch(kaczmarz_20x5,
+                                                      monkeypatch, matrix_of,
+                                                      R):
+    # the worker steps columns [h, R), h = R // 2: replications h − 1 and h
+    # sit on either side of the split, and R = 7 gives halves of 3 and 4
+    gamma, _ = recommend_step(kaczmarz_20x5.lipschitz_L,
+                              kaczmarz_20x5.analytic_M,
+                              kaczmarz_20x5.strong_mu)
+    spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(gamma),
+                     iters=300, seed=11, geometry=geo.whole_space())
+    base = run_ensemble(spec, R)
+    forks = force_split(monkeypatch)
+    ens = run_ensemble(spec, R)
+    assert len(forks) == 1
+    assert ens.mean_dist_sq.tobytes() == base.mean_dist_sq.tobytes()
+    assert ens.stderr.tobytes() == base.stderr.tobytes()
+    assert ens.audit.dist_sq.tobytes() == base.audit.dist_sq.tobytes()
+    assert ens.audit.points.tobytes() == base.audit.points.tobytes()
+    assert np.array_equal(ens.audit.sampled_indices,
+                          base.audit.sampled_indices)
+    D, h = matrix_of(ens), R // 2
+    for r in sorted({0, h - 1, h, R - 1}):
+        single = run_ensemble(replace(spec, replication=r), 1)
+        assert np.array_equal(D[r], matrix_of(single)[0]), r
+    assert len(forks) == 1  # a single replication never splits
+
+
+def test_split_batch_draws_every_index_in_the_calling_process(two_point,
+                                                              monkeypatch):
+    # perfbench's traced rng.words and call counts see only the calling
+    # process: every next_block call must happen there, T·R words in all,
+    # through the one Philox of the run
+    T, R, steps = 300, 7, 16
+    forks = force_split(monkeypatch)
+    monkeypatch.setattr(solvers, "_INDEX_WORDS", steps * R)
+    caller, words, built = os.getpid(), [], []
+    next_block, philox = IndexStream.next_block, np.random.Philox
+
+    def counted(stream, k):
+        if os.getpid() != caller:
+            raise AssertionError("the worker drew indices")
+        block = next_block(stream, k)
+        words.append(len(block))
+        return block
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(IndexStream, "next_block", counted)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    run_ensemble(two_point_spec(problem=two_point, iters=T), R)
+    assert len(forks) == 1
+    assert sum(words) == T * R
+    assert len(words) == R * -(-T // steps)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("failed in the worker"),
+                                 MemoryError("Unable to allocate 6.94 EiB")],
+                         ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("at_call", [1, 40])
+def test_worker_exception_reaches_the_caller(two_point, monkeypatch, exc,
+                                             at_call):
+    # at call 40, with index blocks of 2 steps, the parent may be writing an
+    # index block when the worker exits: the report must still arrive
+    forks = force_split(monkeypatch)
+    monkeypatch.setattr(solvers, "_INDEX_WORDS", 2 * 8)
+    caller, oracle = os.getpid(), two_point.batch_component_grad
+    calls = []
+
+    def grad(X, idx):
+        calls.append(None)
+        if os.getpid() != caller and len(calls) >= at_call:
+            raise exc
+        return oracle(X, idx)
+
+    monkeypatch.setattr(two_point, "batch_component_grad", grad)
+    with pytest.raises(type(exc), match=re.escape(str(exc))):
+        run_ensemble(two_point_spec(problem=two_point, iters=200), 8)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # killed and reaped already
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_unpicklable_worker_exception_keeps_its_type_name(two_point,
+                                                          monkeypatch):
+    class LocalError(Exception):  # pickled by reference, so unloadable
+        pass
+
+    force_split(monkeypatch)
+    caller, oracle = os.getpid(), two_point.batch_component_grad
+
+    def grad(X, idx):
+        if os.getpid() != caller:
+            raise LocalError("no way back")
+        return oracle(X, idx)
+
+    monkeypatch.setattr(two_point, "batch_component_grad", grad)
+    with pytest.raises(RuntimeError, match="LocalError: no way back"):
+        run_ensemble(two_point_spec(problem=two_point, iters=20), 4)
+
+
+def test_split_divergence_names_the_earliest_escape_in_either_half(
+        two_point, monkeypatch):
+    # under seed 28 the earliest escape (t = 139, see the guard tests
+    # below) is replication 381 alone, in the worker's half [200, 400)
+    spec = two_point_spec(problem=two_point, step=ConstantStep(2.2),
+                          iters=150, seed=28)
+    with pytest.raises(DivergenceError) as one:
+        run_ensemble(spec, 400)
+    assert one.value.replication >= 200
+    forks = force_split(monkeypatch)
+    with pytest.raises(DivergenceError) as two:
+        run_ensemble(spec, 400)
+    assert (two.value.t, two.value.replication) == (one.value.t,
+                                                    one.value.replication)
+    # every replication escapes at t = 1, so both halves do at once
+    spec = replace(spec, step=ConstantStep(1e10), x0=np.array([1e6]),
+                   replication=3)
+    with pytest.raises(DivergenceError) as both:
+        run_ensemble(spec, 5)
+    assert (both.value.t, both.value.replication) == (1, 3)
+    assert len(forks) == 2
+
+
+def _exit_code(pid, seconds=10):
+    """The exit code of child ``pid`` once it ends, or None if it is still
+    running after ``seconds`` (it is then killed)."""
+    deadline = time.monotonic() + seconds
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return None
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("how", ["returns", "raises", "orphaned"])
+def test_worker_process_ends_only_through_os_exit(how):
+    # a worker that returned into its caller would run the rest of the
+    # caller's code, here the os._exit(7) below; an orphaned worker, whose
+    # parent's index end is closed, must end on its own
+    if not hasattr(os, "fork"):
+        pytest.skip("the two-process loop needs os.fork")
+    caller = os.getpid()
+
+    def serve(idx_fd, rows_fd):
+        if how == "raises":
+            raise ValueError("bad value in the worker")
+        if how == "orphaned":
+            solvers._read_exact(idx_fd, bytearray(1))
+
+    worker = solvers._Worker(serve)
+    if os.getpid() != caller:
+        os._exit(7)
+    if how == "orphaned":
+        os.close(worker._idx)
+        assert _exit_code(worker.pid) == 1
+        os.close(worker._rows)
+        return
+    try:
+        if how == "raises":
+            with pytest.raises(ValueError, match="bad value in the worker"):
+                worker.receive(np.empty(1))
+        assert _exit_code(worker.pid) == {"returns": 0, "raises": 1}[how]
+    finally:
+        os.close(worker._idx)
+        os.close(worker._rows)
 
 
 # ---------------------------------------------------------------------------
