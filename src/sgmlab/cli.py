@@ -9,7 +9,8 @@ silently ignored typo would invalidate whatever the experiment claims.
 Exit codes: 0 all requested checks passed; 1 a check failed or was
 skipped; 2 config parse error, unusable output directory, or (``report``) a
 missing or malformed manifest; 3 problem/solver construction error, or
-memory exhausted during simulation; 4 divergence during simulation.
+memory exhausted or the replication worker lost during simulation; 4
+divergence during simulation.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ _EPILOG = """exit codes:
      the output directory cannot be created or written, or report found no
      readable manifest
   3  problem or solver construction failed, or the simulation ran out of
-     memory; the latter leaves only a manifest.json with status "error"
-     and the reason in the output directory
+     memory or lost its replication worker (killed by a signal); the
+     latter two leave only a manifest.json with status "error" and the
+     reason in the output directory
   4  the iteration diverged (non-finite iterate, or farther than 1e12 from
      the solution set); the output directory then holds only a
      manifest.json with status "diverged"
@@ -425,7 +427,7 @@ def build_geometry(cfg: ExperimentConfig, problem):
             raise ValueError("prox_sgm needs a regularizer: this problem has "
                              "no built-in one, set 'regularizer' in [method]")
         return problem.regularizer
-    return geometry.LinearMonotoneOperator(dim=problem.dim)
+    return geometry.LinearMonotoneOperator()
 
 
 def resolve_step(cfg: ExperimentConfig, problem, geometry_obj):
@@ -579,8 +581,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
                         replication=exc.replication)
         _write_manifest(out_dir, manifest)
         return EXIT_DIVERGED
-    except MemoryError as exc:
-        reason = f"out of memory: {str(exc) or type(exc).__name__}"
+    except (MemoryError, solvers.WorkerError) as exc:
+        reason = (str(exc) if isinstance(exc, solvers.WorkerError)
+                  else f"out of memory: {str(exc) or type(exc).__name__}")
         print(f"simulation error: {reason}", file=sys.stderr)
         manifest.update(status="error", reason=reason)
         _write_manifest(out_dir, manifest)

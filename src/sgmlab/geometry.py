@@ -1,14 +1,15 @@
-"""The step maps: the whole space, simple regularizers and the zero operator.
+"""The geometries a run steps in, and the one step map each names.
 
-The projection and the proximal maps of the zero and l1 regularizers are
-closed form, and the resolvent of the zero operator is a copy.  All
-operations accept a single point of shape ``(d,)`` or a batch of column
-vectors of shape ``(d, R)`` and preserve the input shape; a batched call is
-bitwise identical, column by column, to single calls.
+``step_map`` turns a run's geometry into the map (γ, Y) ↦ Y' applied after
+each gradient step.  Only the l1 prox, soft thresholding, moves a point:
+the whole space, the zero regularizer and the zero operator step by the
+identity.  A map takes one point (d,) or a batch of columns (d, R), keeps
+the shape, and maps a batch bit for bit as it maps each column alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +21,18 @@ __all__ = [
     "whole_space",
     "zero_regularizer",
     "l1_regularizer",
-    "project",
     "prox",
-    "resolvent",
+    "step_map",
 ]
 
 
 @dataclass
 class ConvexSet:
-    """A closed convex set with an exact Euclidean projection, built by
-    ``whole_space``."""
-
-    kind: str
+    """The whole space, built by ``whole_space``; its type names psgm."""
 
 
 def whole_space() -> ConvexSet:
-    """The unconstrained set; projection is the identity."""
-    return ConvexSet(kind="whole_space")
+    return ConvexSet()
 
 
 @dataclass
@@ -59,49 +55,30 @@ def l1_regularizer(weight) -> Regularizer:
 
 @dataclass
 class LinearMonotoneOperator:
-    """The zero operator x -> 0 on R^dim: its type names resolvent_sgm, and
-    its resolvent is the identity."""
-
-    dim: int
-
-
-def _points(x):
-    """x as floats: one point (d,) or a batch of column points (d, R)."""
-    X = np.asarray(x, dtype=float)
-    if X.ndim not in (1, 2):
-        raise ValueError("expected a vector (d,) or column batch (d, R)")
-    return X
-
-
-def project(S: ConvexSet, x):
-    """Euclidean projection onto S, exact per kind."""
-    if S.kind != "whole_space":
-        raise ValueError(f"unknown set kind {S.kind!r}")
-    return _points(x).copy()
+    """The zero operator x -> 0; its type names resolvent_sgm."""
 
 
 def prox(g: Regularizer, gamma, x):
-    """Proximal map prox_{gamma g}(x) = argmin_y g(y) + ||y-x||^2 / (2 gamma)."""
+    """The l1 prox argmin_y g(y) + ||y-x||^2 / (2 gamma): soft thresholding."""
+    if g.kind != "l1":
+        raise ValueError(f"prox needs an l1 regularizer, got {g.kind!r}")
     if not gamma > 0:
         raise ValueError("prox needs gamma > 0")
-    X = _points(x)
-    if g.kind == "zero":
-        return X.copy()
-    if g.kind == "l1":
-        # soft thresholding as X minus its clip to [-t, t]: bit for bit
-        # sign(X)·max(|X| − t, 0), except that every zero it gives is +0.0
-        t = gamma * g.weight
-        return X - np.minimum(np.maximum(X, -t), t)
-    raise ValueError(f"unknown regularizer kind {g.kind!r}")
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in (1, 2):
+        raise ValueError("expected a vector (d,) or column batch (d, R)")
+    # soft thresholding as X minus its clip to [-t, t]: bit for bit
+    # sign(X)·max(|X| − t, 0), except that every zero it gives is +0.0
+    t = gamma * g.weight
+    return X - np.minimum(np.maximum(X, -t), t)
 
 
-def resolvent(op: LinearMonotoneOperator, gamma, x):
-    """(Id + gamma 0)^{-1} x = x: a copy of x, bit for bit, -0.0, inf and
-    NaN included."""
-    if not gamma > 0:
-        raise ValueError("resolvent needs gamma > 0")
-    X = _points(x)
-    if X.shape[0] != op.dim:
-        raise ValueError(f"resolvent of an operator on R^{op.dim} applied to "
-                         f"points of dimension {X.shape[0]}")
-    return X.copy()
+def step_map(geometry):
+    """The step map (γ, Y) ↦ Y' of a geometry: for None (sgm) Y itself, for
+    an l1 regularizer ``prox`` as bound here when the map is built, else Y
+    in C order, since the audits sum over d in the layout the map returns."""
+    if geometry is None:
+        return lambda gamma, Y: Y
+    if isinstance(geometry, Regularizer) and geometry.kind == "l1":
+        return functools.partial(prox, geometry)
+    return lambda gamma, Y: np.ascontiguousarray(Y)

@@ -20,7 +20,9 @@ Each moment is reduced as the per-point expressions ``x @ x`` and
 ``.mean()`` would reduce it, so a point's moments do not depend on the block
 it falls in: squared norms of points are stacked ``np.matmul`` dot products
 of C-contiguous (p, d) rows, and sums over d run along axis 0 of the
-successor array in the memory layout the geometry gave it.
+successor array in the memory layout that ``geometry.step_map`` returns.
+That map is handed a batch whose d axis is contiguous; sgm passes it on as
+it is, and every other geometry returns it in C order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng, solvers
+from . import geometry as geo
+from . import rng
 from .problems import FiniteSumProblem, _finite_component_grads
 
 __all__ = [
@@ -156,7 +159,7 @@ def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
     p, d = Xp.shape
     grads = problem.all_component_grads(Xp)
     Y = Xp.T[:, :, None] - gamma * grads.transpose(2, 0, 1)
-    succ = solvers._step_map(geometry)(gamma, Y.reshape(d, -1))
+    succ = geo.step_map(geometry)(gamma, Y.reshape(d, -1))
     return succ.reshape(d, p, -1)
 
 

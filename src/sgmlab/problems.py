@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _accum
 from . import rng
-from .geometry import Regularizer, l1_regularizer, prox
+from .geometry import Regularizer, l1_regularizer, step_map
 
 __all__ = [
     "FiniteSumProblem",
@@ -382,9 +382,9 @@ def make_quadratic_l1(construction_seed: int = 42, dim: int = 10,
 def _prox_gradient_solve(full_grad, reg, L, x0, tol=1e-12, max_iter=100_000):
     """Deterministic proximal-gradient solve used as a solution surrogate."""
     x = np.asarray(x0, dtype=float).copy()
-    step = 1.0 / L
+    step, prox_map = 1.0 / L, step_map(reg)
     for _ in range(max_iter):
-        x_next = prox(reg, step, x - step * full_grad(x))
+        x_next = prox_map(step, x - step * full_grad(x))
         if np.linalg.norm(x_next - x) <= tol:
             return x_next
         x = x_next

@@ -1,7 +1,30 @@
+import os
+
 import numpy as np
 import pytest
 
 from sgmlab import problems, rng as sgm_rng, solvers
+
+
+def force_split(monkeypatch):
+    """Make every batch of two or more columns step in two processes, on any
+    host with ``os.fork``; returns the list of worker pids forked from here
+    on."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the two-process loop needs os.fork")
+    monkeypatch.setattr(solvers, "_SPLIT_WORDS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
 
 def component_grad(p, i, x):

@@ -234,7 +234,7 @@ def test_criterion_8_method_reductions_are_bitwise():
         variants = [
             traj(geometry.whole_space()),
             traj(geometry.zero_regularizer()),
-            traj(geometry.LinearMonotoneOperator(dim=5)),
+            traj(geometry.LinearMonotoneOperator()),
         ]
         for other in variants:
             ok &= np.array_equal(base.points, other.points)

@@ -28,7 +28,7 @@ METHOD_CASES = {
                  ((0.0011586538586529941, 1.272859017183811e-29,
                    9.887103960428947e-30), None)),
     "resolvent_sgm": (
-        lambda p: geo.LinearMonotoneOperator(dim=p.dim),
+        lambda p: geo.LinearMonotoneOperator(),
         (0.04341372933741744, 0.00271335808358859),
         0.002454326929326497,
         (None, "no floor prediction for resolvent iterations")),

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import force_split
 
 from sgmlab import analysis, cli, geometry, growth, problems, solvers
 
@@ -1102,6 +1103,40 @@ def test_memory_error_in_the_replication_worker_exits_3_with_a_record(
                                        "Unable to allocate 6.94 EiB\n")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["reason"] == "out of memory: Unable to allocate 6.94 EiB"
+
+
+def test_replication_worker_killed_by_a_signal_exits_3_with_a_record(
+        tmp_path, capsys, monkeypatch):
+    # the forked worker is killed from outside (here by itself, inside the
+    # batch oracle) and so sends no report: the CLI exits 3, and the output
+    # directory holds only a manifest naming the signal
+    force_split(monkeypatch)
+    caller, build_problem = os.getpid(), cli.build_problem
+
+    def killable_problem(cfg):
+        problem = build_problem(cfg)
+        oracle = problem.batch_component_grad
+
+        def grad(X, idx):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return oracle(X, idx)
+
+        problem.batch_component_grad = grad
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", killable_problem)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trajectory_stats.csv").write_text("an earlier run's file\n")
+    assert run_cli(["run", write_cfg(tmp_path, TWO_POINT_SMALL),
+                    "--out", out]) == 3
+    reason = "the replication worker was killed by signal 9 without a report"
+    assert capsys.readouterr().err == f"simulation error: {reason}\n"
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["reason"]) == ("error", reason)
+    assert run_cli(["report", out]) == 3
 
 
 def _live_group_members(pgid):

@@ -285,16 +285,29 @@ def test_successor_moments_are_enumerated_moments(rng):
                           np.sum(G.mean(axis=1) ** 2), rtol=1e-14)
 
 
+def _reference_step(geometry):
+    """The reference's step map, written out: Y itself for sgm, the l1
+    prox, and for every other geometry an explicit C-ordered copy of Y.
+    The plain steps Y have their d axis contiguous, and the moments are sums
+    over d, whose last bits depend on that layout; so an identity that
+    returned Y unchanged would move them."""
+    if geometry is None:
+        return lambda gamma, Y: Y
+    if isinstance(geometry, geo.Regularizer) and geometry.kind == "l1":
+        return lambda gamma, Y: geo.prox(geometry, gamma, Y)
+    return lambda gamma, Y: Y.copy()
+
+
 def _per_point_moments(p, geometry, gamma, points):
     """The per-point loop that the block enumeration replaced, kept as its
     reference: one enumeration per point, each moment a dot product or a
     ``.mean()`` of that point's successors."""
     x_star = p.x_star
+    step = _reference_step(geometry)
     moments = np.empty((4, len(points)))
     for k, x in enumerate(points):
         grads = p.all_component_grads(x[None])[0]
-        succ = solvers._step_map(geometry)(gamma,
-                                           x[:, None] - gamma * grads.T)
+        succ = step(gamma, x[:, None] - gamma * grads.T)
         xc = x - x_star
         Dp = succ - x_star[:, None]
         G = (x[:, None] - succ) / gamma
@@ -309,7 +322,8 @@ AUDIT_GEOMETRIES = {
     "none": lambda d: None,
     "whole_space": lambda d: geo.whole_space(),
     "l1": lambda d: geo.l1_regularizer(0.05),
-    "zero_resolvent": lambda d: geo.LinearMonotoneOperator(dim=d),
+    "zero_resolvent": lambda d: geo.LinearMonotoneOperator(),
+    "zero_prox": lambda d: geo.zero_regularizer(),
 }
 
 

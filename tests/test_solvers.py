@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import component_grad, run_one
+from conftest import component_grad, force_split, run_one
 
 from sgmlab import geometry as geo
 from sgmlab import analysis, problems, solvers
@@ -52,27 +52,6 @@ def parent_stats(D):
     return D.mean(axis=0), stderr
 
 
-def force_split(monkeypatch):
-    """Make every batch of two or more columns step in two processes, on any
-    host with ``os.fork``; returns the list of worker pids forked from here
-    on."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the two-process loop needs os.fork")
-    monkeypatch.setattr(solvers, "_SPLIT_WORDS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    pids, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
-
-
 def two_point_spec(**kw):
     p = problems.make_two_point_quadratic()
     defaults = dict(problem=p, step=ConstantStep(0.5), iters=50, seed=7)
@@ -109,7 +88,7 @@ def test_default_x0_respects_geometry(two_point, kaczmarz_20x5):
     assert np.array_equal(spec.x0, np.zeros(1))
     # zero is feasible for every geometry, so every method starts there
     for geometry in (geo.whole_space(), geo.l1_regularizer(0.1),
-                     geo.LinearMonotoneOperator(dim=5)):
+                     geo.LinearMonotoneOperator()):
         spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(0.1),
                          iters=10, seed=0, geometry=geometry)
         assert np.array_equal(spec.x0, np.zeros(5))
@@ -476,6 +455,33 @@ def test_worker_exception_reaches_the_caller(two_point, monkeypatch, exc,
         run_ensemble(two_point_spec(problem=two_point, iters=200), 8)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # killed and reaped already
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("at_call", [1, 200], ids=["sending", "receiving"])
+def test_worker_killed_by_a_signal_is_a_worker_error(two_point, monkeypatch,
+                                                     at_call):
+    # a worker killed from outside sends no report; the caller reaps it and
+    # names the signal.  Killed at step 1, it is found dead by the caller's
+    # next index block; at the last step, by the caller's wait for its rows
+    forks = force_split(monkeypatch)
+    monkeypatch.setattr(solvers, "_INDEX_WORDS", 2 * 8)
+    caller, oracle = os.getpid(), two_point.batch_component_grad
+    calls = []
+
+    def grad(X, idx):
+        calls.append(None)
+        if os.getpid() != caller and len(calls) >= at_call:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return oracle(X, idx)
+
+    monkeypatch.setattr(two_point, "batch_component_grad", grad)
+    with pytest.raises(solvers.WorkerError,
+                       match=r"^the replication worker was killed by signal 9 "
+                             r"without a report$"):
+        run_ensemble(two_point_spec(problem=two_point, iters=200), 8)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # reaped already
         os.waitpid(forks[0], os.WNOHANG)
 
 

@@ -17,11 +17,15 @@ from pathlib import Path
 from sgmlab import problems, rng
 
 ROOT = Path(__file__).resolve().parent.parent
-# Traced names that perfbench/run.py reads but no sgmlab function carries:
-# analysis.stats_from_matrix was deleted once the streamed statistics of
-# EnsembleRun became the only record of a run's curve, and the benchmark
-# still lists it.
-STALE_NAMES = {"analysis.stats_from_matrix"}
+# Traced names that perfbench/run.py reads but no sgmlab function carries,
+# each still listed by the benchmark:
+# - analysis.stats_from_matrix was deleted once the streamed statistics of
+#   EnsembleRun became the only record of a run's curve;
+# - geometry.project and geometry.resolvent were deleted once
+#   geometry.step_map became the one step map: the whole space and the zero
+#   operator step by the identity, so they call no function at all.
+STALE_NAMES = {"analysis.stats_from_matrix", "geometry.project",
+               "geometry.resolvent"}
 
 
 def _load_perfbench(name):
