@@ -13,6 +13,31 @@ finite_vec = lambda n: arrays(np.float64, n,
                               elements=st.floats(-50, 50, allow_nan=False))
 
 
+def sample_sets():
+    return [geo.whole_space()]
+
+
+# ---------------------------------------------------------------------------
+# projections: the whole space steps by the identity
+# ---------------------------------------------------------------------------
+
+def test_whole_space_projection_is_identity(rng):
+    x = rng.normal(size=4)
+    assert np.array_equal(geo.step_map(geo.whole_space())(1.0, x), x)
+
+
+@pytest.mark.parametrize("set_idx", range(len(sample_sets())))
+def test_projection_idempotent_and_batch_consistent(set_idx, rng):
+    project = geo.step_map(sample_sets()[set_idx])
+    X = rng.normal(size=(3, 7)) * 3
+    P = project(1.0, X)
+    # idempotent
+    assert np.allclose(project(1.0, P), P, atol=1e-10)
+    # batch equals column-by-column, bitwise
+    for j in range(7):
+        assert np.array_equal(P[:, j], project(1.0, X[:, j]))
+
+
 # ---------------------------------------------------------------------------
 # proximal maps
 # ---------------------------------------------------------------------------
@@ -87,6 +112,51 @@ def test_prox_firmly_nonexpansive(rng):
 def test_l1_regularizer_validation():
     with pytest.raises(ValueError):
         geo.l1_regularizer(0.0)
+
+
+# ---------------------------------------------------------------------------
+# resolvents: the zero operator steps by the identity
+# ---------------------------------------------------------------------------
+
+def test_resolvent_of_zero_operator_is_identity(rng):
+    resolvent = geo.step_map(geo.LinearMonotoneOperator())
+    x = rng.normal(size=3)
+    assert np.array_equal(resolvent(0.7, x), x)
+
+
+def test_resolvent_batch_consistent(rng):
+    resolvent = geo.step_map(geo.LinearMonotoneOperator())
+    X = rng.normal(size=(3, 5))
+    R = resolvent(0.3, X)
+    for j in range(5):
+        assert np.array_equal(R[:, j], resolvent(0.3, X[:, j]))
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 40)], ids=["vector", "batch"])
+def test_resolvent_of_zero_operator_is_an_exact_copy(shape, linalg_calls,
+                                                     rng):
+    # LAPACK on the identity would turn most -0.0 into +0.0 and a column
+    # holding inf into NaN; the resolvent keeps every bit instead, with no
+    # solve and no condition check.  A C-ordered point or batch is passed
+    # on as it is (the step loop relies on getting no copy); any other
+    # layout comes back as a C-ordered copy
+    resolvent = geo.step_map(geo.LinearMonotoneOperator())
+    x = rng.normal(size=shape)
+    x[x < 0] = -0.0
+    x.flat[1], x.flat[2], x.flat[3] = np.inf, -np.inf, np.nan
+    assert (np.signbit(x) & (x == 0)).any()
+    x_f = np.asfortranarray(x)
+    for gamma in (0.7, 0.7, 3.0):
+        out = resolvent(gamma, x)
+        assert out.shape == x.shape
+        assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
+        assert out is x
+        out_f = resolvent(gamma, x_f)
+        assert out_f.shape == x.shape and out_f.flags.c_contiguous
+        assert np.array_equal(out_f.view(np.uint64), x.view(np.uint64))
+        if x.ndim == 2:  # a vector is C-ordered in either layout
+            assert not np.shares_memory(out_f, x_f)
+    assert linalg_calls == {"solve": 0, "cond": 0}
 
 
 # ---------------------------------------------------------------------------
