@@ -2,9 +2,9 @@
 
 ``step_map`` turns a run's geometry into the map (γ, Y) ↦ Y' applied after
 each gradient step.  Only the l1 prox, soft thresholding, moves a point:
-the whole space, the zero regularizer and the zero operator step by the
-identity.  A map takes one point (d,) or a batch of columns (d, R), keeps
-the shape, and maps a batch bit for bit as it maps each column alone.
+every other geometry, sgm's None included, steps by Y itself.  A map takes
+one point (d,) or a batch of columns (d, R), keeps the shape, and maps a
+batch bit for bit as it maps each column alone.
 """
 
 from __future__ import annotations
@@ -74,11 +74,8 @@ def prox(g: Regularizer, gamma, x):
 
 
 def step_map(geometry):
-    """The step map (γ, Y) ↦ Y' of a geometry: for None (sgm) Y itself, for
-    an l1 regularizer ``prox`` as bound here when the map is built, else Y
-    in C order, since the audits sum over d in the layout the map returns."""
-    if geometry is None:
-        return lambda gamma, Y: Y
+    """The step map (γ, Y) ↦ Y' of a geometry: for an l1 regularizer
+    ``prox`` as bound here when the map is built, else Y itself."""
     if isinstance(geometry, Regularizer) and geometry.kind == "l1":
         return functools.partial(prox, geometry)
-    return lambda gamma, Y: np.ascontiguousarray(Y)
+    return lambda gamma, Y: Y

@@ -20,9 +20,7 @@ Each moment is reduced as the per-point expressions ``x @ x`` and
 ``.mean()`` would reduce it, so a point's moments do not depend on the block
 it falls in: squared norms of points are stacked ``np.matmul`` dot products
 of C-contiguous (p, d) rows, and sums over d run along axis 0 of the
-successor array in the memory layout that ``geometry.step_map`` returns.
-That map is handed a batch whose d axis is contiguous; sgm passes it on as
-it is, and every other geometry returns it in C order.
+successor array, in the layout that ``enumerate_successors`` alone decides.
 """
 
 from __future__ import annotations
@@ -154,11 +152,15 @@ def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
                          Xp: np.ndarray) -> np.ndarray:
     """All n one-step successors of each point of a (p, d) stack, as the
     (d, p, n) array whose [:, k, i] column is Xp[k]'s successor under
-    component i.  The geometry maps all p·n columns in one call."""
+    component i.  The geometry maps all p·n columns in one call.  The plain
+    steps are made in C order, the step loop's layout, which every step map
+    keeps: numpy's sums over d depend on layout, so an identity geometry
+    then audits bit for bit as sgm does."""
     Xp = np.asarray(Xp, dtype=float)
     p, d = Xp.shape
     grads = problem.all_component_grads(Xp)
-    Y = Xp.T[:, :, None] - gamma * grads.transpose(2, 0, 1)
+    Y = np.subtract(Xp.T[:, :, None], gamma * grads.transpose(2, 0, 1),
+                    order="C")
     succ = geo.step_map(geometry)(gamma, Y.reshape(d, -1))
     return succ.reshape(d, p, -1)
 

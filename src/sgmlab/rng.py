@@ -64,18 +64,17 @@ class IndexStream:
     the block at counter w // 4 + 1.  The words are therefore those of a
     fresh ``np.random.Philox(key=[master_seed, replication])`` whatever
     else draws from ``bitgen`` between blocks, so one generator serves
-    every stream of an ensemble.  Without ``bitgen`` the stream builds its
-    own.
+    every stream of an ensemble.
     """
 
     __slots__ = ("_bitgen", "_seed", "_replication", "_words", "n_components")
 
     def __init__(self, master_seed: int, replication: int, n_components: int,
-                 bitgen: np.random.Philox | None = None):
+                 bitgen: np.random.Philox):
         if not 0 < n_components <= _MAX_COMPONENTS:
             raise ValueError("component count must be in [1, 2**32 - 1]")
         self._seed, self._replication = master_seed, replication
-        self._bitgen = np.random.Philox() if bitgen is None else bitgen
+        self._bitgen = bitgen
         self._words = 0
         self.n_components = int(n_components)
 

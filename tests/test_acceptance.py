@@ -230,19 +230,24 @@ def test_criterion_8_method_reductions_are_bitwise():
                                      step=ConstantStep(gamma), iters=100,
                                      seed=seed))
 
+        def audit(geom, points):
+            m = successor_moments(kp, geom, gamma, points)
+            return [v.tobytes() for v in (m.dist_sq, m.next_dist_sq,
+                                          m.grad_sq, m.mean_grad_sq)]
+
         base = traj(None)
-        variants = [
-            traj(geometry.whole_space()),
-            traj(geometry.zero_regularizer()),
-            traj(geometry.LinearMonotoneOperator()),
-        ]
-        for other in variants:
+        base_audit = audit(None, base.points)
+        for geom in (geometry.whole_space(), geometry.zero_regularizer(),
+                     geometry.LinearMonotoneOperator()):
+            other = traj(geom)
             ok &= np.array_equal(base.points, other.points)
             ok &= np.array_equal(base.dist_sq, other.dist_sq)
             ok &= np.array_equal(base.sampled_indices, other.sampled_indices)
+            ok &= audit(geom, other.points) == base_audit
 
     _criterion(8, "projected/proximal/resolvent variants reduce to the "
-                  "plain method bitwise when their geometry is trivial",
+                  "plain method bitwise, audits included, when their "
+                  "geometry is trivial",
                ok, time.perf_counter() - t0, 1.0)
 
 

@@ -911,6 +911,44 @@ def test_inverse_t_resolvent_run_neither_solves_nor_checks(tmp_path,
                 == (tmp_path / "sgm" / fname).read_bytes()), fname
 
 
+def test_kaczmarz_recommend_audits_bit_for_bit_under_sgm_and_psgm(tmp_path):
+    # sgm and psgm on the whole space are one iteration, so their artifacts
+    # must agree in every byte, the exact audit's margins included, and the
+    # method's name is the one field that may differ; resolvent_sgm steps
+    # the same way, but its floor and rate rules are its own
+    psgm = (CONFIGS_DIR / "kaczmarz_recommend.cfg").read_text()
+    assert "iterations = 5000" in psgm and "set = whole_space\n" in psgm
+    psgm = psgm.replace("iterations = 5000", "iterations = 2000")
+    out, codes = {}, {}
+    for method in ("psgm", "sgm", "resolvent_sgm"):
+        text = psgm if method == "psgm" else psgm.replace(
+            "kind = psgm", f"kind = {method}").replace(
+                "set = whole_space\n", "")
+        out[method] = tmp_path / method
+        codes[method] = run_cli(["run", write_cfg(tmp_path, text,
+                                                  f"{method}.cfg"),
+                                 "--out", out[method]])
+    for method in ("sgm", "resolvent_sgm"):
+        for fname in ("trajectory_stats.csv", "audit_trajectory.csv"):
+            assert ((out[method] / fname).read_bytes()
+                    == (out["psgm"] / fname).read_bytes()), (method, fname)
+    sgm, psgm = out["sgm"], out["psgm"]
+    assert codes["sgm"] == codes["psgm"]
+    assert (sgm / "growth.json").read_bytes() == (
+        psgm / "growth.json").read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text())
+                 for d in (sgm, psgm)]
+    assert [m.pop("method") for m in manifests] == ["sgm", "psgm"]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["checks"]["necessary"]["status"] == "pass"
+    summaries = [[line.split(",") for line in
+                  (d / "summary.csv").read_text().splitlines()]
+                 for d in (sgm, psgm)]
+    col = summaries[0][0].index("method")
+    assert [s[1].pop(col) for s in summaries] == ["sgm", "psgm"]
+    assert summaries[0] == summaries[1]
+
+
 @pytest.mark.parametrize("method", ["psgm\nset = whole_space",
                                     "prox_sgm\nregularizer = zero",
                                     "prox_sgm\nregularizer = constant 3.7"],

@@ -137,25 +137,20 @@ def test_resolvent_of_zero_operator_is_an_exact_copy(shape, linalg_calls,
                                                      rng):
     # LAPACK on the identity would turn most -0.0 into +0.0 and a column
     # holding inf into NaN; the resolvent keeps every bit instead, with no
-    # solve and no condition check.  A C-ordered point or batch is passed
-    # on as it is (the step loop relies on getting no copy); any other
-    # layout comes back as a C-ordered copy
+    # solve and no condition check.  A point or batch is passed on as it
+    # is, in any layout (the step loop relies on getting no copy)
     resolvent = geo.step_map(geo.LinearMonotoneOperator())
     x = rng.normal(size=shape)
     x[x < 0] = -0.0
     x.flat[1], x.flat[2], x.flat[3] = np.inf, -np.inf, np.nan
     assert (np.signbit(x) & (x == 0)).any()
+    bits = x.tobytes()
     x_f = np.asfortranarray(x)
     for gamma in (0.7, 0.7, 3.0):
-        out = resolvent(gamma, x)
-        assert out.shape == x.shape
-        assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
-        assert out is x
-        out_f = resolvent(gamma, x_f)
-        assert out_f.shape == x.shape and out_f.flags.c_contiguous
-        assert np.array_equal(out_f.view(np.uint64), x.view(np.uint64))
-        if x.ndim == 2:  # a vector is C-ordered in either layout
-            assert not np.shares_memory(out_f, x_f)
+        for y in (x, x_f):
+            out = resolvent(gamma, y)
+            assert out is y
+            assert out.tobytes(order="C") == bits
     assert linalg_calls == {"solve": 0, "cond": 0}
 
 
@@ -173,14 +168,12 @@ STEP_MAP_GEOMETRIES = {
 
 
 @pytest.mark.parametrize("geometry", STEP_MAP_GEOMETRIES)
-def test_identity_step_maps_keep_every_bit_and_return_c_order(
-        geometry, linalg_calls, rng):
-    # every geometry but the l1 prox is the identity.  Its values stay bit
-    # for bit, -0.0, inf and NaN included (LAPACK on I would turn most -0.0
-    # into +0.0 and a column holding inf into NaN).  sgm passes Y on as it
-    # is; every other identity returns C order, also for the audit
-    # enumeration's batch, whose d axis is contiguous (strides (8, 8d)):
-    # the audits sum over d in the layout the map returns
+def test_identity_step_maps_return_y_itself(geometry, linalg_calls, rng):
+    # every geometry but the l1 prox is the identity, which returns Y
+    # itself in whatever layout it came, C, F or a d-contiguous view
+    # (strides (8, 8d)), so every bit stays, -0.0, inf and NaN included
+    # (LAPACK on I would turn most -0.0 into +0.0 and a column holding inf
+    # into NaN); the layout is the caller's to choose
     step = geo.step_map(STEP_MAP_GEOMETRIES[geometry]())
     points = rng.normal(size=(40, 5))
     points[points < 0] = -0.0
@@ -189,14 +182,13 @@ def test_identity_step_maps_keep_every_bit_and_return_c_order(
     d_contiguous = points.T
     assert d_contiguous.strides == (8, 40)
     assert not d_contiguous.flags.c_contiguous
-    for Y in (points[0], np.ascontiguousarray(points.T), d_contiguous):
+    inputs = (points[0], np.ascontiguousarray(points.T),
+              points.T.copy(order="F"), d_contiguous)
+    bits = [Y.tobytes(order="A") for Y in inputs]
+    for Y, before in zip(inputs, bits):
         for gamma in (0.7, 0.7, 3.0):
-            out = step(gamma, Y)
-            if geometry == "none":
-                assert out is Y
-                continue
-            assert out.shape == Y.shape and out.flags.c_contiguous
-            assert out.tobytes() == Y.tobytes(order="C")
+            assert step(gamma, Y) is Y
+            assert Y.tobytes(order="A") == before
     assert linalg_calls == {"solve": 0, "cond": 0}
 
 

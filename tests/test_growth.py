@@ -7,7 +7,7 @@ import pytest
 from conftest import component_grad, exact_conditional_moment, run_one
 
 from sgmlab import geometry as geo
-from sgmlab import growth, problems, solvers
+from sgmlab import cli, growth, problems, solvers
 from sgmlab.growth import (
     contraction_margins,
     enumerate_successors,
@@ -286,28 +286,25 @@ def test_successor_moments_are_enumerated_moments(rng):
 
 
 def _reference_step(geometry):
-    """The reference's step map, written out: Y itself for sgm, the l1
-    prox, and for every other geometry an explicit C-ordered copy of Y.
-    The plain steps Y have their d axis contiguous, and the moments are sums
-    over d, whose last bits depend on that layout; so an identity that
-    returned Y unchanged would move them."""
-    if geometry is None:
-        return lambda gamma, Y: Y
+    """The reference's step map, written out: the l1 prox, and Y itself for
+    every other geometry."""
     if isinstance(geometry, geo.Regularizer) and geometry.kind == "l1":
         return lambda gamma, Y: geo.prox(geometry, gamma, Y)
-    return lambda gamma, Y: Y.copy()
+    return lambda gamma, Y: Y
 
 
 def _per_point_moments(p, geometry, gamma, points):
     """The per-point loop that the block enumeration replaced, kept as its
-    reference: one enumeration per point, each moment a dot product or a
-    ``.mean()`` of that point's successors."""
+    reference: one enumeration per point, its (d, n) successors in C order
+    (the moments are sums over d, whose last bits depend on the layout for
+    d >= 8), each moment a dot product or a ``.mean()`` of them."""
     x_star = p.x_star
     step = _reference_step(geometry)
     moments = np.empty((4, len(points)))
     for k, x in enumerate(points):
         grads = p.all_component_grads(x[None])[0]
-        succ = step(gamma, x[:, None] - gamma * grads.T)
+        succ = step(gamma, np.subtract(x[:, None], gamma * grads.T,
+                                       order="C"))
         xc = x - x_star
         Dp = succ - x_star[:, None]
         G = (x[:, None] - succ) / gamma
@@ -348,6 +345,33 @@ def test_successor_moments_equal_the_per_point_loop(problem, geometry,
                                   "mean_grad_sq")):
             assert getattr(moments, name).tobytes() == want[k].tobytes(), (
                 P, name)
+
+
+IDENTITY_GEOMETRIES = {
+    "whole_space": geo.whole_space,
+    "zero_regularizer": geo.zero_regularizer,
+    "constant_regularizer": lambda: cli.build_regularizer(("constant", 3.7)),
+    "zero_operator": geo.LinearMonotoneOperator,
+}
+
+
+@pytest.mark.parametrize("problem", ["quadratic_l1", "kaczmarz_20x5"])
+def test_identity_geometries_audit_bit_for_bit_as_sgm(problem, request):
+    # sgm, psgm on the whole space, prox_sgm with a zero or constant
+    # regularizer and resolvent_sgm with the zero operator are one
+    # iteration, so their exact moments must not differ in any bit: the
+    # audit of a point may not depend on the method's name
+    p, gamma = request.getfixturevalue(problem), 0.3
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(200, p.dim)) * np.exp2(
+        rng.integers(-10, 10, (200, 1)))
+    names = ("dist_sq", "next_dist_sq", "grad_sq", "mean_grad_sq")
+    base = successor_moments(p, None, gamma, points)
+    for geometry, make in IDENTITY_GEOMETRIES.items():
+        moments = successor_moments(p, make(), gamma, points)
+        for name in names:
+            assert (getattr(moments, name).tobytes()
+                    == getattr(base, name).tobytes()), (geometry, name)
 
 
 def test_successor_moments_memory_is_bounded_by_a_block(kaczmarz_20x5):

@@ -55,28 +55,28 @@ def test_bounded_indices_roughly_uniform():
 
 
 def test_index_stream_blocks_partition_the_stream():
-    a = IndexStream(99, 2, 13)
+    a = IndexStream(99, 2, 13, np.random.Philox())
     first = np.concatenate([a.next_block(5), a.next_block(3), a.next_block(8)])
-    b = IndexStream(99, 2, 13)
+    b = IndexStream(99, 2, 13, np.random.Philox())
     assert np.array_equal(first, b.next_block(16))
 
 
 def test_index_stream_range_and_dtype():
-    s = IndexStream(5, 0, 7)
+    s = IndexStream(5, 0, 7, np.random.Philox())
     idx = s.next_block(1000)
     assert idx.dtype == np.int64
     assert idx.min() >= 0 and idx.max() < 7
 
 
 def test_index_stream_distinct_replications():
-    a = IndexStream(5, 0, 10).next_block(64)
-    b = IndexStream(5, 1, 10).next_block(64)
+    a = IndexStream(5, 0, 10, np.random.Philox()).next_block(64)
+    b = IndexStream(5, 1, 10, np.random.Philox()).next_block(64)
     assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 2**20])
 def test_index_stream_parametrized_range(n):
-    idx = IndexStream(17, 4, n).next_block(256)
+    idx = IndexStream(17, 4, n, np.random.Philox()).next_block(256)
     assert idx.min() >= 0 and idx.max() < n
 
 
@@ -93,7 +93,7 @@ def test_map_in_place_overwrites_its_words():
 def test_index_stream_maps_its_words_as_bounded_indices_does(n):
     raw = np.random.Philox(key=np.array([21, 6], dtype=np.uint64)).random_raw(
         300)
-    s = IndexStream(21, 6, n)
+    s = IndexStream(21, 6, n, np.random.Philox())
     got = np.concatenate([s.next_block(100), s.next_block(200)])
     assert [int(i) for i in got] == [(int(w) * n) >> 64 for w in raw]
 
@@ -155,6 +155,6 @@ def test_numpy_philox_is_the_published_philox4x64_10(key):
 @pytest.mark.parametrize("n", [2, 20, 257, 2**32 - 1])
 def test_index_stream_maps_published_philox_words(n):
     # ragged blocks cross the four-word Philox blocks at every offset
-    s = IndexStream(20250814, 199, n)
+    s = IndexStream(20250814, 199, n, np.random.Philox())
     got = [int(i) for k in (3, 1, 5, 7) for i in s.next_block(k)]
     assert got == [(w * n) >> 64 for w in _philox_words(20250814, 199, 16)]

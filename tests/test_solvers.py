@@ -137,7 +137,7 @@ def test_long_runs_thin_points_but_not_distances(two_point):
 def test_sampled_indices_follow_the_declared_substream(two_point):
     spec = two_point_spec(iters=40, seed=123, replication=5)
     traj = run_one(spec)
-    expected = IndexStream(123, 5, 2).next_block(40)
+    expected = IndexStream(123, 5, 2, np.random.Philox()).next_block(40)
     assert np.array_equal(traj.sampled_indices, expected)
 
 
@@ -263,7 +263,7 @@ def test_indices_past_a_narrow_type_keep_their_value(n, matrix_of):
     D = matrix_of(ens)
     drawn = []
     for r in range(4):
-        expected = IndexStream(9, r, n).next_block(600)
+        expected = IndexStream(9, r, n, np.random.Philox()).next_block(600)
         single = run_one(replace(spec, replication=r))
         assert np.array_equal(single.sampled_indices, expected), r
         assert np.array_equal(D[r], single.dist_sq), r
@@ -295,8 +295,8 @@ def test_index_block_length_does_not_change_results(kaczmarz_20x5,
     spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(1.0), iters=T,
                      seed=4, geometry=geo.whole_space())
     base = run_ensemble(spec, R)
-    assert np.array_equal(base.audit.sampled_indices,
-                          IndexStream(4, 0, 20).next_block(T))
+    expected = IndexStream(4, 0, 20, np.random.Philox()).next_block(T)
+    assert np.array_equal(base.audit.sampled_indices, expected)
     forks = force_split(monkeypatch) if split else []
     monkeypatch.setattr(solvers, "_INDEX_WORDS", block_steps * R)
     if hist_points is not None:
@@ -612,7 +612,8 @@ def per_step_escape(spec, R):
     step by step for an sgm run, or None."""
     p = spec.problem
     idx = np.array([IndexStream(spec.seed, spec.replication + r,
-                                p.n_components).next_block(spec.iters)
+                                p.n_components, np.random.Philox())
+                    .next_block(spec.iters)
                     for r in range(R)])
     X = np.repeat(spec.x0[:, None], R, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
