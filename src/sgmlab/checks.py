@@ -1,10 +1,16 @@
-"""Run-level checks of the paper's claims, and the constant-step
-predictions they compare against.
+"""Run-level checks of the paper's claims, and every rule of the
+constant-step analysis they compare against.
+
+The rules read one thing of the method: whether the run carries a
+regularizer, as in ``solvers.SolverRun``.  With k = 2 for a proximal step
+and k = 1 for a step by Y itself (sgm, psgm and resolvent_sgm), the
+contraction is ρ = γμ(1 − kγLM), ``recommend_step`` gives the γ = 1/(2kLM)
+that maximizes it, the floor reads σ₁² with a regularizer and σ² without
+one, and only a run without one gets the exact per-step contraction audit.
 
 Every check is a function ``check_<name>(run) -> dict`` of one finished
 run, a ``RunContext``, whose exact audit moments and probe growth fit are
-computed lazily, at most once each; its geometry alone names the method,
-by type as in ``solvers.SolverRun``.  An entry holds its ``status`` (pass,
+computed lazily, at most once each.  An entry holds its ``status`` (pass,
 fail or skipped), the numbers behind it, and a ``reason`` when it stopped
 short of a comparison.  ``CHECKS`` maps names to checks in column order.
 """
@@ -16,48 +22,68 @@ import math
 from dataclasses import dataclass
 
 from . import analysis, growth, solvers
-from .geometry import ConvexSet, LinearMonotoneOperator, Regularizer
 
 __all__ = ["RunContext", "CHECKS", "check_wgc", "check_sgc", "check_necessary",
-           "check_rate", "check_floor", "check_inverse_t", "predicted_rho",
-           "floor_prediction"]
+           "check_rate", "check_floor", "check_inverse_t", "recommend_step",
+           "predicted_rho", "floor_prediction"]
 
 
-def predicted_rho(problem, geometry, gamma: float) -> float:
-    """Per-step contraction implied by the constant-step analysis from the
-    problem's L, analytic M and ``strong_mu``, or NaN when the constants do
-    not certify one at this γ."""
+def _k(regularizer) -> int:
+    """The k of ρ = γμ(1 − kγLM): 2 for a proximal step, else 1."""
+    return 1 if regularizer is None else 2
+
+
+def recommend_step(L: float, M: float, mu: float, regularizer=None):
+    """(γ, ρ) for the constant-step linear regime: the γ = 1/(2kLM) that
+    maximizes γμ(1 − kγLM), with ρ = μ/(4kLM), valid only under the strict
+    hypothesis μ < 4kLM.  ``regularizer`` is the run's, as in
+    ``solvers.SolverRun``; anything else is a ``ValueError``."""
+    solvers._require_regularizer(regularizer)
+    if not (L > 0 and M > 0 and mu > 0):
+        raise ValueError("L, M and mu must all be positive")
+    k = _k(regularizer)
+    if not mu < 4 * k * L * M:
+        raise ValueError(
+            "the constant-step linear-rate guarantee requires the strict "
+            f"hypothesis mu < {4 * k}*L*M (got mu={mu:g}, "
+            f"{4 * k}LM={4 * k * L * M:g})")
+    gamma = 1.0 / (2 * k * L * M)
+    rho = mu / (4 * k * L * M)
+    if not 0 < rho < 1:
+        raise ValueError(f"derived contraction rho={rho:g} is outside (0, 1)")
+    return gamma, rho
+
+
+def predicted_rho(problem, regularizer, gamma: float) -> float:
+    """Per-step contraction γμ(1 − kγLM) implied by the constant-step
+    analysis from the problem's L, analytic M and ``strong_mu``, or NaN
+    when the constants do not certify one at this γ."""
     M, mu, L = problem.analytic_M, problem.strong_mu, problem.lipschitz_L
     if mu <= 0 or L <= 0:
         return math.nan
-    if isinstance(geometry, Regularizer):
-        rho = gamma * mu * (1.0 - 2.0 * gamma * L * M)
-    else:
-        rho = gamma * mu * (1.0 - gamma * L * M)
+    rho = gamma * mu * (1.0 - _k(regularizer) * gamma * L * M)
     return rho if 0 < rho < 1 else math.nan
 
 
-def floor_prediction(problem, geometry, gamma: float):
+def floor_prediction(problem, regularizer, gamma: float):
     """(rho, sigma1_sq, floor) for the constant-step noise-floor bound, or
-    None with a reason when the prediction is not defined for this setup."""
+    None with a reason when no contraction is certified at this γ."""
     M, s2 = problem.analytic_M, problem.analytic_sigma_sq
-    rho = predicted_rho(problem, geometry, gamma)
+    rho = predicted_rho(problem, regularizer, gamma)
     if math.isnan(rho):
         return None, "no contraction certified at this step size"
-    if isinstance(geometry, Regularizer):
+    if regularizer is None:
+        sigma1_sq = s2  # unconstrained: min_C f equals the global infimum
+    else:
         gstar = problem.full_grad(problem.x_star)
         sigma1_sq = 2.0 * (1.0 + 2.0 * M) * float(gstar @ gstar) + 2.0 * s2
-    elif isinstance(geometry, LinearMonotoneOperator):
-        return None, "no floor prediction for resolvent iterations"
-    else:
-        sigma1_sq = s2  # unconstrained: min_C f equals the global infimum
     return (rho, sigma1_sq, analysis.predict_floor(gamma, rho, sigma1_sq)), None
 
 
 @dataclass(eq=False)
 class RunContext:
-    """One finished run: its spec (whose geometry names the method), its
-    predicted per-step contraction (NaN if none is certified), its ensemble."""
+    """One finished run: its spec, its predicted per-step contraction (NaN
+    if none is certified), its ensemble."""
 
     spec: solvers.SolverRun
     rho_pred: float
@@ -68,7 +94,7 @@ class RunContext:
         """Exact one-step moments at the audited iterates: one successor
         enumeration serves every per-iterate audit of the run."""
         spec = self.spec
-        return growth.successor_moments(spec.problem, spec.geometry,
+        return growth.successor_moments(spec.problem, spec.regularizer,
                                         spec.step.gamma, self.ens.audit.points)
 
     @functools.cached_property
@@ -142,9 +168,7 @@ def check_rate(run: RunContext) -> dict:
         out["rate_bound"] = bound
         ok &= fit.rate_per_iter <= bound
         # exact per-step contraction audit on the recorded replication
-        geometry = run.spec.geometry
-        if ((geometry is None or isinstance(geometry, ConvexSet))
-                and problem.analytic_sigma_sq == 0.0):
+        if run.spec.regularizer is None and problem.analytic_sigma_sq == 0.0:
             _, flagged = growth.contraction_margins(run.audit_moments,
                                                     rho_pred, 0.0)
             out["contraction_violations"] = len(flagged)
@@ -163,7 +187,7 @@ def check_floor(run: RunContext) -> dict:
     if step.kind != "constant":
         return {"status": "skipped",
                 "reason": "the floor prediction applies to constant steps"}
-    pred, reason = floor_prediction(run.spec.problem, run.spec.geometry,
+    pred, reason = floor_prediction(run.spec.problem, run.spec.regularizer,
                                     step.gamma)
     if pred is None:
         return {"status": "skipped", "reason": reason}

@@ -293,6 +293,11 @@ def _broken_rules(cfg: ExperimentConfig):
         yield ("method", ("regularizer",), "'l1' moves the solution set, "
                "which only problem kind 'quadratic_l1' solves for; use "
                "'zero' or 'constant <c>'")
+    if (cfg.method == "prox_sgm" and cfg.regularizer_spec is None
+            and cfg.problem_kind != "quadratic_l1"):
+        yield ("method", ("kind",), "prox_sgm needs a regularizer: problem "
+               f"kind '{cfg.problem_kind}' has no built-in one, set "
+               "'regularizer' in [method]")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -415,38 +420,31 @@ def build_regularizer(spec: tuple) -> geometry.Regularizer:
     return geometry.zero_regularizer()
 
 
-def build_geometry(cfg: ExperimentConfig, problem):
-    if cfg.method == "sgm":
+def method_regularizer(method: str, spec: tuple | None, problem):
+    """A method's one run parameter: prox_sgm's configured regularizer, else
+    the problem's built-in one, and None for every other method."""
+    if method != "prox_sgm":
         return None
-    if cfg.method == "psgm":
-        return geometry.whole_space()
-    if cfg.method == "prox_sgm":
-        if cfg.regularizer_spec is not None:
-            return build_regularizer(cfg.regularizer_spec)
-        if problem.regularizer is None:
-            raise ValueError("prox_sgm needs a regularizer: this problem has "
-                             "no built-in one, set 'regularizer' in [method]")
-        return problem.regularizer
-    return geometry.LinearMonotoneOperator()
+    return problem.regularizer if spec is None else build_regularizer(spec)
 
 
-def resolve_step(cfg: ExperimentConfig, problem, geometry_obj):
-    """Turn the configured step policy into a concrete one for the method
-    ``geometry_obj`` names.
+def resolve_step(cfg: ExperimentConfig, problem, regularizer):
+    """Turn the configured step policy into a concrete one for a run that
+    carries ``regularizer``.
 
     Returns (policy, rho_pred); rho_pred is NaN when no contraction is
     certified (decaying steps, or a γ the constants do not certify).
     """
     kind = cfg.step_spec[0]
     if kind == "recommend":
-        gamma, rho = solvers.recommend_step(
+        gamma, rho = checks.recommend_step(
             problem.lipschitz_L, problem.analytic_M, problem.strong_mu,
-            geometry_obj)
+            regularizer)
         return solvers.ConstantStep(gamma), rho
     if kind == "constant":
         gamma = cfg.step_spec[1]
         return solvers.ConstantStep(gamma), checks.predicted_rho(
-            problem, geometry_obj, gamma)
+            problem, regularizer, gamma)
     c = cfg.step_spec[1]
     if c is None:
         if problem.strong_mu <= 0:
@@ -532,9 +530,10 @@ def _construct(cfg: ExperimentConfig):
                   f"entries, but the problem dimension is d = {problem.dim}",
                   file=sys.stderr)
             return EXIT_CONFIG
-        geometry_obj = build_geometry(cfg, problem)
-        policy, rho_pred = resolve_step(cfg, problem, geometry_obj)
-        spec = solvers.SolverRun(problem=problem, geometry=geometry_obj,
+        regularizer = method_regularizer(cfg.method, cfg.regularizer_spec,
+                                         problem)
+        policy, rho_pred = resolve_step(cfg, problem, regularizer)
+        spec = solvers.SolverRun(problem=problem, regularizer=regularizer,
                                  step=policy, iters=cfg.iterations,
                                  seed=cfg.seed, x0=cfg.x0)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:

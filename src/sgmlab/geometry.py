@@ -1,10 +1,11 @@
-"""The geometries a run steps in, and the one step map each names.
+"""The regularizers a run may carry, and the one step map each gives.
 
-``step_map`` turns a run's geometry into the map (γ, Y) ↦ Y' applied after
-each gradient step.  Only the l1 prox, soft thresholding, moves a point:
-every other geometry, sgm's None included, steps by Y itself.  A map takes
-one point (d,) or a batch of columns (d, R), keeps the shape, and maps a
-batch bit for bit as it maps each column alone.
+``step_map`` turns a run's regularizer into the map (γ, Y) ↦ Y' applied
+after each gradient step.  Only the l1 prox, soft thresholding, moves a
+point: every other regularizer, and None (sgm, psgm and resolvent_sgm),
+steps by Y itself.  A map takes one point (d,) or a batch of columns
+(d, R), keeps the shape, and maps a batch bit for bit as it maps each
+column alone.
 """
 
 from __future__ import annotations
@@ -15,24 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ConvexSet",
     "Regularizer",
-    "LinearMonotoneOperator",
-    "whole_space",
     "zero_regularizer",
     "l1_regularizer",
     "prox",
     "step_map",
 ]
-
-
-@dataclass
-class ConvexSet:
-    """The whole space, built by ``whole_space``; its type names psgm."""
-
-
-def whole_space() -> ConvexSet:
-    return ConvexSet()
 
 
 @dataclass
@@ -53,11 +42,6 @@ def l1_regularizer(weight) -> Regularizer:
     return Regularizer(kind="l1", weight=float(weight))
 
 
-@dataclass
-class LinearMonotoneOperator:
-    """The zero operator x -> 0; its type names resolvent_sgm."""
-
-
 def prox(g: Regularizer, gamma, x):
     """The l1 prox argmin_y g(y) + ||y-x||^2 / (2 gamma): soft thresholding."""
     if g.kind != "l1":
@@ -73,9 +57,9 @@ def prox(g: Regularizer, gamma, x):
     return X - np.minimum(np.maximum(X, -t), t)
 
 
-def step_map(geometry):
-    """The step map (γ, Y) ↦ Y' of a geometry: for an l1 regularizer
+def step_map(g: Regularizer | None):
+    """The step map (γ, Y) ↦ Y' of a run's regularizer: for an l1 g
     ``prox`` as bound here when the map is built, else Y itself."""
-    if isinstance(geometry, Regularizer) and geometry.kind == "l1":
-        return functools.partial(prox, geometry)
+    if g is not None and g.kind == "l1":
+        return functools.partial(prox, g)
     return lambda gamma, Y: Y

@@ -148,20 +148,20 @@ def fit_wgc(problem: FiniteSumProblem, probe_points, probe_seed=None,
                         analytic=False, degenerate=degenerate)
 
 
-def enumerate_successors(problem: FiniteSumProblem, geometry, gamma: float,
+def enumerate_successors(problem: FiniteSumProblem, regularizer, gamma: float,
                          Xp: np.ndarray) -> np.ndarray:
     """All n one-step successors of each point of a (p, d) stack, as the
     (d, p, n) array whose [:, k, i] column is Xp[k]'s successor under
-    component i.  The geometry maps all p·n columns in one call.  The plain
-    steps are made in C order, the step loop's layout, which every step map
-    keeps: numpy's sums over d depend on layout, so an identity geometry
-    then audits bit for bit as sgm does."""
+    component i.  The regularizer's step map maps all p·n columns in one
+    call.  The plain steps are made in C order, the step loop's layout,
+    which every step map keeps: numpy's sums over d depend on layout, so an
+    identity step map then audits bit for bit as sgm does."""
     Xp = np.asarray(Xp, dtype=float)
     p, d = Xp.shape
     grads = problem.all_component_grads(Xp)
     Y = np.subtract(Xp.T[:, :, None], gamma * grads.transpose(2, 0, 1),
                     order="C")
-    succ = geo.step_map(geometry)(gamma, Y.reshape(d, -1))
+    succ = geo.step_map(regularizer)(gamma, Y.reshape(d, -1))
     return succ.reshape(d, p, -1)
 
 
@@ -182,7 +182,7 @@ class SuccessorMoments:
     mean_grad_sq: np.ndarray
 
 
-def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
+def successor_moments(problem: FiniteSumProblem, regularizer, gamma: float,
                       points) -> SuccessorMoments:
     """Enumerate the n successors of every point once and record the exact
     moments that the per-iterate audits below are computed from.
@@ -198,7 +198,7 @@ def successor_moments(problem: FiniteSumProblem, geometry, gamma: float,
     moments = np.empty((4, len(points)))
     for start in range(0, len(points), block):
         Xp = points[start:start + block]
-        succ = enumerate_successors(problem, geometry, gamma, Xp)
+        succ = enumerate_successors(problem, regularizer, gamma, Xp)
         Dp = succ - x_star[:, None, None]
         G = (Xp.T[:, :, None] - succ) / gamma
         mean_G = np.ascontiguousarray(G.mean(axis=2).T)

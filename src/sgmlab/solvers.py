@@ -1,10 +1,10 @@
 """Stochastic gradient iterations: plain, projected, proximal, resolvent.
 
-One engine drives all four methods; the run's geometry object names the
-method by its type, so a run carries no method name, and
-``geometry.step_map`` alone turns it into the step map: the l1 prox, or
-the identity for every other geometry.  All replications of an ensemble are
-simulated as the columns of one (d, R) batch.  A narrow batch steps in one
+One engine drives all four methods.  A run carries no method name: its one
+method parameter is its regularizer, None for sgm, psgm and resolvent_sgm,
+and ``geometry.step_map`` alone turns it into the step map, the l1 prox or
+Y itself.  All replications of an ensemble are simulated as the columns of
+one (d, R) batch.  A narrow batch steps in one
 loop in the calling process; a wide one (d·R ≥ ``_SPLIT_WORDS``, on a host
 that gives the process two CPUs) steps in two, the same loop in a forked
 worker taking the columns [R // 2, R).  There is no option for it.  The
@@ -32,7 +32,7 @@ import numpy as np
 from . import _accum, analysis
 from . import geometry as geo
 from . import rng
-from .geometry import ConvexSet, LinearMonotoneOperator, Regularizer
+from .geometry import Regularizer
 from .problems import FiniteSumProblem
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "DivergenceError",
     "WorkerError",
     "run_ensemble",
-    "recommend_step",
     "METHODS",
 ]
 
@@ -64,14 +63,14 @@ _SPLIT_WORDS = 2**12
 _PIPE_BYTES = 2**20  # pipe capacity asked for: Linux's default pipe-max-size
 _DIVERGENCE_DIST_SQ = 1e24  # guard: abort when ‖x − x*‖ > 1e12
 _THIN_LIMIT = 10_000
-_GEOMETRY_TYPES = (type(None), ConvexSet, Regularizer, LinearMonotoneOperator)
 
 
-def _require_geometry(geometry) -> None:
-    if not isinstance(geometry, _GEOMETRY_TYPES):
-        raise ValueError("geometry must be None, a ConvexSet, a Regularizer "
-                         "or a LinearMonotoneOperator, got "
-                         f"{type(geometry).__name__}")
+def _require_regularizer(regularizer) -> None:
+    """A run's one method parameter: None or a Regularizer, nothing else,
+    so that a method's name passed in its place is refused."""
+    if not (regularizer is None or isinstance(regularizer, Regularizer)):
+        raise ValueError("regularizer must be None or a Regularizer, got "
+                         f"{type(regularizer).__name__}")
 
 
 class WorkerError(RuntimeError):
@@ -128,27 +127,27 @@ class InverseTStep:
 class SolverRun:
     """Everything one (replicated) solve needs.
 
-    ``geometry`` names the method by its type: None for sgm, a ConvexSet
-    for psgm, a Regularizer for prox_sgm, and a LinearMonotoneOperator for
-    resolvent_sgm.  ``seed`` is the master seed; ``replication`` the
-    substream index of this run.
+    ``regularizer`` is the method's one parameter: prox_sgm's Regularizer,
+    or None for sgm, psgm and resolvent_sgm, which step by Y itself.
+    ``seed`` is the master seed; ``replication`` the substream index of
+    this run.
     """
 
     problem: FiniteSumProblem
     step: ConstantStep | InverseTStep
     iters: int
     seed: int
-    geometry: object = None
+    regularizer: Regularizer | None = None
     x0: np.ndarray | None = None
     replication: int = 0
 
     def __post_init__(self):
-        _require_geometry(self.geometry)
+        _require_regularizer(self.regularizer)
         if self.iters < 1:
             raise ValueError("iteration count must be >= 1")
         if self.seed < 0 or self.replication < 0:
             raise ValueError("seed and replication index must be nonnegative")
-        if self.x0 is None:  # zero is feasible for every geometry
+        if self.x0 is None:  # every method may start at zero
             self.x0 = np.zeros(self.problem.dim)
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (self.problem.dim,) or not np.all(np.isfinite(self.x0)):
@@ -460,7 +459,7 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
                                problem.n_components, bitgen)
                for r in range(R)]
     gammas = np.fromiter(map(step.value, range(T)), dtype=float, count=T)
-    step_map = geo.step_map(spec.geometry)
+    step_map = geo.step_map(spec.regularizer)
     grad = problem.batch_component_grad
 
     def serve(idx_fd: int, rows_fd: int) -> None:
@@ -518,29 +517,3 @@ def run_ensemble(spec: SolverRun, replications: int) -> EnsembleRun:
     return EnsembleRun(mean_dist_sq=stats.mean, stderr=stats.stderr,
                        audit=audit)
 
-
-def recommend_step(L: float, M: float, mu: float, geometry=None):
-    """Step size and contraction rate for the constant-step linear regime.
-
-    The geometry names the method by type, as in ``SolverRun``; any other
-    value is a ``ValueError``.  Plain, projected and resolvent steps get the
-    optimal γ = 1/(2LM) with per-step contraction ρ = μ/(4LM) (valid only
-    under the strict hypothesis μ < 4LM); the proximal step (a Regularizer)
-    maximizes γμ(1−2γLM), giving γ = 1/(4LM) and ρ = μ/(8LM).
-    """
-    _require_geometry(geometry)
-    if not (L > 0 and M > 0 and mu > 0):
-        raise ValueError("L, M and mu must all be positive")
-    if isinstance(geometry, Regularizer):
-        gamma = 1.0 / (4 * L * M)
-        rho = mu / (8 * L * M)
-    else:
-        if not mu < 4 * L * M:
-            raise ValueError(
-                "the constant-step linear-rate guarantee requires the strict "
-                f"hypothesis mu < 4*L*M (got mu={mu:g}, 4LM={4 * L * M:g})")
-        gamma = 1.0 / (2 * L * M)
-        rho = mu / (4 * L * M)
-    if not 0 < rho < 1:
-        raise ValueError(f"derived contraction rho={rho:g} is outside (0, 1)")
-    return gamma, rho

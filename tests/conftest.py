@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from sgmlab import problems, rng as sgm_rng, solvers
+from sgmlab import cli, problems, rng as sgm_rng, solvers
 
 
 def force_split(monkeypatch):
@@ -41,6 +41,11 @@ def exact_conditional_moment(p, x):
     grads = p.batch_component_grad(np.repeat(x[:, None], n, axis=1),
                                    np.arange(n))
     return grads.mean(axis=1), float(np.mean((grads * grads).sum(axis=0)))
+
+
+def regularizer_of(method):
+    """The regularizer the CLI gives ``method`` configured without one."""
+    return cli.method_regularizer(method, None, None)
 
 
 def run_one(spec):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import make_shared_minimizer_quadratics, run_one
 
-from sgmlab import analysis, cli, geometry, growth, problems, solvers
+from sgmlab import analysis, cli, growth, problems, solvers
 from sgmlab.analysis import estimate_floor, fit_linear_rate, predict_floor
 from sgmlab.growth import (
     contraction_margins,
@@ -28,8 +28,8 @@ from sgmlab.problems import (
     make_random_kaczmarz_system,
     make_two_point_quadratic,
 )
-from sgmlab.solvers import ConstantStep, InverseTStep, SolverRun, \
-    recommend_step, run_ensemble
+from sgmlab.checks import recommend_step
+from sgmlab.solvers import ConstantStep, InverseTStep, SolverRun, run_ensemble
 
 
 def _criterion(number, description, ok, elapsed, budget):
@@ -84,9 +84,10 @@ def test_criterion_1_necessary_condition_holds_everywhere():
 def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     t0 = time.perf_counter()
     kp = _kaczmarz_instance()
+    psgm = cli.method_regularizer("psgm", None, kp)
     gamma, rho = recommend_step(kp.lipschitz_L, kp.analytic_M,
-                                kp.strong_mu, geometry.whole_space())
-    spec = SolverRun(problem=kp, geometry=geometry.whole_space(),
+                                kp.strong_mu, psgm)
+    spec = SolverRun(problem=kp, regularizer=psgm,
                      step=ConstantStep(gamma), iters=5000, seed=2025)
     ens = run_ensemble(spec, 200)
     fit = fit_linear_rate(ens.mean_dist_sq)
@@ -94,7 +95,7 @@ def test_criterion_2_projected_method_linear_rate_and_zero_floor():
     ok = fit.rate_per_iter <= 1.0 - rho + 3.0 * fit.rate_stderr + 0.01
     ok &= fit.floor_estimate <= 1e-12
     margins, flagged = contraction_margins(
-        successor_moments(kp, geometry.whole_space(), gamma, ens.audit.points),
+        successor_moments(kp, psgm, gamma, ens.audit.points),
         rho, 0.0)
     ok &= not flagged and len(margins) == 5001
 
@@ -133,7 +134,7 @@ def test_criterion_4_proximal_noise_floor_prediction():
         + 2.0 * p.analytic_sigma_sq
     pred = predict_floor(gamma, rho, sigma1_sq)
 
-    spec = SolverRun(problem=p, geometry=p.regularizer,
+    spec = SolverRun(problem=p, regularizer=p.regularizer,
                      step=ConstantStep(gamma), iters=6000, seed=20250814)
     ens = run_ensemble(spec, 1000)
     floor, se = estimate_floor(ens.mean_dist_sq, ens.stderr)
@@ -189,7 +190,7 @@ def test_criterion_6_decaying_step_gives_one_over_t():
     p = make_quadratic_l1(construction_seed=42, dim=10, n_components=20,
                           l1_weight=0.005)
     c = 2.0 / p.strong_mu
-    spec = SolverRun(problem=p, geometry=p.regularizer,
+    spec = SolverRun(problem=p, regularizer=p.regularizer,
                      step=InverseTStep(c), iters=100_000, seed=20250814)
     ens = run_ensemble(spec, 100)
     passed, slope = analysis.check_inverse_t_rate(ens.mean_dist_sq)
@@ -224,30 +225,33 @@ def test_criterion_8_method_reductions_are_bitwise():
     kp = _kaczmarz_instance()
     gamma = 0.04
     ok = True
+    # each method's regularizer as the CLI maps its name, prox_sgm's
+    # configured as 'zero'
+    regularizers = {method: cli.method_regularizer(
+        method, ("zero",) if method == "prox_sgm" else None, kp)
+        for method in solvers.METHODS}
     for seed in range(10):
-        def traj(geom):
-            return run_one(SolverRun(problem=kp, geometry=geom,
+        def traj(regularizer):
+            return run_one(SolverRun(problem=kp, regularizer=regularizer,
                                      step=ConstantStep(gamma), iters=100,
                                      seed=seed))
 
-        def audit(geom, points):
-            m = successor_moments(kp, geom, gamma, points)
+        def audit(regularizer, points):
+            m = successor_moments(kp, regularizer, gamma, points)
             return [v.tobytes() for v in (m.dist_sq, m.next_dist_sq,
                                           m.grad_sq, m.mean_grad_sq)]
 
         base = traj(None)
         base_audit = audit(None, base.points)
-        for geom in (geometry.whole_space(), geometry.zero_regularizer(),
-                     geometry.LinearMonotoneOperator()):
-            other = traj(geom)
+        for regularizer in regularizers.values():
+            other = traj(regularizer)
             ok &= np.array_equal(base.points, other.points)
             ok &= np.array_equal(base.dist_sq, other.dist_sq)
             ok &= np.array_equal(base.sampled_indices, other.sampled_indices)
-            ok &= audit(geom, other.points) == base_audit
+            ok &= audit(regularizer, other.points) == base_audit
 
-    _criterion(8, "projected/proximal/resolvent variants reduce to the "
-                  "plain method bitwise, audits included, when their "
-                  "geometry is trivial",
+    _criterion(8, "all four methods reduce to the plain method bitwise, "
+                  "audits included, when their step map is the identity",
                ok, time.perf_counter() - t0, 1.0)
 
 

@@ -86,6 +86,10 @@ EXPERIMENT_OK = "name = x\nseed = 1\niterations = 60\nreplications = 2"
     ("method", "kind = sgm\nstep = constant 0.1\nx0 = a,b", "x0 must be"),
     ("method", "kind = psgm\nstep = constant 0.1\nset = ball",
      "only 'whole_space'"),
+    # only quadratic_l1 has a regularizer of its own
+    ("method", "kind = prox_sgm\nstep = constant 0.5",
+     "prox_sgm needs a regularizer: problem kind 'two_point' has no "
+     "built-in one"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, section, body, fragment):
     # overlay the mutated section onto a minimal valid config
@@ -160,10 +164,6 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
 
 
 def test_construction_errors_exit_3(tmp_path, capsys):
-    # prox_sgm on a problem with no built-in regularizer and none configured
-    text = TWO_POINT_SMALL.replace("kind = sgm", "kind = prox_sgm")
-    assert run_cli(["validate", write_cfg(tmp_path, text)]) == 3
-    assert "regularizer" in capsys.readouterr().err
     # matrix file that does not exist
     text = TWO_POINT_SMALL.replace(
         "kind = two_point", "kind = custom_matrix_file\npath = nowhere.txt")
@@ -373,11 +373,11 @@ def test_regularizer_spec_is_parsed(tmp_path, spec, parsed):
         text = text.replace("kind = two_point", "kind = quadratic_l1")
     cfg = cli.parse_config(write_cfg(tmp_path, text))
     assert cfg.regularizer_spec == parsed
-    geom = cli.build_geometry(cfg, None)
+    g = cli.method_regularizer(cfg.method, cfg.regularizer_spec, None)
     # g ≡ c has the identity prox, so it is built as the zero regularizer
-    assert geom.kind == {"constant": "zero"}.get(parsed[0], parsed[0])
+    assert g.kind == {"constant": "zero"}.get(parsed[0], parsed[0])
     if parsed[0] == "l1":
-        assert geom.weight == 0.25
+        assert g.weight == 0.25
 
 
 @pytest.mark.parametrize("problem", ["two_point", "kaczmarz"])
@@ -829,13 +829,13 @@ def test_audits_enumerate_successors_once_per_point(tmp_path, monkeypatch):
     blocks, audited = [], []
     inner, inner_moments = growth.enumerate_successors, growth.successor_moments
 
-    def counted(problem, geometry, gamma, Xp):
+    def counted(problem, regularizer, gamma, Xp):
         blocks.append(np.array(Xp))
-        return inner(problem, geometry, gamma, Xp)
+        return inner(problem, regularizer, gamma, Xp)
 
-    def recorded(problem, geometry, gamma, points):
+    def recorded(problem, regularizer, gamma, points):
         audited.append(np.array(points))
-        return inner_moments(problem, geometry, gamma, points)
+        return inner_moments(problem, regularizer, gamma, points)
 
     monkeypatch.setattr(growth, "enumerate_successors", counted)
     monkeypatch.setattr(growth, "successor_moments", recorded)
@@ -912,10 +912,10 @@ def test_inverse_t_resolvent_run_neither_solves_nor_checks(tmp_path,
 
 
 def test_kaczmarz_recommend_audits_bit_for_bit_under_sgm_and_psgm(tmp_path):
-    # sgm and psgm on the whole space are one iteration, so their artifacts
-    # must agree in every byte, the exact audit's margins included, and the
-    # method's name is the one field that may differ; resolvent_sgm steps
-    # the same way, but its floor and rate rules are its own
+    # sgm, psgm on the whole space and resolvent_sgm with the zero operator
+    # are one iteration under one set of rules, so their artifacts must
+    # agree in every byte, the exact audit's margins included, and the
+    # method's name is the one field that may differ
     psgm = (CONFIGS_DIR / "kaczmarz_recommend.cfg").read_text()
     assert "iterations = 5000" in psgm and "set = whole_space\n" in psgm
     psgm = psgm.replace("iterations = 5000", "iterations = 2000")
@@ -928,25 +928,27 @@ def test_kaczmarz_recommend_audits_bit_for_bit_under_sgm_and_psgm(tmp_path):
         codes[method] = run_cli(["run", write_cfg(tmp_path, text,
                                                   f"{method}.cfg"),
                                  "--out", out[method]])
-    for method in ("sgm", "resolvent_sgm"):
-        for fname in ("trajectory_stats.csv", "audit_trajectory.csv"):
+    methods = ("sgm", "resolvent_sgm", "psgm")
+    for method in methods[:2]:
+        assert codes[method] == codes["psgm"], method
+        for fname in ("trajectory_stats.csv", "audit_trajectory.csv",
+                      "growth.json"):
             assert ((out[method] / fname).read_bytes()
                     == (out["psgm"] / fname).read_bytes()), (method, fname)
-    sgm, psgm = out["sgm"], out["psgm"]
-    assert codes["sgm"] == codes["psgm"]
-    assert (sgm / "growth.json").read_bytes() == (
-        psgm / "growth.json").read_bytes()
-    manifests = [json.loads((d / "manifest.json").read_text())
-                 for d in (sgm, psgm)]
-    assert [m.pop("method") for m in manifests] == ["sgm", "psgm"]
-    assert manifests[0] == manifests[1]
-    assert manifests[0]["checks"]["necessary"]["status"] == "pass"
+    manifests = [json.loads((out[m] / "manifest.json").read_text())
+                 for m in methods]
+    assert [m.pop("method") for m in manifests] == list(methods)
+    assert manifests[0] == manifests[1] == manifests[2]
+    checks = manifests[0]["checks"]
+    assert checks["necessary"]["status"] == "pass"
+    assert "contraction_violations" in checks["rate"]
+    assert checks["floor"]["status"] != "skipped"
     summaries = [[line.split(",") for line in
-                  (d / "summary.csv").read_text().splitlines()]
-                 for d in (sgm, psgm)]
+                  (out[m] / "summary.csv").read_text().splitlines()]
+                 for m in methods]
     col = summaries[0][0].index("method")
-    assert [s[1].pop(col) for s in summaries] == ["sgm", "psgm"]
-    assert summaries[0] == summaries[1]
+    assert [s[1].pop(col) for s in summaries] == list(methods)
+    assert summaries[0] == summaries[1] == summaries[2]
 
 
 @pytest.mark.parametrize("method", ["psgm\nset = whole_space",
@@ -955,7 +957,7 @@ def test_kaczmarz_recommend_audits_bit_for_bit_under_sgm_and_psgm(tmp_path):
                          ids=["psgm_whole_space", "prox_sgm_zero",
                               "prox_sgm_constant"])
 def test_trivial_geometry_run_equals_sgm(tmp_path, method):
-    # the CLI alone maps a method name to its geometry; each of these step
+    # the CLI alone maps a method name to its regularizer; each of these step
     # maps is the identity, so the run must reproduce the sgm run bytewise
     cfg = CONFIGS_DIR / "kaczmarz_classical.cfg"
     text = cfg.read_text().replace("kind = sgm", f"kind = {method}")

@@ -44,14 +44,17 @@ def test_no_object_is_listed_by_two_modules():
 
 def test_runtime_imports_no_scipy():
     # the runtime depends on numpy alone; scipy being installed must not let
-    # an import of it slip through
+    # an import of it slip through.  Every config the repo ships, the golden
+    # and benchmark ones included, must validate under today's grammar
     root = Path(__file__).resolve().parent.parent
     code = ("import sys\n"
             "from sgmlab import cli\n"
             "for cfg in sys.argv[1:]:\n"
             "    assert cli.main(['validate', cfg]) == 0, cfg\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    configs = sorted(str(p) for p in (root / "configs").glob("*.cfg"))
+    dirs = [root / d for d in ("configs", "tests/golden", "perfbench/configs")]
+    assert all(any(d.glob("*.cfg")) for d in dirs)
+    configs = [str(p) for d in dirs for p in sorted(d.glob("*.cfg"))]
     proc = subprocess.run([sys.executable, "-c", code, *configs],
                           env={**os.environ, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, timeout=120)

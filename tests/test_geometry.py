@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import regularizer_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,16 +15,16 @@ finite_vec = lambda n: arrays(np.float64, n,
 
 
 def sample_sets():
-    return [geo.whole_space()]
+    return [regularizer_of("psgm")]
 
 
 # ---------------------------------------------------------------------------
-# projections: the whole space steps by the identity
+# projections: psgm on the whole space steps by the identity
 # ---------------------------------------------------------------------------
 
 def test_whole_space_projection_is_identity(rng):
     x = rng.normal(size=4)
-    assert np.array_equal(geo.step_map(geo.whole_space())(1.0, x), x)
+    assert np.array_equal(geo.step_map(regularizer_of("psgm"))(1.0, x), x)
 
 
 @pytest.mark.parametrize("set_idx", range(len(sample_sets())))
@@ -115,17 +116,17 @@ def test_l1_regularizer_validation():
 
 
 # ---------------------------------------------------------------------------
-# resolvents: the zero operator steps by the identity
+# resolvents: resolvent_sgm's zero operator steps by the identity
 # ---------------------------------------------------------------------------
 
 def test_resolvent_of_zero_operator_is_identity(rng):
-    resolvent = geo.step_map(geo.LinearMonotoneOperator())
+    resolvent = geo.step_map(regularizer_of("resolvent_sgm"))
     x = rng.normal(size=3)
     assert np.array_equal(resolvent(0.7, x), x)
 
 
 def test_resolvent_batch_consistent(rng):
-    resolvent = geo.step_map(geo.LinearMonotoneOperator())
+    resolvent = geo.step_map(regularizer_of("resolvent_sgm"))
     X = rng.normal(size=(3, 5))
     R = resolvent(0.3, X)
     for j in range(5):
@@ -139,7 +140,7 @@ def test_resolvent_of_zero_operator_is_an_exact_copy(shape, linalg_calls,
     # holding inf into NaN; the resolvent keeps every bit instead, with no
     # solve and no condition check.  A point or batch is passed on as it
     # is, in any layout (the step loop relies on getting no copy)
-    resolvent = geo.step_map(geo.LinearMonotoneOperator())
+    resolvent = geo.step_map(regularizer_of("resolvent_sgm"))
     x = rng.normal(size=shape)
     x[x < 0] = -0.0
     x.flat[1], x.flat[2], x.flat[3] = np.inf, -np.inf, np.nan
@@ -160,16 +161,16 @@ def test_resolvent_of_zero_operator_is_an_exact_copy(shape, linalg_calls,
 
 STEP_MAP_GEOMETRIES = {
     "none": lambda: None,
-    "whole_space": geo.whole_space,
+    "whole_space": lambda: regularizer_of("psgm"),
     "zero_regularizer": geo.zero_regularizer,
     "constant_regularizer": lambda: cli.build_regularizer(("constant", 3.7)),
-    "zero_operator": geo.LinearMonotoneOperator,
+    "zero_operator": lambda: regularizer_of("resolvent_sgm"),
 }
 
 
 @pytest.mark.parametrize("geometry", STEP_MAP_GEOMETRIES)
 def test_identity_step_maps_return_y_itself(geometry, linalg_calls, rng):
-    # every geometry but the l1 prox is the identity, which returns Y
+    # every step map but the l1 prox is the identity, which returns Y
     # itself in whatever layout it came, C, F or a d-contiguous view
     # (strides (8, 8d)), so every bit stays, -0.0, inf and NaN included
     # (LAPACK on I would turn most -0.0 into +0.0 and a column holding inf
@@ -194,7 +195,7 @@ def test_identity_step_maps_return_y_itself(geometry, linalg_calls, rng):
 
 def test_vector_shape_is_preserved(rng):
     x = rng.normal(size=4)
-    assert geo.step_map(geo.whole_space())(1.0, x).shape == (4,)
+    assert geo.step_map(regularizer_of("psgm"))(1.0, x).shape == (4,)
     assert geo.prox(geo.l1_regularizer(0.1), 1.0, x).shape == (4,)
     X = rng.normal(size=(4, 6))
     assert geo.prox(geo.l1_regularizer(0.1), 1.0, X).shape == (4, 6)

@@ -4,10 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import component_grad, exact_conditional_moment, run_one
+from conftest import (
+    component_grad,
+    exact_conditional_moment,
+    regularizer_of,
+    run_one,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmlab import geometry as geo
-from sgmlab import cli, growth, problems, solvers
+from sgmlab import checks, cli, growth, problems, solvers
 from sgmlab.growth import (
     contraction_margins,
     enumerate_successors,
@@ -285,21 +292,21 @@ def test_successor_moments_are_enumerated_moments(rng):
                           np.sum(G.mean(axis=1) ** 2), rtol=1e-14)
 
 
-def _reference_step(geometry):
+def _reference_step(regularizer):
     """The reference's step map, written out: the l1 prox, and Y itself for
-    every other geometry."""
-    if isinstance(geometry, geo.Regularizer) and geometry.kind == "l1":
-        return lambda gamma, Y: geo.prox(geometry, gamma, Y)
+    None and every other regularizer."""
+    if regularizer is not None and regularizer.kind == "l1":
+        return lambda gamma, Y: geo.prox(regularizer, gamma, Y)
     return lambda gamma, Y: Y
 
 
-def _per_point_moments(p, geometry, gamma, points):
+def _per_point_moments(p, regularizer, gamma, points):
     """The per-point loop that the block enumeration replaced, kept as its
     reference: one enumeration per point, its (d, n) successors in C order
     (the moments are sums over d, whose last bits depend on the layout for
     d >= 8), each moment a dot product or a ``.mean()`` of them."""
     x_star = p.x_star
-    step = _reference_step(geometry)
+    step = _reference_step(regularizer)
     moments = np.empty((4, len(points)))
     for k, x in enumerate(points):
         grads = p.all_component_grads(x[None])[0]
@@ -317,9 +324,9 @@ def _per_point_moments(p, geometry, gamma, points):
 
 AUDIT_GEOMETRIES = {
     "none": lambda d: None,
-    "whole_space": lambda d: geo.whole_space(),
+    "whole_space": lambda d: regularizer_of("psgm"),
     "l1": lambda d: geo.l1_regularizer(0.05),
-    "zero_resolvent": lambda d: geo.LinearMonotoneOperator(),
+    "zero_resolvent": lambda d: regularizer_of("resolvent_sgm"),
     "zero_prox": lambda d: geo.zero_regularizer(),
 }
 
@@ -348,10 +355,10 @@ def test_successor_moments_equal_the_per_point_loop(problem, geometry,
 
 
 IDENTITY_GEOMETRIES = {
-    "whole_space": geo.whole_space,
+    "whole_space": lambda: regularizer_of("psgm"),
     "zero_regularizer": geo.zero_regularizer,
     "constant_regularizer": lambda: cli.build_regularizer(("constant", 3.7)),
-    "zero_operator": geo.LinearMonotoneOperator,
+    "zero_operator": lambda: regularizer_of("resolvent_sgm"),
 }
 
 
@@ -497,8 +504,8 @@ def test_measured_omega_matches_closed_form(two_point):
 
 def test_contraction_margins_clean_on_kaczmarz(kaczmarz_20x5):
     p = kaczmarz_20x5
-    gamma, rho = solvers.recommend_step(p.lipschitz_L, p.analytic_M,
-                                        p.strong_mu)
+    gamma, rho = checks.recommend_step(p.lipschitz_L, p.analytic_M,
+                                       p.strong_mu)
     spec = solvers.SolverRun(problem=p,
                              step=solvers.ConstantStep(gamma), iters=100,
                              seed=31)
@@ -516,6 +523,59 @@ def test_contraction_margins_flag_impossible_rate(two_point):
         successor_moments(two_point, None, 0.5, points), rho=0.999,
         sigma1_sq=0.0)
     assert flagged
+
+
+# ---------------------------------------------------------------------------
+# the necessary condition over random small instances
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_instances(draw):
+    """(problem, regularizer) of a random small instance: the two-point
+    quadratic, a 3–12 × 1–4 Kaczmarz system, consistent or with noise up to
+    1, or a quadratic_l1 problem solved for f alone and run with no
+    regularizer or with the zero regularizer."""
+    seed = draw(st.integers(0, cli.SEED_MAX))
+    kind = draw(st.sampled_from(("two_point", "kaczmarz", "quadratic_l1")))
+    if kind == "two_point":
+        return problems.make_two_point_quadratic(), None
+    if kind == "kaczmarz":
+        d = draw(st.integers(1, 4))
+        system = problems.make_random_kaczmarz_system(
+            draw(st.integers(max(3, d), 12)), d, seed,
+            mix=draw(st.floats(0.0, 1.0)), consistent=draw(st.booleans()),
+            noise=draw(st.floats(0.0, 1.0)))
+        return problems.make_kaczmarz_problem(system), None
+    zero = geo.zero_regularizer()
+    p = problems.make_quadratic_l1(seed, dim=draw(st.integers(1, 4)),
+                                   n_components=2 * draw(st.integers(1, 6)),
+                                   regularizer=zero)
+    return p, draw(st.sampled_from((None, zero)))
+
+
+@given(small_instances(), st.floats(0.01, 1.5), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_one_step_contraction_implies_the_second_moment_bound(
+        instance, gamma_L, seed):
+    # The paper's necessary condition for linear convergence, one step at a
+    # time: with G = (x − x₊)/γ, wherever E‖x₊ − x*‖² ≤ ω‖x − x*‖² + γ²σ²
+    # holds at a point, E‖G‖² ≤ ‖E G‖²/(1 − ω) + σ² must hold there too.
+    # It checks that the audit's four exact moments agree with each other.
+    # 64 points at scales 1e-3 to 1e2 about x*; ω is each of four fixed
+    # values and the worst contraction measured over the points, at which
+    # the hypothesis holds everywhere.  A point where the hypothesis fails
+    # is reported, never filtered; the fixed examples bound the cost
+    p, regularizer = instance
+    sigma_sq, gamma = p.analytic_sigma_sq, gamma_L / p.lipschitz_L
+    g = np.random.default_rng(seed)
+    points = p.x_star + g.standard_normal((64, p.dim)) * 10.0 ** g.uniform(
+        -3, 2, (64, 1))
+    moments = successor_moments(p, regularizer, gamma, points)
+    worst = measured_worst_omega(moments, sigma_sq)
+    for omega in (0.1, 0.5, 0.9, 0.99, worst):
+        if 0 < omega < 1:
+            report = verify_necessary_condition(moments, omega, sigma_sq)
+            assert report.flagged == [], (omega, report.margins)
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,12 @@ def shift_x_star_in_the_distances(monkeypatch):
 
 def halve_the_prox_weight(monkeypatch):
     """The step map's ℓ1 weight is half the one the solution was built with."""
-    build = cli.build_geometry
+    build = cli.method_regularizer
 
-    def built(cfg, problem):
-        geometry = build(cfg, problem)
-        return dataclasses.replace(geometry, weight=geometry.weight / 2)
-    monkeypatch.setattr(cli, "build_geometry", built)
+    def built(method, spec, problem):
+        g = build(method, spec, problem)
+        return dataclasses.replace(g, weight=g.weight / 2)
+    monkeypatch.setattr(cli, "method_regularizer", built)
 
 
 def offset_component_0_in_the_loop(monkeypatch):

@@ -12,13 +12,13 @@ from conftest import component_grad, force_split, run_one
 
 from sgmlab import geometry as geo
 from sgmlab import analysis, problems, solvers
+from sgmlab.checks import recommend_step
 from sgmlab.rng import IndexStream
 from sgmlab.solvers import (
     ConstantStep,
     DivergenceError,
     InverseTStep,
     SolverRun,
-    recommend_step,
     run_ensemble,
 )
 
@@ -76,21 +76,21 @@ def test_step_policies():
 
 
 def test_method_geometry_pairing_is_validated(two_point):
-    # the geometry's type names the method, so anything else is refused
-    for geometry in ("whole_space", geo.whole_space, np.zeros(1)):
-        with pytest.raises(ValueError, match="geometry must be"):
+    # a run's one method parameter is None or a Regularizer: a method's
+    # name, a factory or an array in its place is refused
+    for regularizer in ("psgm", geo.zero_regularizer, np.zeros(1)):
+        with pytest.raises(ValueError, match="regularizer must be"):
             SolverRun(problem=two_point, step=ConstantStep(0.1), iters=10,
-                      seed=0, geometry=geometry)
+                      seed=0, regularizer=regularizer)
 
 
 def test_default_x0_respects_geometry(two_point, kaczmarz_20x5):
     spec = two_point_spec()
     assert np.array_equal(spec.x0, np.zeros(1))
-    # zero is feasible for every geometry, so every method starts there
-    for geometry in (geo.whole_space(), geo.l1_regularizer(0.1),
-                     geo.LinearMonotoneOperator()):
+    # every method starts at zero, with a regularizer or without
+    for regularizer in (None, geo.l1_regularizer(0.1)):
         spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(0.1),
-                         iters=10, seed=0, geometry=geometry)
+                         iters=10, seed=0, regularizer=regularizer)
         assert np.array_equal(spec.x0, np.zeros(5))
 
 
@@ -161,8 +161,7 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1,
                               kaczmarz_20x5.analytic_M,
                               kaczmarz_20x5.strong_mu)
     spec = SolverRun(problem=kaczmarz_20x5,
-                     step=ConstantStep(gamma), iters=2000, seed=11,
-                     geometry=geo.whole_space())
+                     step=ConstantStep(gamma), iters=2000, seed=11)
     D = matrix_of(run_ensemble(spec, 600))
     for r in (0, 255, 256, 599):
         single = run_ensemble(replace(spec, replication=r), 1)
@@ -170,7 +169,7 @@ def test_batch_width_does_not_change_results(kaczmarz_20x5, quadratic_l1,
     # at d = 10 a one-column batch is where numpy would sum pairwise
     spec = SolverRun(problem=quadratic_l1,
                      step=ConstantStep(0.05), iters=300, seed=11,
-                     geometry=geo.l1_regularizer(0.005))
+                     regularizer=geo.l1_regularizer(0.005))
     D = matrix_of(run_ensemble(spec, 300))
     for r in (0, 7, 299):
         single = run_one(replace(spec, replication=r))
@@ -186,8 +185,7 @@ def test_thread_count_does_not_change_results(kaczmarz_20x5, threads,
                               kaczmarz_20x5.analytic_M,
                               kaczmarz_20x5.strong_mu)
     spec = SolverRun(problem=kaczmarz_20x5,
-                     step=ConstantStep(gamma), iters=150, seed=11,
-                     geometry=geo.whole_space())
+                     step=ConstantStep(gamma), iters=150, seed=11)
     baseline = run_ensemble(spec, 600)
     if threads is None:
         results = [run_ensemble(spec, 600)]
@@ -225,7 +223,7 @@ def test_streamed_statistics_equal_the_whole_matrix_reduction(
     # T + 1 below one block, and one, two, or no columns past whole blocks
     # of max(2, 2**15 // R) columns
     spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(0.05),
-                     iters=T, seed=5, geometry=geo.whole_space())
+                     iters=T, seed=5)
     ens = run_ensemble(spec, R)
     D = matrix_of(ens)
     assert D.shape == (R, T + 1)
@@ -257,8 +255,7 @@ def test_indices_past_a_narrow_type_keep_their_value(n, matrix_of):
     # above 255 (n = 300) and 65 535 (n = 2**17) all but certain to occur
     p = problems.make_kaczmarz_problem(
         problems.make_random_kaczmarz_system(n, 2, 3, mix=0.5))
-    spec = SolverRun(problem=p, step=ConstantStep(1.0), iters=600, seed=9,
-                     geometry=geo.whole_space())
+    spec = SolverRun(problem=p, step=ConstantStep(1.0), iters=600, seed=9)
     ens = run_ensemble(spec, 4)
     D = matrix_of(ens)
     drawn = []
@@ -293,7 +290,7 @@ def test_index_block_length_does_not_change_results(kaczmarz_20x5,
     # columns [R // 2, R) in a worker (widths 2 + 3 and 1 + 2) against the
     # one-process base
     spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(1.0), iters=T,
-                     seed=4, geometry=geo.whole_space())
+                     seed=4)
     base = run_ensemble(spec, R)
     expected = IndexStream(4, 0, 20, np.random.Philox()).next_block(T)
     assert np.array_equal(base.audit.sampled_indices, expected)
@@ -382,7 +379,7 @@ def test_split_batch_is_bitwise_the_one_process_batch(kaczmarz_20x5,
                               kaczmarz_20x5.analytic_M,
                               kaczmarz_20x5.strong_mu)
     spec = SolverRun(problem=kaczmarz_20x5, step=ConstantStep(gamma),
-                     iters=300, seed=11, geometry=geo.whole_space())
+                     iters=300, seed=11)
     base = run_ensemble(spec, R)
     forks = force_split(monkeypatch)
     ens = run_ensemble(spec, R)
@@ -695,7 +692,7 @@ def test_recommended_step_contracts_on_kaczmarz(kaczmarz_20x5):
     p = kaczmarz_20x5
     gamma, rho = recommend_step(p.lipschitz_L, p.analytic_M, p.strong_mu)
     spec = SolverRun(problem=p, step=ConstantStep(gamma),
-                     iters=200, seed=3, geometry=geo.whole_space())
+                     iters=200, seed=3)
     mean = run_ensemble(spec, 64).mean_dist_sq
     assert mean[-1] < mean[0] * (1 - rho) ** 200 * 3  # within 3x of the bound
     assert mean[-1] < mean[0]
@@ -714,27 +711,3 @@ def test_two_point_mean_follows_exact_recursion(two_point):
     for t in range(T):
         exact[t + 1] = (1 - gamma) ** 2 * exact[t] + gamma ** 2
     assert np.all(np.abs(mean - exact) <= 5 * se + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# recommended steps
-# ---------------------------------------------------------------------------
-
-def test_recommend_step_reference_values():
-    whole = geo.whole_space()
-    assert recommend_step(1.0, 1.0, 1.0, whole) == (0.5, 0.25)
-    assert recommend_step(1.0, 2.0, 1.0, whole) == (0.25, 0.125)
-    assert recommend_step(1.0, 1.0, 1.0, None) == (0.5, 0.25)
-    gamma, rho = recommend_step(1.0, 1.0, 1.0, geo.zero_regularizer())
-    assert gamma == 0.25 and rho == 0.125
-
-
-def test_recommend_step_requires_strict_curvature_hypothesis():
-    with pytest.raises(ValueError, match="mu < 4"):
-        recommend_step(1.0, 1.0, 4.0, geo.whole_space())  # mu == 4LM
-    with pytest.raises(ValueError):
-        recommend_step(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        recommend_step(1.0, 1.0, -2.0)
-    with pytest.raises(ValueError, match="geometry must be"):
-        recommend_step(1.0, 1.0, 1.0, "psgm")  # a method name names nothing
